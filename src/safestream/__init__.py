@@ -18,18 +18,17 @@ from .gaussian import (
     ClassStats,
     downdate_cov,
     downdate_mean,
-    gaussian_logpdf,
     make_projection,
     mardia_test,
 )
 from .model import (
     Architecture,
     ModelParams,
-    cross_entropy_loss,
     grad_cross_entropy,
-    grad_kl_to_target,
-    kl_divergence,
-    predict_proba,
+    kl_rows,
+    mean_cross_entropy,
+    predict_proba_batch,
+    sum_grad_kl_to_targets,
 )
 from .oracle import (
     RegretAccount,

@@ -15,7 +15,7 @@ forgotten points, and O(1)-per-class statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -60,13 +60,6 @@ class SafeConfig:
             raise ConfigError(f"lambda weight must be >= 0, got {self.lam}")
         if self.proj_dim is not None and self.proj_dim < 1:
             raise ConfigError(f"proj_dim must be >= 1, got {self.proj_dim}")
-
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K, "T": self.T, "W": self.W, "epsilon": self.epsilon,
-            "delta": self.delta, "lam": self.lam, "proj_dim": self.proj_dim,
-            "seed": self.seed,
-        }
 
 
 def learning_rate(config: SafeConfig) -> float:
@@ -117,8 +110,9 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
 @dataclass
 class ForgettingLedger:
-    """All points forgotten so far, with their round indices and the trade-off
-    weight lambda. Stores raw points only; targets are recomputed per round."""
+    """All points forgotten so far: raw features, labels, ids and the round
+    each was forgotten in, plus the trade-off weight lambda. Each id appears
+    at most once. Targets are not stored; they are recomputed per round."""
 
     lam: float
     X: np.ndarray | None = None
@@ -159,7 +153,7 @@ class RoundResult:
     params: ModelParams
     round: int
     accepted: int                # request size after filtering
-    dropped: int                 # duplicates / non-members ignored
+    dropped: int                 # repeated ids (first kept) / non-members
     grad_norm: float
     perturbation: np.ndarray
     exhausted_classes: list[int]
@@ -208,12 +202,20 @@ class SafeUnlearner:
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
         y = np.atleast_1d(np.asarray(y, dtype=np.int64))
         ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
+        # the whole request is checked before any state changes
         if not (len(X) == len(y) == len(ids)):
             raise StreamError("request features, labels, and ids disagree in length")
+        if not np.all(np.isfinite(X)):
+            raise StreamError("request features contain non-finite values")
+        unknown = set(y.tolist()) - self.counts0.keys()
+        if unknown:
+            raise StreamError(f"request labels {sorted(unknown)} are not fitted classes")
 
-        # containment rule: ignore points outside D_{t-1} or already forgotten
-        keep = np.fromiter(
-            (int(i) in self.surviving for i in ids), dtype=bool, count=len(ids)
+        # containment rule: keep the first occurrence of each id in D_{t-1}
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[np.unique(ids, return_index=True)[1]] = True
+        keep &= np.fromiter(
+            (i in self.surviving for i in ids.tolist()), dtype=bool, count=len(ids)
         )
         dropped = int((~keep).sum())
         X, y, ids = X[keep], y[keep], ids[keep]
@@ -223,9 +225,10 @@ class SafeUnlearner:
             grad_sum = grad_cross_entropy(self.params0, X, y) * m
         else:
             grad_sum = np.zeros(self.params0.arch.n_params)
-        self.retention = update_retention_grad(self.retention, grad_sum, m)
+        retention = update_retention_grad(self.retention, grad_sum, m)
 
         exhausted = self.gaussians.remove(X, y) if m else []
+        self.retention = retention
 
         for label in y:
             self.class_counts[int(label)] -= 1
@@ -257,8 +260,8 @@ class SafeUnlearner:
         g = self.gaussians
         return {
             "round": self.round,
-            "config": self.config.to_dict(),
-            "arch": self.params0.arch.to_dict(),
+            "config": asdict(self.config),
+            "arch": asdict(self.params0.arch),
             "theta0": self.params0.theta.tolist(),
             "retention": {
                 "grad": self.retention.grad.tolist(),
@@ -286,7 +289,7 @@ class SafeUnlearner:
         from .gaussian import ClassStats, cholesky_with_jitter
         from .model import Architecture
 
-        arch = Architecture.from_dict(state["arch"])
+        arch = Architecture(**state["arch"])
         params0 = ModelParams(arch, np.asarray(state["theta0"]))
         cfg = SafeConfig(**state["config"])
         stats = {}

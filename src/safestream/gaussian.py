@@ -1,5 +1,5 @@
 """Random projection, per-class Gaussian statistics with exact downdating,
-Gaussian log-density, and Mardia's multivariate normality test.
+Gaussian log-density ratios, and Mardia's multivariate normality test.
 
 Per-class feature statistics are kept in a *standardized* space frozen at
 initialization: raw inputs are projected with a fixed Gaussian matrix, then
@@ -50,22 +50,6 @@ def cholesky_with_jitter(sigma: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(sigma + CHOL_JITTER * np.eye(sigma.shape[0]))
     except np.linalg.LinAlgError:
         raise StatsError("covariance not positive definite even after jitter") from None
-
-
-def gaussian_logpdf(z: np.ndarray, mu: np.ndarray, chol: np.ndarray) -> float:
-    """Multivariate normal log-density from a precomputed Cholesky factor."""
-    z = np.asarray(z, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise StatsError("non-finite point passed to gaussian_logpdf")
-    d = len(z)
-    w = solve_triangular(chol, z - mu, lower=True)
-    logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-    return -0.5 * (d * LOG_2PI + logdet + float(w @ w))
-
-
-def std_normal_logpdf(z: np.ndarray) -> float:
-    z = np.asarray(z, dtype=np.float64)
-    return -0.5 * (len(z) * LOG_2PI + float(z @ z))
 
 
 def downdate_mean(n: int, mu: np.ndarray, m: int, mu_rm: np.ndarray,
@@ -198,9 +182,6 @@ class ClassConditionalGaussians:
             self.base_chol[label], (U - self.base_mu[label]).T, lower=True
         ).T
 
-    def standardize(self, x: np.ndarray, label: int) -> np.ndarray:
-        return self.standardize_batch(np.asarray(x)[None, :], label)[0]
-
     def remove(self, X: np.ndarray, y: np.ndarray) -> list[int]:
         """Downdate per-class statistics for a deletion batch.
 
@@ -232,12 +213,8 @@ class ClassConditionalGaussians:
             st.chol = cholesky_with_jitter(sigma_new)
         return exhausted
 
-    def log_density_vs_base(self, z: np.ndarray, label: int) -> float:
-        """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for one standardized point."""
-        st = self.stats[label]
-        return gaussian_logpdf(z, st.mu, st.chol) - std_normal_logpdf(z)
-
     def log_density_vs_base_batch(self, Z: np.ndarray, label: int) -> np.ndarray:
+        """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for each standardized row."""
         st = self.stats[label]
         d = Z.shape[1]
         W = solve_triangular(st.chol, (Z - st.mu).T, lower=True).T

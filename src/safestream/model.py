@@ -38,17 +38,6 @@ class Architecture:
             return c * (d + 1)
         return h * (d + 1) + c * (h + 1)
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "n_classes": self.n_classes,
-            "hidden_dim": self.hidden_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Architecture":
-        return cls(int(d["input_dim"]), int(d["n_classes"]), d.get("hidden_dim"))
-
 
 @dataclass
 class ModelParams:
@@ -126,24 +115,12 @@ def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _softmax(logits)
 
 
-def predict_proba(params: ModelParams, x: np.ndarray) -> np.ndarray:
-    """Softmax class probabilities for a single input."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError(f"expected a single feature vector, got shape {x.shape}")
-    return predict_proba_batch(params, x[None, :])[0]
-
-
-def cross_entropy_loss(params: ModelParams, x: np.ndarray, y: int) -> float:
-    """-log p_y with the probability clamped at 1e-12 before the log."""
-    c = params.arch.n_classes
-    if not 0 <= y < c:
-        raise ConfigError(f"label {y} outside [0, {c})")
-    p = predict_proba(params, x)
-    return float(-np.log(max(p[y], PROB_FLOOR)))
-
-
 def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean of -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
+    y = np.asarray(y, dtype=np.int64)
+    c = params.arch.n_classes
+    if y.size and not (0 <= y.min() and y.max() < c):
+        raise ConfigError(f"labels outside [0, {c})")
     p = predict_proba_batch(params, X)
     py = np.maximum(p[np.arange(len(y)), y], PROB_FLOOR)
     return float(-np.log(py).mean())
@@ -180,15 +157,16 @@ def grad_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.
     return _backprop_sum(params, X, dlogits, hidden) / len(y)
 
 
-def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """KL(p || q) = sum_c p_c log(p_c / q_c), q clamped below at 1e-12."""
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ConfigError(f"length mismatch: {p.shape} vs {q.shape}")
-    qc = np.maximum(q, PROB_FLOOR)
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, PROB_FLOOR)) - np.log(qc)), 0.0)
-    return float(terms.sum())
+def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Per-row KL(P_i || Q_i) = sum_c p_c log(p_c / q_c), q clamped below at
+    1e-12; entries with p_c = 0 contribute 0."""
+    P = np.asarray(P, dtype=np.float64)
+    Q = np.asarray(Q, dtype=np.float64)
+    if P.shape != Q.shape:
+        raise ConfigError(f"shape mismatch: {P.shape} vs {Q.shape}")
+    logq = np.log(np.maximum(Q, PROB_FLOOR))
+    terms = np.where(P > 0.0, P * (np.log(np.maximum(P, PROB_FLOOR)) - logq), 0.0)
+    return terms.sum(axis=1)
 
 
 def _kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -199,21 +177,11 @@ def _kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
     return p * (logp - logt - kl)
 
 
-def grad_kl_to_target(params: ModelParams, x: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of KL(predict_proba(params, x) || target) w.r.t. theta.
-
-    The target is a constant: no gradient flows through it.
-    """
-    x = np.asarray(x, dtype=np.float64)[None, :]
-    logits, hidden = _forward(params, x)
-    p = _softmax(logits)
-    dlogits = _kl_dlogits(p, np.asarray(target, dtype=np.float64)[None, :])
-    return _backprop_sum(params, x, dlogits, hidden)
-
-
 def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
                            targets: np.ndarray) -> np.ndarray:
-    """Sum over rows of grad_kl_to_target, vectorized for ledger-sized batches."""
+    """Gradient w.r.t. theta of sum_i KL(p_i || target_i), p_i the predicted
+    probabilities of row i. Targets are constants: no gradient flows through
+    them."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     logits, hidden = _forward(params, X)
     p = _softmax(logits)

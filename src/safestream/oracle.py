@@ -18,7 +18,7 @@ from .model import (
     ModelParams,
     grad_cross_entropy,
     init_params,
-    kl_divergence,
+    kl_rows,
     mean_cross_entropy,
     predict_proba_batch,
 )
@@ -44,12 +44,6 @@ class RetrainConfig:
             raise ConfigError(f"invalid retrain config {self}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"invalid batch_size {self.batch_size}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs, "lr": self.lr, "batch_size": self.batch_size,
-            "seed": self.seed, "grad_tol": self.grad_tol,
-        }
 
 
 def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
@@ -100,8 +94,7 @@ def true_risk(params: ModelParams, X_t: np.ndarray, y_t: np.ndarray,
     if ledger.count:
         p = predict_proba_batch(params, ledger.X)
         q = predict_proba_batch(params_star, ledger.X)
-        kl = sum(kl_divergence(p[i], q[i]) for i in range(ledger.count))
-        risk += (lam / ledger.count) * kl
+        risk += (lam / ledger.count) * kl_rows(p, q).sum()
     return float(risk)
 
 
@@ -124,8 +117,7 @@ def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
         ))
         risk -= losses.sum() / size_dt
         targets = shift.target_predictions(params0, ledger.X, counts_t, size_dt)
-        kl = sum(kl_divergence(p_led[i], targets[i]) for i in range(ledger.count))
-        risk += (ledger.lam / ledger.count) * kl
+        risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
     return float(risk)
 
 

@@ -13,17 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.stats import multivariate_normal
 
 from .data import Dataset, load_csv, load_idx, make_synthetic
-from .engine import (
-    RetentionGradState,
-    SafeConfig,
-    SafeUnlearner,
-    forgetting_gradient,
-)
+from .engine import RetentionGradState, SafeConfig, SafeUnlearner
 from .errors import ConfigError
 from .evaluation import RoundMetrics, accuracy, mia_attack
 from .gaussian import ClassConditionalGaussians, batch_mean_cov, make_projection
@@ -36,6 +32,7 @@ from .oracle import (
     theorem_gap_bound,
     true_risk,
 )
+from .shift import RATIO_CEIL, RATIO_FLOOR, density_ratio
 from .streams import StreamSpec, generate_stream
 
 K_SWEEP_GRID = (1.0, 2.5, 5.0, 10.0)
@@ -75,16 +72,6 @@ class DatasetSpec:
         if self.kind == "csv" and not (self.path and self.label_column):
             raise ConfigError("csv dataset needs 'path' and 'label_column'")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind, "n": self.n, "dim": self.dim,
-            "classes": self.classes, "separation": self.separation,
-            "images": self.images, "labels": self.labels,
-            "test_images": self.test_images, "test_labels": self.test_labels,
-            "path": self.path, "label_column": self.label_column,
-            "test_fraction": self.test_fraction,
-        }
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -114,19 +101,9 @@ class RunConfig:
     def to_dict(self) -> dict:
         # the output path is routing, not experiment identity: leaving it out
         # keeps replays to different files byte-identical
-        return {
-            "dataset": self.dataset.to_dict(),
-            "safe": self.safe.to_dict(),
-            "retrain": self.retrain.to_dict(),
-            "stream": self.stream.to_dict(),
-            "arch": self.arch,
-            "hidden_dim": self.hidden_dim,
-            "evaluate_mia": self.evaluate_mia,
-            "oracle": self.oracle,
-            "measure_time": self.measure_time,
-            "seed": self.seed,
-            "checkpoint_in": self.checkpoint_in,
-        }
+        d = asdict(self)
+        del d["output"]
+        return d
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -134,17 +111,12 @@ def config_from_dict(raw: dict) -> RunConfig:
     seeds the file left unset from the master seed."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {
-        "dataset", "safe", "retrain", "stream", "arch", "hidden_dim",
-        "evaluate_mia", "oracle", "measure_time", "seed", "output",
-        "checkpoint_in",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     master = int(raw.get("seed", 0))
 
-    def sub(name, cls, seed_channel, extra=()):
+    def sub(name, cls, seed_channel=None):
         d = dict(raw.get(name, {}))
         bad = set(d) - set(cls.__dataclass_fields__)
         if bad:
@@ -156,20 +128,23 @@ def config_from_dict(raw: dict) -> RunConfig:
         except TypeError as e:
             raise ConfigError(f"bad {name} section: {e}") from None
 
-    dataset_d = dict(raw.get("dataset", {}))
-    bad = set(dataset_d) - set(DatasetSpec.__dataclass_fields__)
-    if bad:
-        raise ConfigError(f"unknown dataset keys: {sorted(bad)}")
+    def typed(name, kind, default):
+        value = raw.get(name, default)
+        # bool is a subclass of int, and JSON true must not pass as a width
+        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+            raise ConfigError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+        return value
+
     cfg = RunConfig(
-        dataset=DatasetSpec(**dataset_d),
+        dataset=sub("dataset", DatasetSpec),
         safe=sub("safe", SafeConfig, _SEED_ENGINE),
         retrain=sub("retrain", RetrainConfig, _SEED_TRAIN),
         stream=sub("stream", StreamSpec, _SEED_STREAM),
         arch=raw.get("arch", "softmax"),
-        hidden_dim=int(raw.get("hidden_dim", 32)),
-        evaluate_mia=bool(raw.get("evaluate_mia", True)),
-        oracle=bool(raw.get("oracle", False)),
-        measure_time=bool(raw.get("measure_time", True)),
+        hidden_dim=typed("hidden_dim", int, 32),
+        evaluate_mia=typed("evaluate_mia", bool, True),
+        oracle=typed("oracle", bool, False),
+        measure_time=typed("measure_time", bool, True),
         seed=master,
         output=raw.get("output"),
         checkpoint_in=raw.get("checkpoint_in"),
@@ -249,9 +224,7 @@ def initialize(cfg: RunConfig) -> RunState:
     if cfg.checkpoint_in:
         with open(cfg.checkpoint_in) as f:
             ckpt = json.load(f)
-        params0 = ModelParams(
-            Architecture.from_dict(ckpt["arch"]), np.asarray(ckpt["theta0"])
-        )
+        params0 = ModelParams(Architecture(**ckpt["arch"]), np.asarray(ckpt["theta0"]))
     else:
         params0 = retrain(train.X, train.y, arch, cfg.retrain)
 
@@ -461,22 +434,19 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             float(np.abs(result.params.theta - twin_result.params.theta).max()),
         )
 
-    # density ratio vs direct two-density computation on surviving points
-    from .gaussian import gaussian_logpdf, std_normal_logpdf
-    from .shift import density_ratio
-
+    # density ratio vs scipy's two Gaussian densities on surviving points
     rng = np.random.default_rng(derive_seed(cfg.seed, 99))
     probe = remaining.take(rng.choice(remaining.n, min(50, remaining.n), replace=False))
-    for x, label in zip(probe.X, probe.y):
-        label = int(label)
-        st = engine.gaussians.stats[label]
-        z = engine.gaussians.standardize(x, label)
-        direct = float(np.exp(
-            gaussian_logpdf(z, st.mu, st.chol) - std_normal_logpdf(z)
-        ))
-        direct = float(np.clip(direct, 1e-6, 1e6))
-        got = density_ratio(z, engine.gaussians, label)
-        errs["density_ratio"] = max(errs["density_ratio"], abs(got - direct))
+    for label, st in engine.gaussians.stats.items():
+        Z = engine.gaussians.standardize_batch(probe.X, label)
+        k = Z.shape[1]
+        logr = (multivariate_normal(st.mu, st.sigma).logpdf(Z)
+                - multivariate_normal(np.zeros(k), np.eye(k)).logpdf(Z))
+        with np.errstate(over="ignore"):
+            want = np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
+        got = density_ratio(Z, engine.gaussians, label)
+        errs["density_ratio"] = max(errs["density_ratio"],
+                                    float(np.abs(got - want).max()))
 
     all_ok = True
     for name, tol in VERIFY_TOLERANCES.items():

@@ -26,13 +26,13 @@ def label_ratio(n_t_y: int, n_0_y: int, size_dt: int, size_d0: int) -> float:
     return (n_t_y / n_0_y) * (size_d0 / size_dt)
 
 
-def density_ratio(z: np.ndarray, gaussians: ClassConditionalGaussians,
-                  label: int) -> float:
-    """Current-vs-initial Gaussian density ratio at a standardized point,
-    clipped to [1e-6, 1e6]."""
-    logr = gaussians.log_density_vs_base(z, label)
+def density_ratio(Z: np.ndarray, gaussians: ClassConditionalGaussians,
+                  label: int) -> np.ndarray:
+    """Current-vs-initial Gaussian density ratio at each standardized row of
+    Z, clipped to [1e-6, 1e6]."""
+    logr = gaussians.log_density_vs_base_batch(Z, label)
     with np.errstate(over="ignore"):
-        return float(np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL))
+        return np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
 
 
 class ShiftEstimator:
@@ -60,10 +60,7 @@ class ShiftEstimator:
                 counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
             )
             Z = self.gaussians.standardize_batch(X, label)
-            logr = self.gaussians.log_density_vs_base_batch(Z, label)
-            with np.errstate(over="ignore"):
-                dr = np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
-            q[:, label] = lr * dr
+            q[:, label] = lr * density_ratio(Z, self.gaussians, label)
         return q
 
     def target_predictions(self, params0: ModelParams, X: np.ndarray,
@@ -77,8 +74,3 @@ class ShiftEstimator:
         ok = np.isfinite(norm[:, 0]) & (norm[:, 0] > 0.0)
         out = np.where(ok[:, None], raw / np.where(ok[:, None], norm, 1.0), probs0)
         return out
-
-    def target_prediction(self, params0: ModelParams, x: np.ndarray,
-                          counts_t: dict[int, int], size_dt: int) -> np.ndarray:
-        return self.target_predictions(params0, np.asarray(x)[None, :],
-                                       counts_t, size_dt)[0]

@@ -30,13 +30,6 @@ class StreamSpec:
         if self.mode == MODE_CLASS and self.target_class is None:
             raise ConfigError("class-stream mode needs a target_class")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "rounds": self.rounds,
-            "per_round": self.per_round, "target_class": self.target_class,
-            "seed": self.seed,
-        }
-
 
 def generate_stream(train: Dataset, spec: StreamSpec,
                     min_class_count: int) -> list[np.ndarray]:

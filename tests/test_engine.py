@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import rel_entr
 
 from safestream.engine import (
     ForgettingLedger,
@@ -18,8 +19,6 @@ from safestream.model import (
     Architecture,
     ModelParams,
     grad_cross_entropy,
-    kl_divergence,
-    predict_proba,
     predict_proba_batch,
 )
 from safestream.shift import ShiftEstimator
@@ -145,15 +144,25 @@ class TestForgettingGradient:
         analytic = forgetting_gradient(params0, ledger, engine.shift, counts, size_dt)
 
         def assembled(theta):
-            p = ModelParams(arch, theta)
-            total = sum(
-                kl_divergence(predict_proba(p, ledger.X[i]), targets[i])
-                for i in range(ledger.count)
-            )
-            return (ledger.lam / ledger.count) * total
+            p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
+            return (ledger.lam / ledger.count) * rel_entr(p, targets).sum()
 
         fd = central_difference(assembled, params0.theta.copy())
         assert relative_error(analytic, fd) < 1e-6
+
+
+def engine_state(eng):
+    """Everything process_request may change, in comparable form."""
+    led = eng.ledger
+    return {
+        "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
+        "class_counts": dict(eng.class_counts),
+        "stats": eng.gaussians.snapshot(),
+        "ledger": (None if led.X is None else led.X.tolist(), led.y.tolist(),
+                   led.ids.tolist(), led.rounds.tolist()),
+        "surviving": set(eng.surviving),
+        "round": eng.round,
+    }
 
 
 @pytest.fixture()
@@ -219,6 +228,37 @@ class TestProcessRequest:
         r2 = engine.process_request(X, y, ids)
         assert r2.accepted == 0 and r2.dropped == 11
         assert engine.ledger.count == 10
+
+    def test_repeated_id_counted_once(self, engine, blob_task):
+        train, _, params0 = blob_task
+        twin = build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+        idx = np.array([5, 5])
+        res = engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
+        want = twin.process_request(train.X[5:6], train.y[5:6], train.ids[5:6])
+        assert res.accepted == 1 and res.dropped == 1
+        assert engine_state(engine) == engine_state(twin)
+        assert np.array_equal(res.params.theta, want.params.theta)
+
+    def test_nonfinite_feature_rejected_before_any_change(self, engine, blob_task):
+        train, _, _ = blob_task
+        engine.process_request(train.X[:4], train.y[:4], train.ids[:4])
+        before = engine_state(engine)
+        X = train.X[4:8].copy()
+        X[2, 1] = np.nan
+        with pytest.raises(StreamError, match="non-finite"):
+            engine.process_request(X, train.y[4:8], train.ids[4:8])
+        assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("label", [7, -1])
+    def test_unfitted_label_rejected_before_any_change(self, engine, blob_task, label):
+        train, _, _ = blob_task
+        engine.process_request(train.X[:4], train.y[:4], train.ids[:4])
+        before = engine_state(engine)
+        y = train.y[4:8].copy()
+        y[2] = label
+        with pytest.raises(StreamError, match="not fitted classes"):
+            engine.process_request(train.X[4:8], y, train.ids[4:8])
+        assert engine_state(engine) == before
 
     def test_w0_never_mutated(self, engine, blob_task):
         train, _, params0 = blob_task

@@ -6,17 +6,29 @@ from hypothesis import strategies as st
 from safestream.errors import ClassExhaustionError, ConfigError, StatsError
 from safestream.gaussian import (
     ClassConditionalGaussians,
+    ClassStats,
     batch_mean_cov,
     cholesky_with_jitter,
     downdate_cov,
     downdate_mean,
-    gaussian_logpdf,
     make_projection,
     mardia_test,
-    std_normal_logpdf,
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def log_ratio(Z, mu, sigma):
+    """log N(z | mu, sigma) - log N(z | 0, I) per row, from a one-class model
+    whose frozen transform is the identity."""
+    d = len(mu)
+    st = ClassStats(50, mu, sigma, np.linalg.cholesky(sigma))
+    g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st}, d + 2)
+    return g.log_density_vs_base_batch(np.atleast_2d(Z), 0)
+
+
+def std_normal_log(z):
+    return -0.5 * (len(z) * LOG_2PI + z @ z)
 
 
 def test_projection_deterministic():
@@ -133,9 +145,12 @@ def test_downdate_order_independent(seed):
 
 
 def test_gaussian_logpdf_closed_forms():
-    assert gaussian_logpdf(np.zeros(2), np.zeros(2), np.eye(2)) == pytest.approx(-LOG_2PI)
-    got = gaussian_logpdf(np.array([1.0]), np.zeros(1), np.eye(1))
-    assert got == pytest.approx(-0.5 * LOG_2PI - 0.5)
+    # N(0, 4) against N(0, 1) in one dimension: -log 2 + z^2 (1/2 - 1/8)
+    got = log_ratio(np.array([[0.0], [1.0]]), np.zeros(1), np.array([[4.0]]))
+    assert got == pytest.approx([-np.log(2.0), -np.log(2.0) + 0.375], abs=1e-12)
+    # log-density at the mean of N(0, I_2) is -log 2 pi
+    at_mean = log_ratio(np.zeros(2), np.zeros(2), np.eye(2))[0] + std_normal_log(np.zeros(2))
+    assert at_mean == pytest.approx(-LOG_2PI)
 
 
 def test_gaussian_logpdf_matches_explicit_inverse():
@@ -145,14 +160,13 @@ def test_gaussian_logpdf_matches_explicit_inverse():
         sigma = a @ a.T + 0.5 * np.eye(4)
         mu = rng.standard_normal(4)
         z = rng.standard_normal(4)
-        chol = np.linalg.cholesky(sigma)
         diff = z - mu
         direct = -0.5 * (
             4 * LOG_2PI
             + np.log(np.linalg.det(sigma))
             + diff @ np.linalg.inv(sigma) @ diff
-        )
-        assert abs(gaussian_logpdf(z, mu, chol) - direct) < 1e-10
+        ) - std_normal_log(z)
+        assert abs(log_ratio(z, mu, sigma)[0] - direct) < 1e-10
 
 
 def test_gaussian_logpdf_maximized_at_mean():
@@ -160,15 +174,13 @@ def test_gaussian_logpdf_maximized_at_mean():
     a = rng.standard_normal((3, 3))
     sigma = a @ a.T + 0.5 * np.eye(3)
     mu = rng.standard_normal(3)
-    chol = np.linalg.cholesky(sigma)
-    at_mu = gaussian_logpdf(mu, mu, chol)
+
+    def logpdf(z):
+        return log_ratio(z, mu, sigma)[0] + std_normal_log(z)
+
+    at_mu = logpdf(mu)
     for _ in range(20):
-        assert gaussian_logpdf(mu + rng.standard_normal(3), mu, chol) <= at_mu
-
-
-def test_gaussian_logpdf_rejects_nonfinite():
-    with pytest.raises(StatsError):
-        gaussian_logpdf(np.array([np.nan, 0.0]), np.zeros(2), np.eye(2))
+        assert logpdf(mu + rng.standard_normal(3)) <= at_mu
 
 
 def test_cholesky_jitter_recovers_singular():
@@ -204,7 +216,7 @@ class TestClassGaussians:
         # minimum-norm preimage x with V^T x = mu0, so standardize(x) = 0
         v = g.projection
         x = v @ np.linalg.solve(v.T @ v, g.base_mu[0])
-        assert np.abs(g.standardize(x, 0)).max() < 1e-9
+        assert np.abs(g.standardize_batch(x[None, :], 0)).max() < 1e-9
 
     def test_identity_transform_when_unit_stats(self, fitted):
         X, y, g = fitted
@@ -217,7 +229,7 @@ class TestClassGaussians:
             g.min_class_count,
         )
         x = X[0]
-        assert np.allclose(g2.standardize(x, 0), x @ g.projection, atol=1e-12)
+        assert np.allclose(g2.standardize_batch(x[None, :], 0), x @ g.projection, atol=1e-12)
 
     def test_undersized_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 12))
@@ -291,7 +303,6 @@ def test_mardia_requires_enough_rows():
 
 
 def test_std_normal_logpdf_matches_identity_gaussian():
+    # the base density is N(0, I), so the log-ratio of N(0, I) to it is zero
     z = np.random.default_rng(2).standard_normal(5)
-    assert std_normal_logpdf(z) == pytest.approx(
-        gaussian_logpdf(z, np.zeros(5), np.eye(5)), abs=1e-12
-    )
+    assert log_ratio(z, np.zeros(5), np.eye(5))[0] == pytest.approx(0.0, abs=1e-12)

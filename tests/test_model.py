@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import rel_entr
 
 from safestream.errors import ConfigError
 from safestream.model import (
     Architecture,
     ModelParams,
-    cross_entropy_loss,
     grad_cross_entropy,
-    grad_kl_to_target,
     init_params,
-    kl_divergence,
-    predict_proba,
+    kl_rows,
+    mean_cross_entropy,
     predict_proba_batch,
+    sum_grad_kl_to_targets,
 )
 
 from conftest import central_difference, relative_error
@@ -31,29 +31,29 @@ def random_model(seed, arch=None):
 def test_zero_params_predict_uniform():
     arch = Architecture(4, 3)
     params = ModelParams(arch, np.zeros(arch.n_params))
-    p = predict_proba(params, np.array([1.0, -2.0, 0.5, 3.0]))
-    assert np.allclose(p, [1 / 3, 1 / 3, 1 / 3])
+    p = predict_proba_batch(params, np.array([[1.0, -2.0, 0.5, 3.0]]))
+    assert np.allclose(p, [[1 / 3, 1 / 3, 1 / 3]])
 
 
 def test_softmax_closed_form():
     # logits (0, ln 3) -> (0.25, 0.75)
     arch = Architecture(1, 2)
     theta = np.array([0.0, np.log(3.0), 0.0, 0.0])  # weights then biases
-    p = predict_proba(ModelParams(arch, theta), np.array([1.0]))
-    assert np.allclose(p, [0.25, 0.75], atol=1e-12)
+    p = predict_proba_batch(ModelParams(arch, theta), np.array([[1.0]]))
+    assert np.allclose(p, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_predict_dimension_mismatch():
     params, _, _ = random_model(0)
     with pytest.raises(ConfigError):
-        predict_proba(params, np.ones(5))
+        predict_proba_batch(params, np.ones((1, 5)))
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_predict_proba_normalized(seed):
     params, x, _ = random_model(seed)
-    p = predict_proba(params, x)
+    p = predict_proba_batch(params, x[None, :])[0]
     assert abs(p.sum() - 1.0) < 1e-9
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
@@ -61,25 +61,27 @@ def test_predict_proba_normalized(seed):
 def test_cross_entropy_perfect_prediction():
     arch = Architecture(1, 2)
     theta = np.array([50.0, -50.0, 0.0, 0.0])
-    assert cross_entropy_loss(ModelParams(arch, theta), np.array([1.0]), 0) < 1e-9
+    assert mean_cross_entropy(ModelParams(arch, theta), np.array([[1.0]]), [0]) < 1e-9
 
 
 def test_cross_entropy_closed_forms():
     arch = Architecture(1, 2)
     theta = np.array([0.0, np.log(3.0), 0.0, 0.0])
-    loss = cross_entropy_loss(ModelParams(arch, theta), np.array([1.0]), 0)
+    loss = mean_cross_entropy(ModelParams(arch, theta), np.array([[1.0]]), [0])
     assert np.isclose(loss, np.log(4.0), atol=1e-12)
 
     arch10 = Architecture(4, 10)
     zero = ModelParams(arch10, np.zeros(arch10.n_params))
-    loss = cross_entropy_loss(zero, np.ones(4), 7)
+    loss = mean_cross_entropy(zero, np.ones((1, 4)), [7])
     assert np.isclose(loss, np.log(10.0), atol=1e-12)
 
 
 def test_cross_entropy_label_range():
     params, x, _ = random_model(1)
     with pytest.raises(ConfigError):
-        cross_entropy_loss(params, x, 3)
+        mean_cross_entropy(params, x[None, :], [3])
+    with pytest.raises(ConfigError):
+        mean_cross_entropy(params, np.vstack([x, x, x]), [-1, 0, 1])
 
 
 def test_grad_zero_at_perfect_prediction():
@@ -124,47 +126,50 @@ def test_cross_entropy_grad_matches_finite_differences(hidden):
         analytic = grad_cross_entropy(ModelParams(arch, theta), X, y)
 
         def f(t):
-            p = ModelParams(arch, t)
-            return np.mean([cross_entropy_loss(p, X[i], int(y[i])) for i in range(4)])
+            p = predict_proba_batch(ModelParams(arch, t), X)
+            return -np.log(p[np.arange(4), y]).mean()
 
         assert relative_error(analytic, central_difference(f, theta)) < 1e-6
 
 
 def test_kl_identical_is_zero():
-    p = np.array([0.2, 0.5, 0.3])
-    assert kl_divergence(p, p) == pytest.approx(0.0, abs=1e-15)
+    p = np.array([[0.2, 0.5, 0.3]])
+    assert kl_rows(p, p)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_kl_closed_form():
-    got = kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
-    assert np.isclose(got, np.log(2.0), atol=1e-12)
+    # a zero in p contributes 0; a zero in q is floored at 1e-12
+    got = kl_rows(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([[0.5, 0.5], [0.0, 1.0]]))
+    assert np.allclose(got, [np.log(2.0), -np.log(1e-12)], atol=1e-12)
 
 
 def test_kl_length_mismatch():
     with pytest.raises(ConfigError):
-        kl_divergence(np.array([1.0, 0.0]), np.array([0.5, 0.25, 0.25]))
+        kl_rows(np.array([[1.0, 0.0]]), np.array([[0.5, 0.25, 0.25]]))
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_kl_nonnegative(seed):
     rng = np.random.default_rng(seed)
-    p = rng.dirichlet(np.ones(4))
-    q = rng.dirichlet(np.ones(4))
-    assert kl_divergence(p, q) >= 0.0
+    p = rng.dirichlet(np.ones(4), size=3)
+    q = rng.dirichlet(np.ones(4), size=3)
+    got = kl_rows(p, q)
+    assert np.all(got >= 0.0)
+    assert np.abs(got - rel_entr(p, q).sum(axis=1)).max() < 1e-12
 
 
 def test_grad_kl_zero_at_target():
     params, x, _ = random_model(5)
-    target = predict_proba(params, x)
-    g = grad_kl_to_target(params, x, target)
+    target = predict_proba_batch(params, x[None, :])
+    g = sum_grad_kl_to_targets(params, x[None, :], target)
     assert np.abs(g).max() < 1e-12
 
 
 def test_grad_kl_zero_for_uniform_zero_model():
     arch = Architecture(3, 4)
     params = ModelParams(arch, np.zeros(arch.n_params))
-    g = grad_kl_to_target(params, np.array([1.0, 2.0, 3.0]), np.full(4, 0.25))
+    g = sum_grad_kl_to_targets(params, np.array([[1.0, 2.0, 3.0]]), np.full((1, 4), 0.25))
     assert np.abs(g).max() < 1e-15
 
 
@@ -174,12 +179,12 @@ def test_kl_grad_matches_finite_differences(hidden):
     rng = np.random.default_rng(43)
     for _ in range(10):
         theta = rng.standard_normal(arch.n_params)
-        x = rng.standard_normal(5)
-        target = rng.dirichlet(np.ones(3))
-        analytic = grad_kl_to_target(ModelParams(arch, theta), x, target)
+        x = rng.standard_normal((1, 5))
+        target = rng.dirichlet(np.ones(3))[None, :]
+        analytic = sum_grad_kl_to_targets(ModelParams(arch, theta), x, target)
 
         def f(t):
-            return kl_divergence(predict_proba(ModelParams(arch, t), x), target)
+            return rel_entr(predict_proba_batch(ModelParams(arch, t), x), target).sum()
 
         assert relative_error(analytic, central_difference(f, theta)) < 1e-6
 

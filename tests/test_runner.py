@@ -1,11 +1,13 @@
 import io
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from safestream.cli import main
 from safestream.errors import ConfigError
+from safestream.gaussian import ClassConditionalGaussians
 from safestream.runner import (
     K_SWEEP_GRID,
     config_from_dict,
@@ -52,6 +54,13 @@ class TestConfig:
             config_from_dict({**BASE, "safe": {"K": -1}})
         with pytest.raises(ConfigError):
             config_from_dict({**BASE, "arch": "transformer"})
+
+    def test_badly_typed_flags_rejected(self):
+        for flag in ("evaluate_mia", "oracle", "measure_time"):
+            with pytest.raises(ConfigError, match=flag):
+                config_from_dict({**BASE, flag: "false"})
+        with pytest.raises(ConfigError, match="hidden_dim"):
+            config_from_dict({**BASE, "arch": "mlp", "hidden_dim": "x"})
 
     def test_substream_seeds_derived_from_master(self):
         a = config_from_dict(json.loads(json.dumps(BASE)))
@@ -138,6 +147,17 @@ class TestVerify:
         assert record["type"] == "verify" and record["passed"] is True
         assert "0" in record["stats"] and "sigma" in record["stats"]["0"]
 
+    def test_density_ratio_suite_catches_perturbed_log_ratio(self, monkeypatch):
+        exact = ClassConditionalGaussians.log_density_vs_base_batch
+        monkeypatch.setattr(
+            ClassConditionalGaussians, "log_density_vs_base_batch",
+            lambda self, Z, label: exact(self, Z, label) + 1e-6,
+        )
+        lines = []
+        assert verify(base_config(), io.StringIO(), report=lines.append) is False
+        assert any(l.startswith("VERIFY density_ratio: FAIL") for l in lines)
+        assert sum("PASS" in l for l in lines) == 4
+
 
 class TestSweep:
     def test_sweep_grid_outputs(self, tmp_path):
@@ -218,7 +238,7 @@ class TestCheckpointInit:
         from safestream.runner import initialize
 
         state = initialize(cfg)
-        ckpt = {"arch": state.arch.to_dict(), "theta0": state.params0.theta.tolist()}
+        ckpt = {"arch": asdict(state.arch), "theta0": state.params0.theta.tolist()}
         p = tmp_path / "w0.json"
         p.write_text(json.dumps(ckpt))
         cfg2 = base_config(

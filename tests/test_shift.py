@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import multivariate_normal
 
 from safestream.errors import ConfigError
 from safestream.gaussian import (
     ClassConditionalGaussians,
     ClassStats,
     cholesky_with_jitter,
-    gaussian_logpdf,
     make_projection,
-    std_normal_logpdf,
 )
 from safestream.model import Architecture, ModelParams
 from safestream.shift import (
@@ -60,8 +59,8 @@ def gaussian_setup():
 def test_density_ratio_one_without_deletions(gaussian_setup):
     X, y, g = gaussian_setup
     for x, label in zip(X[:20], y[:20]):
-        z = g.standardize(x, int(label))
-        assert density_ratio(z, g, int(label)) == pytest.approx(1.0, abs=1e-6)
+        z = g.standardize_batch(x[None, :], int(label))
+        assert density_ratio(z, g, int(label)) == pytest.approx([1.0], abs=1e-6)
 
 
 def test_density_ratio_closed_form_mean_shift():
@@ -74,8 +73,8 @@ def test_density_ratio_closed_form_mean_shift():
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
     )
-    got = density_ratio(np.zeros(dim), g, 0)
-    assert got == pytest.approx(np.exp(-delta * delta / 2.0), abs=1e-12)
+    got = density_ratio(np.zeros((1, dim)), g, 0)
+    assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
 
 
 def test_density_ratio_matches_direct_two_density(gaussian_setup):
@@ -85,9 +84,10 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
     g.remove(X[rng.choice(300, 40, replace=False)], np.zeros(40, dtype=int))
     st = g.stats[0]
     for x in X[250:270]:
-        z = g.standardize(x, 0)
-        direct = np.exp(gaussian_logpdf(z, st.mu, st.chol) - std_normal_logpdf(z))
-        assert density_ratio(z, g, 0) == pytest.approx(float(direct), abs=1e-10)
+        z = g.standardize_batch(x[None, :], 0)
+        direct = np.exp(multivariate_normal(st.mu, st.sigma).logpdf(z)
+                        - multivariate_normal(np.zeros(4), np.eye(4)).logpdf(z))
+        assert density_ratio(z, g, 0) == pytest.approx([float(direct)], abs=1e-10)
 
 
 def test_density_ratio_clipped_positive_finite():
@@ -97,8 +97,7 @@ def test_density_ratio_clipped_positive_finite():
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
     )
-    low = density_ratio(np.zeros(dim), g, 0)
-    high = density_ratio(far_mu, g, 0)
+    low, high = density_ratio(np.vstack([np.zeros(dim), far_mu]), g, 0)
     assert low == 1e-6 and high == 1e6
 
 
@@ -168,4 +167,4 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     est2 = AllZeroRatios(g, {0: 300, 1: 300}, 600)
     targets = est2.target_predictions(params, X[:3], {0: 300, 1: 300}, 600)
     assert np.allclose(targets, 0.5)
-    assert est.target_prediction(params, X[0], {0: 300, 1: 300}, 600).shape == (2,)
+    assert est.target_predictions(params, X[0], {0: 300, 1: 300}, 600).shape == (1, 2)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 from .errors import (
@@ -62,12 +63,6 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _open_output(cfg: RunConfig):
-    if cfg.output:
-        return open(cfg.output, "w")
-    return sys.stdout
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="safestream",
@@ -91,25 +86,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command == "run":
-            out = _open_output(cfg)
-            try:
-                run(cfg, out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
+        if args.command == "sweep":
+            sweep(cfg, cfg.output or "sweep")
             return 0
-        if args.command == "verify":
-            out = _open_output(cfg)
-            try:
-                ok = verify(cfg, out)
-            finally:
-                if out is not sys.stdout:
-                    out.close()
-            return 0 if ok else 3
-        base = cfg.output or "sweep"
-        sweep(cfg, base)
-        return 0
+        with open(cfg.output, "w") if cfg.output else nullcontext(sys.stdout) as out:
+            if args.command == "run":
+                run(cfg, out)
+                return 0
+            return 0 if verify(cfg, out) else 3
     except Exception as err:  # noqa: BLE001 - mapped to exit codes below
         code = _exit_code(err)
         record = {"type": "error", "error": type(err).__name__,

@@ -15,7 +15,7 @@ forgotten points, and O(1)-per-class statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,30 +110,25 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
 @dataclass
 class ForgettingLedger:
-    """All points forgotten so far: raw features, labels, ids and the round
-    each was forgotten in, plus the trade-off weight lambda. Each id appears
-    at most once. Targets are not stored; they are recomputed per round."""
+    """All points forgotten so far, as raw features and labels, plus the
+    trade-off weight lambda. Membership lives in the engine's surviving id
+    set, so each point enters at most once. Targets are not stored; they are
+    recomputed per round."""
 
     lam: float
     X: np.ndarray | None = None
     y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    ids: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    rounds: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @property
     def count(self) -> int:
         return len(self.y)
 
-    def append(self, X: np.ndarray, y: np.ndarray, ids: np.ndarray, t: int) -> None:
+    def append(self, X: np.ndarray, y: np.ndarray) -> None:
         if len(y) == 0:
             return
         X = np.atleast_2d(X)
         self.X = X.copy() if self.X is None else np.vstack([self.X, X])
         self.y = np.concatenate([self.y, np.asarray(y, dtype=np.int64)])
-        self.ids = np.concatenate([self.ids, np.asarray(ids, dtype=np.int64)])
-        self.rounds = np.concatenate(
-            [self.rounds, np.full(len(y), t, dtype=np.int64)]
-        )
 
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
@@ -186,7 +181,8 @@ class SafeUnlearner:
         self.round = 0
 
     def _round_rng(self, t: int) -> np.random.Generator:
-        # keyed by (seed, round) so checkpoint-resumed runs replay identically
+        # keyed by (seed, round), so a replay of the same requests draws the
+        # same perturbation in every round
         return np.random.default_rng(
             np.random.SeedSequence(entropy=self.config.seed, spawn_key=(t,))
         )
@@ -233,7 +229,7 @@ class SafeUnlearner:
         for label in y:
             self.class_counts[int(label)] -= 1
         self.surviving.difference_update(int(i) for i in ids)
-        self.ledger.append(X, y, ids, t)
+        self.ledger.append(X, y)
 
         g = self.retention.grad + forgetting_gradient(
             self.params0, self.ledger, self.shift,
@@ -254,73 +250,3 @@ class SafeUnlearner:
             perturbation=b,
             exhausted_classes=exhausted,
         )
-
-    def checkpoint(self) -> dict:
-        """JSON-serializable state for resumable runs."""
-        g = self.gaussians
-        return {
-            "round": self.round,
-            "config": asdict(self.config),
-            "arch": asdict(self.params0.arch),
-            "theta0": self.params0.theta.tolist(),
-            "retention": {
-                "grad": self.retention.grad.tolist(),
-                "size_dt": self.retention.size_dt,
-                "size_d0": self.retention.size_d0,
-            },
-            "class_counts": {str(k): v for k, v in self.class_counts.items()},
-            "counts0": {str(k): v for k, v in self.counts0.items()},
-            "surviving_ids": sorted(self.surviving),
-            "ledger": {
-                "X": [] if self.ledger.X is None else self.ledger.X.tolist(),
-                "y": self.ledger.y.tolist(),
-                "ids": self.ledger.ids.tolist(),
-                "rounds": self.ledger.rounds.tolist(),
-            },
-            "stats": g.snapshot(),
-            "projection": g.projection.tolist(),
-            "base_mu": {str(k): v.tolist() for k, v in g.base_mu.items()},
-            "base_chol": {str(k): v.tolist() for k, v in g.base_chol.items()},
-            "min_class_count": g.min_class_count,
-        }
-
-    @classmethod
-    def restore(cls, state: dict) -> "SafeUnlearner":
-        from .gaussian import ClassStats, cholesky_with_jitter
-        from .model import Architecture
-
-        arch = Architecture(**state["arch"])
-        params0 = ModelParams(arch, np.asarray(state["theta0"]))
-        cfg = SafeConfig(**state["config"])
-        stats = {}
-        for key, st in state["stats"].items():
-            sigma = np.asarray(st["sigma"])
-            stats[int(key)] = ClassStats(
-                n=int(st["n"]), mu=np.asarray(st["mu"]), sigma=sigma,
-                chol=cholesky_with_jitter(sigma), frozen=bool(st["frozen"]),
-            )
-        gaussians = ClassConditionalGaussians(
-            projection=np.asarray(state["projection"]),
-            base_mu={int(k): np.asarray(v) for k, v in state["base_mu"].items()},
-            base_chol={int(k): np.asarray(v) for k, v in state["base_chol"].items()},
-            stats=stats,
-            min_class_count=int(state["min_class_count"]),
-        )
-        retention = RetentionGradState(
-            grad=np.asarray(state["retention"]["grad"]),
-            size_dt=int(state["retention"]["size_dt"]),
-            size_d0=int(state["retention"]["size_d0"]),
-        )
-        counts = {int(k): int(v) for k, v in state["class_counts"].items()}
-        eng = cls(params0, cfg, retention, gaussians, counts,
-                  np.asarray(state["surviving_ids"], dtype=np.int64))
-        eng.counts0 = {int(k): int(v) for k, v in state["counts0"].items()}
-        eng.shift = ShiftEstimator(gaussians, eng.counts0, retention.size_d0)
-        led = state["ledger"]
-        if led["y"]:
-            eng.ledger.X = np.asarray(led["X"], dtype=np.float64)
-            eng.ledger.y = np.asarray(led["y"], dtype=np.int64)
-            eng.ledger.ids = np.asarray(led["ids"], dtype=np.int64)
-            eng.ledger.rounds = np.asarray(led["rounds"], dtype=np.int64)
-        eng.round = int(state["round"])
-        return eng

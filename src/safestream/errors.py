@@ -39,7 +39,3 @@ class ClassExhaustionError(StatsError):
 
 class NumericalError(SafestreamError):
     """Numerical failure (divergent retrain, non-finite values)."""
-
-
-class ModeError(SafestreamError):
-    """Operation requires a mode (e.g. retained training data) that is off."""

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import (
@@ -14,39 +12,6 @@ from .model import (
 from .oracle import RetrainConfig, retrain
 
 MIA_MAX_PER_SIDE = 10000
-
-
-@dataclass
-class RoundMetrics:
-    """One deletion round's evaluation record."""
-
-    round: int
-    ra: float | None = None        # accuracy on remaining data
-    fa: float | None = None        # accuracy on forgotten data
-    ta: float | None = None        # accuracy on test data
-    mia: float | None = None       # attack accuracy on forgotten points
-    wall_ms: float | None = None
-    request_size: int = 0
-    grad_norm: float | None = None
-    exhausted_classes: list[int] | None = None
-    oracle: dict | None = None
-
-    def to_record(self) -> dict:
-        rec = {
-            "type": "round",
-            "t": self.round,
-            "ra": self.ra,
-            "fa": self.fa,
-            "ta": self.ta,
-            "mia": self.mia,
-            "wall_ms": self.wall_ms,
-            "request_size": self.request_size,
-            "grad_norm": self.grad_norm,
-            "exhausted_classes": self.exhausted_classes or [],
-        }
-        if self.oracle is not None:
-            rec["oracle"] = self.oracle
-        return rec
 
 
 def accuracy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float | None:

@@ -7,7 +7,7 @@ everything here runs on retained data and exists to measure the engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,9 +131,7 @@ def theorem_gap_bound(n_classes: int, total_forgotten: int, size_dt: int) -> flo
 class RegretAccount:
     """Per-round regret bookkeeping against the retrain oracle."""
 
-    risks_w: list[float] = field(default_factory=list)
-    risks_star: list[float] = field(default_factory=list)
-    regrets: list[float] = field(default_factory=list)
+    rounds: int = 0
     cumulative: float = 0.0
     v_t: float = 0.0
     _prev_star: np.ndarray | None = None
@@ -143,15 +141,12 @@ class RegretAccount:
 
     def update(self, risk_w: float, risk_star: float,
                params_star: ModelParams) -> None:
-        self.risks_w.append(risk_w)
-        self.risks_star.append(risk_star)
-        regret = risk_w - risk_star
-        self.regrets.append(regret)
-        self.cumulative += regret
+        self.rounds += 1
+        self.cumulative += risk_w - risk_star
         if self._prev_star is not None:
             self.v_t += float(np.linalg.norm(params_star.theta - self._prev_star))
         self._prev_star = params_star.theta.copy()
 
     @property
     def mean_regret(self) -> float:
-        return self.cumulative / len(self.regrets) if self.regrets else 0.0
+        return self.cumulative / self.rounds if self.rounds else 0.0

@@ -1,11 +1,12 @@
-"""End-to-end experiment runner: configuration, the round loop wiring the
-engine to oracles and evaluation, and newline-delimited JSON output.
+"""End-to-end experiment runner: configuration, the one round loop that
+sends the stream through the engine, and its two consumers, ``run`` and
+``verify``.
 
-Output format: one JSON object per round (RoundMetrics fields plus a config
-hash, with an ``oracle`` sub-object when the oracle is on), then a final
-summary record carrying means over rounds, final-round values, and the full
-config echo. Identical configs (with timing capture disabled) produce
-byte-identical files.
+Output format of ``run``: one JSON object per round (the engine's result,
+accuracies, MIA rate and config hash, with an ``oracle`` sub-object when the
+oracle is on), then a final summary record carrying means over rounds,
+final-round values, and the full config echo. Identical configs (with timing
+capture disabled) produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import typing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -21,7 +23,7 @@ from scipy.stats import multivariate_normal
 from .data import Dataset, load_csv, load_idx, make_synthetic
 from .engine import RetentionGradState, SafeConfig, SafeUnlearner
 from .errors import ConfigError
-from .evaluation import RoundMetrics, accuracy, mia_attack
+from .evaluation import accuracy, mia_attack
 from .gaussian import ClassConditionalGaussians, batch_mean_cov, make_projection
 from .model import Architecture, ModelParams, grad_cross_entropy
 from .oracle import (
@@ -86,7 +88,6 @@ class RunConfig:
     measure_time: bool = True
     seed: int = 0
     output: str | None = None
-    checkpoint_in: str | None = None
 
     def validate(self) -> None:
         self.dataset.validate()
@@ -106,48 +107,57 @@ class RunConfig:
         return d
 
 
+# config sections: dataclass and the seed channel that fills an unset seed
+_SECTIONS = {
+    "dataset": (DatasetSpec, None),
+    "safe": (SafeConfig, _SEED_ENGINE),
+    "retrain": (RetrainConfig, _SEED_TRAIN),
+    "stream": (StreamSpec, _SEED_STREAM),
+}
+_JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
+               type(None): "null"}
+
+
+def _check_fields(cls, values: dict, where: str) -> None:
+    """Every key of ``values`` must be a field of dataclass ``cls`` and every
+    value of the JSON type the field's annotation names: an integer passes
+    as a number, null only where None is allowed, and JSON true never as a
+    number."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(values) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for name, value in values.items():
+        kinds = typing.get_args(hints[name]) or (hints[name],)
+        if isinstance(value, bool):
+            ok = bool in kinds
+        else:
+            ok = isinstance(value, kinds) or (float in kinds and isinstance(value, int))
+        if not ok:
+            want = " or ".join(_JSON_NAMES[k] for k in kinds)
+            raise ConfigError(f"{where} {name} must be a JSON {want}, got {value!r}")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a validated RunConfig from parsed JSON, deriving any substream
     seeds the file left unset from the master seed."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - set(RunConfig.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    master = int(raw.get("seed", 0))
+    top = {k: v for k, v in raw.items() if k not in _SECTIONS}
+    _check_fields(RunConfig, top, "config")
+    master = top.get("seed", 0)
 
-    def sub(name, cls, seed_channel=None):
-        d = dict(raw.get(name, {}))
-        bad = set(d) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ConfigError(f"unknown {name} keys: {sorted(bad)}")
-        if "seed" not in d and "seed" in cls.__dataclass_fields__:
-            d["seed"] = derive_seed(master, seed_channel)
-        try:
-            return cls(**d)
-        except TypeError as e:
-            raise ConfigError(f"bad {name} section: {e}") from None
-
-    def typed(name, kind, default):
-        value = raw.get(name, default)
-        # bool is a subclass of int, and JSON true must not pass as a width
-        if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-            raise ConfigError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
-        return value
+    def section(name, cls, seed_channel):
+        d = raw.get(name, {})
+        if not isinstance(d, dict):
+            raise ConfigError(f"{name} section must be a JSON object, got {d!r}")
+        _check_fields(cls, d, name)
+        if seed_channel is not None and "seed" not in d:
+            d = {**d, "seed": derive_seed(master, seed_channel)}
+        return cls(**d)
 
     cfg = RunConfig(
-        dataset=sub("dataset", DatasetSpec),
-        safe=sub("safe", SafeConfig, _SEED_ENGINE),
-        retrain=sub("retrain", RetrainConfig, _SEED_TRAIN),
-        stream=sub("stream", StreamSpec, _SEED_STREAM),
-        arch=raw.get("arch", "softmax"),
-        hidden_dim=typed("hidden_dim", int, 32),
-        evaluate_mia=typed("evaluate_mia", bool, True),
-        oracle=typed("oracle", bool, False),
-        measure_time=typed("measure_time", bool, True),
-        seed=master,
-        output=raw.get("output"),
-        checkpoint_in=raw.get("checkpoint_in"),
+        **{name: section(name, *spec) for name, spec in _SECTIONS.items()}, **top
     )
     cfg.validate()
     return cfg
@@ -220,14 +230,7 @@ def initialize(cfg: RunConfig) -> RunState:
     cfg.validate()
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
-
-    if cfg.checkpoint_in:
-        with open(cfg.checkpoint_in) as f:
-            ckpt = json.load(f)
-        params0 = ModelParams(Architecture(**ckpt["arch"]), np.asarray(ckpt["theta0"]))
-    else:
-        params0 = retrain(train.X, train.y, arch, cfg.retrain)
-
+    params0 = retrain(train.X, train.y, arch, cfg.retrain)
     retention0 = RetentionGradState(
         grad=grad_cross_entropy(params0, train.X, train.y),
         size_dt=train.n,
@@ -244,6 +247,22 @@ def initialize(cfg: RunConfig) -> RunState:
     return RunState(cfg, train, test, arch, params0, engine, requests)
 
 
+def round_loop(state: RunState):
+    """Send each request of the stream through the engine, yielding
+    ``(t, request, result, wall_ms, remaining)`` per round: ``wall_ms`` times
+    ``process_request`` alone, and ``remaining`` is the training set less
+    every id requested so far."""
+    train, engine = state.train, state.engine
+    remaining = train
+    for t, ids in enumerate(state.requests, start=1):
+        request = train.select_ids(ids)
+        t0 = time.perf_counter()
+        result = engine.process_request(request.X, request.y, request.ids)
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        remaining = remaining.without_ids(ids)
+        yield t, request, result, wall_ms, remaining
+
+
 def _mean(values: list) -> float | None:
     vals = [v for v in values if v is not None]
     return float(np.mean(vals)) if vals else None
@@ -258,33 +277,31 @@ def run(cfg: RunConfig, out) -> dict:
     """
     state = initialize(cfg)
     engine, train, test = state.engine, state.train, state.test
+    led = engine.ledger
     chash = config_hash(cfg)
-
-    remaining = train
     account = RegretAccount()
     if cfg.oracle:
         account.start(state.params0)
 
-    metrics_rows: list[RoundMetrics] = []
-    for t, ids in enumerate(state.requests, start=1):
-        request = train.select_ids(ids)
-
-        t0 = time.perf_counter()
-        result = engine.process_request(request.X, request.y, request.ids)
-        wall_ms = (time.perf_counter() - t0) * 1e3
-
-        remaining = remaining.without_ids(ids)
-        led = engine.ledger
-        m = RoundMetrics(round=t, request_size=result.accepted)
-        m.wall_ms = wall_ms if cfg.measure_time else None
-        m.grad_norm = result.grad_norm
-        m.exhausted_classes = result.exhausted_classes
-        m.ra = accuracy(result.params, remaining.X, remaining.y)
-        m.ta = accuracy(result.params, test.X, test.y)
+    records: list[dict] = []
+    for t, _, result, wall_ms, remaining in round_loop(state):
+        rec = {
+            "type": "round",
+            "t": t,
+            "request_size": result.accepted,
+            "wall_ms": wall_ms if cfg.measure_time else None,
+            "grad_norm": result.grad_norm,
+            "exhausted_classes": result.exhausted_classes,
+            "ra": accuracy(result.params, remaining.X, remaining.y),
+            "ta": accuracy(result.params, test.X, test.y),
+            "fa": None,
+            "mia": None,
+            "config_hash": chash,
+        }
         if led.count:
-            m.fa = accuracy(result.params, led.X, led.y)
+            rec["fa"] = accuracy(result.params, led.X, led.y)
             if cfg.evaluate_mia and test.n:
-                m.mia = mia_attack(
+                rec["mia"] = mia_attack(
                     result.params, remaining.X, remaining.y, test.X, test.y,
                     led.X, led.y, seed=derive_seed(cfg.seed, _SEED_MIA),
                 )
@@ -306,7 +323,7 @@ def run(cfg: RunConfig, out) -> dict:
                 state.params0, engine.class_counts, engine.retention.size_dt,
             )
             oracle_ms = (time.perf_counter() - o0) * 1e3
-            m.oracle = {
+            rec["oracle"] = {
                 "risk_w": risk_w,
                 "risk_star": risk_star,
                 "regret": risk_w - risk_star,
@@ -324,53 +341,28 @@ def run(cfg: RunConfig, out) -> dict:
                 "oracle_ms": oracle_ms if cfg.measure_time else None,
             }
 
-        metrics_rows.append(m)
-        rec = m.to_record()
-        rec["config_hash"] = chash
+        records.append(rec)
         out.write(json.dumps(rec, sort_keys=True) + "\n")
 
+    last = records[-1] if records else {}
     summary = {
         "type": "summary",
-        "rounds": len(metrics_rows),
+        "rounds": len(records),
         "config_hash": chash,
         "config": cfg.to_dict(),
-        "means": {
-            "ra": _mean([m.ra for m in metrics_rows]),
-            "fa": _mean([m.fa for m in metrics_rows]),
-            "ta": _mean([m.ta for m in metrics_rows]),
-            "mia": _mean([m.mia for m in metrics_rows]),
-            "wall_ms": _mean([m.wall_ms for m in metrics_rows]),
-        },
-        "final": {
-            "ra": metrics_rows[-1].ra if metrics_rows else None,
-            "fa": metrics_rows[-1].fa if metrics_rows else None,
-            "ta": metrics_rows[-1].ta if metrics_rows else None,
-            "mia": metrics_rows[-1].mia if metrics_rows else None,
-        },
+        "means": {k: _mean([r[k] for r in records])
+                  for k in ("ra", "fa", "ta", "mia", "wall_ms")},
+        "final": {k: last.get(k) for k in ("ra", "fa", "ta", "mia")},
     }
     if cfg.oracle:
+        oracles = [r["oracle"] for r in records]
         summary["oracle"] = {
             "mean_regret": account.mean_regret,
             "cumulative_regret": account.cumulative,
             "v_t": account.v_t,
-            "mean_ra_star": _mean(
-                [m.oracle["ra_star"] for m in metrics_rows if m.oracle]
-            ),
-            "mean_fa_star": _mean(
-                [m.oracle["fa_star"] for m in metrics_rows if m.oracle]
-            ),
-            "mean_ta_star": _mean(
-                [m.oracle["ta_star"] for m in metrics_rows if m.oracle]
-            ),
-            "mean_risk_gap": _mean(
-                [m.oracle["risk_gap"] for m in metrics_rows if m.oracle]
-            ),
-            "mean_retrain_ms": _mean(
-                [m.oracle["retrain_ms"] for m in metrics_rows if m.oracle]
-            ),
-            "mean_oracle_ms": _mean(
-                [m.oracle["oracle_ms"] for m in metrics_rows if m.oracle]
-            ),
+            **{f"mean_{k}": _mean([o[k] for o in oracles])
+               for k in ("ra_star", "fa_star", "ta_star", "risk_gap",
+                         "retrain_ms", "oracle_ms")},
         }
     out.write(json.dumps(summary, sort_keys=True) + "\n")
     return summary
@@ -390,16 +382,13 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     initial data purely for checking. Prints one PASS/FAIL line per suite and
     writes the final stats snapshot as JSON to ``out``."""
     state = initialize(cfg)
-    engine, train = state.engine, state.train
-    twin = initialize(cfg).engine  # replay twin, same seeds
+    engine = state.engine
+    twin = initialize(cfg).engine  # independently initialized replay twin
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
-    remaining = train
-    for ids in state.requests:
-        request = train.select_ids(ids)
-        result = engine.process_request(request.X, request.y, request.ids)
+    remaining = state.train  # the density-ratio probe needs it for zero rounds too
+    for _, request, result, _, remaining in round_loop(state):
         twin_result = twin.process_request(request.X, request.y, request.ids)
-        remaining = remaining.without_ids(ids)
 
         # downdate vs fresh two-pass statistics over survivors
         for label in engine.gaussians.classes:

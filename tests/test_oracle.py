@@ -79,7 +79,7 @@ class TestTrueRisk:
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         ledger = ForgettingLedger(lam=100.0)
-        ledger.append(train.X[:20], train.y[:20], train.ids[:20], 1)
+        ledger.append(train.X[:20], train.y[:20])
         risk = true_risk(star, train.X[20:], train.y[20:], ledger, star, 100.0)
         assert risk == pytest.approx(
             mean_cross_entropy(star, train.X[20:], train.y[20:]), abs=1e-12
@@ -92,7 +92,7 @@ class TestTrueRisk:
         star = ModelParams(arch, rng.standard_normal(arch.n_params))
         keep, forget = train.take(np.arange(200)), train.take(np.arange(200, 240))
         ledger = ForgettingLedger(lam=5.0)
-        ledger.append(forget.X, forget.y, forget.ids, 1)
+        ledger.append(forget.X, forget.y)
         got = true_risk(w, keep.X, keep.y, ledger, star, 5.0)
 
         p_keep = predict_proba_batch(w, keep.X)

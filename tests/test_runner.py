@@ -1,10 +1,12 @@
 import io
 import json
-from dataclasses import asdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import safestream.engine
+import safestream.gaussian
 from safestream.cli import main
 from safestream.errors import ConfigError
 from safestream.gaussian import ClassConditionalGaussians
@@ -34,6 +36,13 @@ def base_config(**overrides):
     raw = json.loads(json.dumps(BASE))
     raw.update(overrides)
     return config_from_dict(raw)
+
+
+ROUND_KEYS = {"type", "t", "request_size", "wall_ms", "grad_norm",
+              "exhausted_classes", "ra", "fa", "ta", "mia", "config_hash"}
+ORACLE_KEYS = {"risk_w", "risk_star", "regret", "cumulative_regret", "v_t",
+               "ra_star", "fa_star", "ta_star", "surrogate_risk", "risk_gap",
+               "gap_bound", "retrain_ms", "oracle_ms"}
 
 
 def run_to_records(cfg):
@@ -96,6 +105,7 @@ class TestRun:
         summaries = [r for r in records if r["type"] == "summary"]
         assert len(rounds) == 5 and len(summaries) == 1
         for r in rounds:
+            assert set(r) == ROUND_KEYS
             assert 0.0 <= r["ra"] <= 1.0 and 0.0 <= r["fa"] <= 1.0
             assert r["config_hash"] == summaries[0]["config_hash"]
         assert summaries[0]["config"]["safe"]["K"] == 2.5
@@ -120,7 +130,8 @@ class TestRun:
         records = run_to_records(base_config(oracle=True))
         rounds = [r for r in records if r["type"] == "round"]
         for r in rounds:
-            assert "oracle" in r
+            assert set(r) == ROUND_KEYS | {"oracle"}
+            assert set(r["oracle"]) == ORACLE_KEYS
             assert r["oracle"]["regret"] >= -1e-8  # retrained model is optimal
         summary = records[-1]
         assert "oracle" in summary and summary["oracle"]["v_t"] >= 0.0
@@ -147,15 +158,27 @@ class TestVerify:
         assert record["type"] == "verify" and record["passed"] is True
         assert "0" in record["stats"] and "sigma" in record["stats"]["0"]
 
-    def test_density_ratio_suite_catches_perturbed_log_ratio(self, monkeypatch):
-        exact = ClassConditionalGaussians.log_density_vs_base_batch
-        monkeypatch.setattr(
-            ClassConditionalGaussians, "log_density_vs_base_batch",
-            lambda self, Z, label: exact(self, Z, label) + 1e-6,
-        )
+    @pytest.mark.parametrize("suite, owner, name, bump", [
+        pytest.param("density_ratio", ClassConditionalGaussians,
+                     "log_density_vs_base_batch", lambda out: out + 1e-6,
+                     id="density_ratio"),
+        pytest.param("retention_recursion", safestream.engine,
+                     "update_retention_grad",
+                     lambda out: replace(out, grad=out.grad + 1e-6),
+                     id="retention_recursion"),
+        pytest.param("downdate_two_pass", safestream.gaussian, "downdate_cov",
+                     lambda out: out + 1e-6, id="downdate_two_pass"),
+    ])
+    def test_density_ratio_suite_catches_perturbed_log_ratio(
+        self, monkeypatch, suite, owner, name, bump
+    ):
+        # each suite, fed through the shared round loop, must notice a 1e-6
+        # error in the computation it checks while the other four still pass
+        exact = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: bump(exact(*a, **kw)))
         lines = []
         assert verify(base_config(), io.StringIO(), report=lines.append) is False
-        assert any(l.startswith("VERIFY density_ratio: FAIL") for l in lines)
+        assert any(l.startswith(f"VERIFY {suite}: FAIL") for l in lines)
         assert sum("PASS" in l for l in lines) == 4
 
 
@@ -224,25 +247,26 @@ class TestCli:
         assert main(["verify", "--config", cfg,
                      "--output", str(tmp_path / "v.jsonl")]) == 0
 
+    @pytest.mark.parametrize("overrides", [
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"safe": {"K": "2"}},
+        {"dataset": {"n": "100"}},
+        {"stream": {"rounds": 1.5}},
+        {"safe": 5},
+        {"checkpoint_in": "w0.json"},
+    ], ids=["seed-str", "seed-float", "safe-K-str", "dataset-n-str",
+            "stream-rounds-float", "safe-not-object", "checkpoint_in"])
+    def test_malformed_config_exit_code(self, tmp_path, overrides):
+        cfg = self.write_cfg(tmp_path, **overrides)
+        out = tmp_path / "err.jsonl"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+        rec = json.loads(out.read_text().splitlines()[-1])
+        assert rec["type"] == "error" and rec["error"] == "ConfigError"
+
     def test_oracle_flags(self, tmp_path):
         cfg = self.write_cfg(tmp_path, stream={"rounds": 2, "per_round": 5})
         out = tmp_path / "o.jsonl"
         main(["run", "--config", cfg, "--output", str(out), "--oracle"])
         rec = json.loads(out.read_text().splitlines()[0])
         assert "oracle" in rec
-
-
-class TestCheckpointInit:
-    def test_initial_params_loadable_from_checkpoint(self, tmp_path):
-        cfg = base_config(stream={"rounds": 1, "per_round": 5})
-        from safestream.runner import initialize
-
-        state = initialize(cfg)
-        ckpt = {"arch": asdict(state.arch), "theta0": state.params0.theta.tolist()}
-        p = tmp_path / "w0.json"
-        p.write_text(json.dumps(ckpt))
-        cfg2 = base_config(
-            stream={"rounds": 1, "per_round": 5}, checkpoint_in=str(p)
-        )
-        state2 = initialize(cfg2)
-        assert np.array_equal(state2.params0.theta, state.params0.theta)

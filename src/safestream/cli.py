@@ -84,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
                        help="disable per-round retrain oracles")
 
     args = parser.parse_args(argv)
+    cfg = None
     try:
         cfg = _load(args)
         if args.command == "sweep":
@@ -98,7 +99,9 @@ def main(argv: list[str] | None = None) -> int:
         code = _exit_code(err)
         record = {"type": "error", "error": type(err).__name__,
                   "message": str(err), "exit_code": code}
-        target = getattr(args, "output", None)
+        # the resolved config names the output; only a config that failed to
+        # load leaves the command line's --output as the sole known target
+        target = args.output if cfg is None else cfg.output
         if target:
             try:
                 with open(target, "a") as f:

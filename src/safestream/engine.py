@@ -2,14 +2,17 @@
 per deletion round, anchored at the initially trained parameters.
 
 Per round the engine (i) updates the recursive retention gradient, (ii)
-downdates the per-class Gaussian statistics, (iii) rebuilds the shift targets
-for every point forgotten so far, (iv) assembles the total gradient and emits
+downdates the per-class Gaussian statistics, (iii) re-evaluates the shift
+targets of every point forgotten so far against the current statistics, from
+the per-class projections cached when each point entered the ledger, (iv)
+assembles the total gradient and emits
 
     w_t = w_0 - gamma * g_t / ||g_t||_2 - b_t,
 
 with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine never reads the
 training set after initialization; it keeps only the surviving id set, the
-forgotten points, and O(1)-per-class statistics.
+forgotten points with their frozen per-class standardized projections, and
+O(1)-per-class statistics.
 """
 
 from __future__ import annotations
@@ -110,25 +113,34 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
 @dataclass
 class ForgettingLedger:
-    """All points forgotten so far, as raw features and labels, plus the
+    """All points forgotten so far, as raw features X and labels y, plus the
     trade-off weight lambda. Membership lives in the engine's surviving id
-    set, so each point enters at most once. Targets are not stored; they are
-    recomputed per round."""
+    set, so each point enters at most once.
+
+    Z caches each point's standardized projection under every fitted class,
+    the (n_classes, count, k) ``ClassConditionalGaussians.standardize_all``
+    stack. That transform is frozen at t=0, so a row's Z never changes once
+    it is appended. The targets depend on the current class statistics and
+    counts; they are not stored and are recomputed from Z each round."""
 
     lam: float
     X: np.ndarray | None = None
     y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    Z: np.ndarray | None = None
 
     @property
     def count(self) -> int:
         return len(self.y)
 
-    def append(self, X: np.ndarray, y: np.ndarray) -> None:
+    def append(self, X: np.ndarray, y: np.ndarray, Z: np.ndarray | None) -> None:
+        """Append rows X, labels y and their ``standardize_all`` stack Z;
+        a call with no labels changes nothing."""
         if len(y) == 0:
             return
         X = np.atleast_2d(X)
         self.X = X.copy() if self.X is None else np.vstack([self.X, X])
         self.y = np.concatenate([self.y, np.asarray(y, dtype=np.int64)])
+        self.Z = Z.copy() if self.Z is None else np.concatenate([self.Z, Z], axis=1)
 
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
@@ -138,7 +150,8 @@ def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
     the current shift targets; zero vector for an empty ledger."""
     if ledger.count == 0:
         return np.zeros(params0.arch.n_params)
-    targets = shift.target_predictions(params0, ledger.X, counts_t, size_dt)
+    targets = shift.target_predictions(params0, ledger.X, ledger.Z, counts_t,
+                                       size_dt)
     g = sum_grad_kl_to_targets(params0, ledger.X, targets)
     return (ledger.lam / ledger.count) * g
 
@@ -222,6 +235,7 @@ class SafeUnlearner:
         else:
             grad_sum = np.zeros(self.params0.arch.n_params)
         retention = update_retention_grad(self.retention, grad_sum, m)
+        Z = self.gaussians.standardize_all(X) if m else None
 
         exhausted = self.gaussians.remove(X, y) if m else []
         self.retention = retention
@@ -229,7 +243,7 @@ class SafeUnlearner:
         for label in y:
             self.class_counts[int(label)] -= 1
         self.surviving.difference_update(int(i) for i in ids)
-        self.ledger.append(X, y)
+        self.ledger.append(X, y, Z)
 
         g = self.retention.grad + forgetting_gradient(
             self.params0, self.ledger, self.shift,

@@ -182,6 +182,11 @@ class ClassConditionalGaussians:
             self.base_chol[label], (U - self.base_mu[label]).T, lower=True
         ).T
 
+    def standardize_all(self, X: np.ndarray) -> np.ndarray:
+        """(n_classes, n, k) stack of ``standardize_batch(X, c)`` over the
+        fitted classes, in the order of ``classes``."""
+        return np.stack([self.standardize_batch(X, label) for label in self.classes])
+
     def remove(self, X: np.ndarray, y: np.ndarray) -> list[int]:
         """Downdate per-class statistics for a deletion batch.
 

@@ -116,7 +116,8 @@ def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
             p_led[np.arange(ledger.count), ledger.y], 1e-12
         ))
         risk -= losses.sum() / size_dt
-        targets = shift.target_predictions(params0, ledger.X, counts_t, size_dt)
+        targets = shift.target_predictions(params0, ledger.X, ledger.Z,
+                                           counts_t, size_dt)
         risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
     return float(risk)
 

@@ -21,11 +21,27 @@ import numpy as np
 from scipy.stats import multivariate_normal
 
 from .data import Dataset, load_csv, load_idx, make_synthetic
-from .engine import RetentionGradState, SafeConfig, SafeUnlearner
+from .engine import (
+    RetentionGradState,
+    SafeConfig,
+    SafeUnlearner,
+    forgetting_gradient,
+)
 from .errors import ConfigError
 from .evaluation import accuracy, mia_attack
-from .gaussian import ClassConditionalGaussians, batch_mean_cov, make_projection
-from .model import Architecture, ModelParams, grad_cross_entropy
+from .gaussian import (
+    ClassConditionalGaussians,
+    ClassStats,
+    batch_mean_cov,
+    make_projection,
+)
+from .model import (
+    Architecture,
+    ModelParams,
+    grad_cross_entropy,
+    predict_proba_batch,
+    sum_grad_kl_to_targets,
+)
 from .oracle import (
     RegretAccount,
     RetrainConfig,
@@ -34,7 +50,7 @@ from .oracle import (
     theorem_gap_bound,
     true_risk,
 )
-from .shift import RATIO_CEIL, RATIO_FLOOR, density_ratio
+from .shift import RATIO_CEIL, RATIO_FLOOR, density_ratio, label_ratio
 from .streams import StreamSpec, generate_stream
 
 K_SWEEP_GRID = (1.0, 2.5, 5.0, 10.0)
@@ -374,7 +390,41 @@ VERIFY_TOLERANCES = {
     "step_norm": 1e-10,
     "density_ratio": 1e-10,
     "replay_determinism": 0.0,
+    "forgetting_gradient": 1e-10,
 }
+
+
+def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
+    """N(mu_t, Sigma_t) over N(0, I) at the standardized rows Z, from scipy's
+    densities, clipped as the engine clips its ratios."""
+    k = Z.shape[1]
+    logr = (multivariate_normal(st.mu, st.sigma).logpdf(Z)
+            - multivariate_normal(np.zeros(k), np.eye(k)).logpdf(Z))
+    with np.errstate(over="ignore"):
+        return np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
+
+
+def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
+    """The engine's forgetting gradient recomputed from the raw ledger rows:
+    a fresh standardization per class, scipy's density ratios, the label
+    ratios, the renormalized targets with the w_0 fallback, one backward
+    pass. It reads neither the cached projections nor the engine's density
+    ratio or target code."""
+    led, gaussians, est = engine.ledger, engine.gaussians, engine.shift
+    p0 = predict_proba_batch(engine.params0, led.X)
+    q = np.full((led.count, max(est.counts0) + 1), RATIO_FLOOR)
+    for label, st in gaussians.stats.items():
+        lr = label_ratio(engine.class_counts.get(label, 0), est.counts0[label],
+                         engine.retention.size_dt, est.size_d0)
+        Z = gaussians.standardize_batch(led.X, label)
+        q[:, label] = lr * _scipy_density_ratio(Z, st)
+    raw = p0 * q
+    norm = raw.sum(axis=1)
+    ok = np.isfinite(norm) & (norm > 0.0)
+    targets = p0.copy()
+    targets[ok] = raw[ok] / norm[ok, None]
+    grad = sum_grad_kl_to_targets(engine.params0, led.X, targets)
+    return (led.lam / led.count) * grad
 
 
 def verify(cfg: RunConfig, out, report=print) -> bool:
@@ -423,16 +473,22 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             float(np.abs(result.params.theta - twin_result.params.theta).max()),
         )
 
+        # the cached-projection gradient vs a recompute from the raw rows
+        if engine.ledger.count:
+            got = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
+                                      engine.class_counts, engine.retention.size_dt)
+            want = _reference_forgetting_gradient(engine)
+            errs["forgetting_gradient"] = max(
+                errs["forgetting_gradient"],
+                float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max())),
+            )
+
     # density ratio vs scipy's two Gaussian densities on surviving points
     rng = np.random.default_rng(derive_seed(cfg.seed, 99))
     probe = remaining.take(rng.choice(remaining.n, min(50, remaining.n), replace=False))
     for label, st in engine.gaussians.stats.items():
         Z = engine.gaussians.standardize_batch(probe.X, label)
-        k = Z.shape[1]
-        logr = (multivariate_normal(st.mu, st.sigma).logpdf(Z)
-                - multivariate_normal(np.zeros(k), np.eye(k)).logpdf(Z))
-        with np.errstate(over="ignore"):
-            want = np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
+        want = _scipy_density_ratio(Z, st)
         got = density_ratio(Z, engine.gaussians, label)
         errs["density_ratio"] = max(errs["density_ratio"],
                                     float(np.abs(got - want).max()))

@@ -49,26 +49,27 @@ class ShiftEstimator:
         self.counts0 = dict(counts0)
         self.size_d0 = size_d0
 
-    def class_ratio_matrix(self, X: np.ndarray, counts_t: dict[int, int],
+    def class_ratio_matrix(self, Z: np.ndarray, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:
-        """(n, C) matrix of q_t^{(c)}(x_i) over every class c."""
-        X = np.atleast_2d(X)
+        """(n, C) matrix of q_t^{(c)}(x_i) over every class c, from the
+        ``standardize_all`` stack Z of the rows."""
         n_classes = max(self.counts0) + 1
-        q = np.full((len(X), n_classes), RATIO_FLOOR)
-        for label in self.gaussians.classes:
+        q = np.full((Z.shape[1], n_classes), RATIO_FLOOR)
+        for Zc, label in zip(Z, self.gaussians.classes):
             lr = label_ratio(
                 counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
             )
-            Z = self.gaussians.standardize_batch(X, label)
-            q[:, label] = lr * density_ratio(Z, self.gaussians, label)
+            q[:, label] = lr * density_ratio(Zc, self.gaussians, label)
         return q
 
     def target_predictions(self, params0: ModelParams, X: np.ndarray,
-                           counts_t: dict[int, int], size_dt: int) -> np.ndarray:
-        """Reweighted, renormalized stand-ins for the retrained predictions."""
+                           Z: np.ndarray, counts_t: dict[int, int],
+                           size_dt: int) -> np.ndarray:
+        """Reweighted, renormalized stand-ins for the retrained predictions at
+        the rows X, whose ``standardize_all`` stack is Z."""
         X = np.atleast_2d(X)
         probs0 = predict_proba_batch(params0, X)
-        q = self.class_ratio_matrix(X, counts_t, size_dt)
+        q = self.class_ratio_matrix(Z, counts_t, size_dt)
         raw = probs0 * q
         norm = raw.sum(axis=1, keepdims=True)
         ok = np.isfinite(norm[:, 0]) & (norm[:, 0] > 0.0)

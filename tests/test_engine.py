@@ -115,13 +115,15 @@ class TestForgettingGradient:
 
     def test_zero_when_target_equals_prediction(self, blob_task):
         train, _, params0 = blob_task
+        engine = build_engine(train, params0, SafeConfig(T=5))
 
         class IdentityShift:
-            def target_predictions(self, params, X, counts, size):
+            def target_predictions(self, params, X, Z, counts, size):
                 return predict_proba_batch(params, X)
 
         ledger = ForgettingLedger(lam=10.0)
-        ledger.append(train.X[:1], train.y[:1])
+        ledger.append(train.X[:1], train.y[:1],
+                      engine.gaussians.standardize_all(train.X[:1]))
         g = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
 
@@ -137,7 +139,8 @@ class TestForgettingGradient:
         ledger = engine.ledger
         counts = dict(engine.class_counts)
         size_dt = engine.retention.size_dt
-        targets = engine.shift.target_predictions(params0, ledger.X, counts, size_dt)
+        targets = engine.shift.target_predictions(params0, ledger.X, ledger.Z,
+                                                  counts, size_dt)
 
         analytic = forgetting_gradient(params0, ledger, engine.shift, counts, size_dt)
 
@@ -156,7 +159,8 @@ def engine_state(eng):
         "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": eng.gaussians.snapshot(),
-        "ledger": (None if led.X is None else led.X.tolist(), led.y.tolist()),
+        "ledger": (None if led.X is None else led.X.tolist(), led.y.tolist(),
+                   None if led.Z is None else led.Z.tolist()),
         "surviving": set(eng.surviving),
         "round": eng.round,
     }
@@ -257,6 +261,34 @@ class TestProcessRequest:
             engine.process_request(train.X[4:8], y, train.ids[4:8])
         assert engine_state(engine) == before
 
+    def test_ledger_projection_cache_matches_fresh_standardization(
+        self, engine, blob_task
+    ):
+        # the cached per-class projections must equal a fresh standardization
+        # of the ledger rows, bit for bit, through every kind of request
+        train, _, _ = blob_task
+        empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
+        class0 = np.flatnonzero(train.y == 0)
+        others = np.flatnonzero(train.y != 0)
+        repeated = np.array([others[0], others[0], others[1]])
+        foreign = (np.zeros((1, train.dim)), np.array([1]), np.array([10_000_000]))
+        requests = [
+            (train.X[repeated], train.y[repeated], train.ids[repeated]),
+            foreign,
+            empty,
+            # drains class 0 below its minimum count, so it freezes
+            (train.X[class0[:-3]], train.y[class0[:-3]], train.ids[class0[:-3]]),
+            (train.X[others[2:30]], train.y[others[2:30]], train.ids[others[2:30]]),
+        ]
+        exhausted = []
+        for X, y, ids in requests:
+            exhausted += engine.process_request(X, y, ids).exhausted_classes
+            led = engine.ledger
+            if led.count:
+                assert np.array_equal(led.Z, engine.gaussians.standardize_all(led.X))
+        assert exhausted == [0] and engine.gaussians.stats[0].frozen
+        assert engine.ledger.Z.shape == (3, 2 + len(class0) - 3 + 28, 10)
+
     def test_w0_never_mutated(self, engine, blob_task):
         train, _, params0 = blob_task
         before = params0.theta.copy()
@@ -289,10 +321,12 @@ class TestProcessRequest:
 def test_ledger_counts_and_rounds():
     ledger = ForgettingLedger(lam=1.0)
     assert ledger.count == 0
-    ledger.append(np.ones((2, 3)), np.array([0, 1]))
-    ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64))
-    ledger.append(np.zeros((1, 3)), np.array([1]))
+    ledger.append(np.ones((2, 3)), np.array([0, 1]), np.ones((2, 2, 1)))
+    ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64), np.zeros((2, 0, 1)))
+    ledger.append(np.zeros((1, 3)), np.array([1]), np.zeros((2, 1, 1)))
     assert ledger.count == 3
     # rows stay in the order of the rounds that forgot them
     assert ledger.y.tolist() == [0, 1, 1]
     assert ledger.X.tolist() == [[1.0] * 3, [1.0] * 3, [0.0] * 3]
+    # the projection cache grows along its row axis, one slab per class
+    assert ledger.Z.tolist() == [[[1.0], [1.0], [0.0]]] * 2

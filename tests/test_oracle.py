@@ -6,6 +6,7 @@ from safestream.data import make_synthetic
 from safestream.engine import ForgettingLedger, SafeConfig
 from safestream.errors import ConfigError
 from safestream.evaluation import accuracy
+from safestream.gaussian import ClassConditionalGaussians, make_projection
 from safestream.model import (
     Architecture,
     ModelParams,
@@ -29,6 +30,15 @@ def small_task():
     train, test = make_synthetic(600, 8, 2, 10.0, seed=3)
     arch = Architecture(train.dim, train.n_classes)
     return train, test, arch
+
+
+def forgotten(train, rows, lam):
+    """Ledger holding the given training rows with their per-class
+    projections, as the engine would append them."""
+    g = ClassConditionalGaussians.fit(train.X, train.y, make_projection(train.dim, 4, 0))
+    ledger = ForgettingLedger(lam=lam)
+    ledger.append(train.X[rows], train.y[rows], g.standardize_all(train.X[rows]))
+    return ledger
 
 
 class TestRetrain:
@@ -78,8 +88,7 @@ class TestTrueRisk:
     def test_forgetting_term_vanishes_at_star(self, small_task):
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
-        ledger = ForgettingLedger(lam=100.0)
-        ledger.append(train.X[:20], train.y[:20])
+        ledger = forgotten(train, np.arange(20), 100.0)
         risk = true_risk(star, train.X[20:], train.y[20:], ledger, star, 100.0)
         assert risk == pytest.approx(
             mean_cross_entropy(star, train.X[20:], train.y[20:]), abs=1e-12
@@ -91,8 +100,7 @@ class TestTrueRisk:
         w = ModelParams(arch, rng.standard_normal(arch.n_params))
         star = ModelParams(arch, rng.standard_normal(arch.n_params))
         keep, forget = train.take(np.arange(200)), train.take(np.arange(200, 240))
-        ledger = ForgettingLedger(lam=5.0)
-        ledger.append(forget.X, forget.y)
+        ledger = forgotten(train, np.arange(200, 240), 5.0)
         got = true_risk(w, keep.X, keep.y, ledger, star, 5.0)
 
         p_keep = predict_proba_batch(w, keep.X)
@@ -126,7 +134,7 @@ class TestSurrogateRisk:
         )
 
         class ForcedTargets:
-            def target_predictions(self, params, X, counts, size):
+            def target_predictions(self, params, X, Z, counts, size):
                 return predict_proba_batch(star, X)
 
         w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))

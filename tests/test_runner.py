@@ -153,7 +153,7 @@ class TestVerify:
         buf = io.StringIO()
         assert verify(base_config(), buf) is True
         lines = capsys.readouterr().out.splitlines()
-        assert sum("PASS" in l for l in lines) == 5
+        assert sum("PASS" in l for l in lines) == 6
         record = json.loads(buf.getvalue())
         assert record["type"] == "verify" and record["passed"] is True
         assert "0" in record["stats"] and "sigma" in record["stats"]["0"]
@@ -168,18 +168,21 @@ class TestVerify:
                      id="retention_recursion"),
         pytest.param("downdate_two_pass", safestream.gaussian, "downdate_cov",
                      lambda out: out + 1e-6, id="downdate_two_pass"),
+        pytest.param("forgetting_gradient", ClassConditionalGaussians,
+                     "standardize_all", lambda out: out + 1e-6,
+                     id="forgetting_gradient"),
     ])
     def test_density_ratio_suite_catches_perturbed_log_ratio(
         self, monkeypatch, suite, owner, name, bump
     ):
         # each suite, fed through the shared round loop, must notice a 1e-6
-        # error in the computation it checks while the other four still pass
+        # error in the computation it checks while the other five still pass
         exact = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, **kw: bump(exact(*a, **kw)))
         lines = []
         assert verify(base_config(), io.StringIO(), report=lines.append) is False
         assert any(l.startswith(f"VERIFY {suite}: FAIL") for l in lines)
-        assert sum("PASS" in l for l in lines) == 4
+        assert sum("PASS" in l for l in lines) == 5
 
 
 class TestSweep:
@@ -232,6 +235,17 @@ class TestCli:
         rec = json.loads(out.read_text().splitlines()[-1])
         assert rec["type"] == "error" and rec["exit_code"] == 1
         assert "ConfigError" in rec["error"]
+
+    def test_error_record_written_to_config_output(self, tmp_path):
+        # the output named in the config file, not only --output, receives
+        # the error record of a run that fails after the file was opened
+        out = tmp_path / "cfg_out.jsonl"
+        cfg = self.write_cfg(tmp_path, output=str(out),
+                             stream={"rounds": 100, "per_round": 100})
+        assert main(["run", "--config", cfg]) == 1
+        recs = [json.loads(l) for l in out.read_text().splitlines()]
+        assert len(recs) == 1
+        assert recs[0]["type"] == "error" and recs[0]["error"] == "ConfigError"
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = self.write_cfg(tmp_path, measure_time=False, evaluate_mia=False)

@@ -107,7 +107,8 @@ def test_target_identity_when_ratios_one(gaussian_setup):
     est = ShiftEstimator(g, counts0, 600)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(1).standard_normal(arch.n_params))
-    targets = est.target_predictions(params, X[:10], counts0, 600)
+    targets = est.target_predictions(params, X[:10], g.standardize_all(X[:10]),
+                                     counts0, 600)
     from safestream.model import predict_proba_batch
 
     assert np.abs(targets - predict_proba_batch(params, X[:10])).max() < 1e-6
@@ -127,7 +128,7 @@ def test_target_normalization_invariance(gaussian_setup):
     est = ShiftEstimator(g, counts0, 600)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(2).standard_normal(arch.n_params))
-    q = est.class_ratio_matrix(X[:5], counts0, 600)
+    q = est.class_ratio_matrix(g.standardize_all(X[:5]), counts0, 600)
     from safestream.model import predict_proba_batch
 
     probs = predict_proba_batch(params, X[:5])
@@ -161,10 +162,13 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     params = ModelParams(arch, np.zeros(arch.n_params))
 
     class AllZeroRatios(ShiftEstimator):
-        def class_ratio_matrix(self, X, counts_t, size_dt):
-            return np.zeros((len(np.atleast_2d(X)), 2))
+        def class_ratio_matrix(self, Z, counts_t, size_dt):
+            return np.zeros((Z.shape[1], 2))
 
     est2 = AllZeroRatios(g, {0: 300, 1: 300}, 600)
-    targets = est2.target_predictions(params, X[:3], {0: 300, 1: 300}, 600)
+    targets = est2.target_predictions(params, X[:3], g.standardize_all(X[:3]),
+                                      {0: 300, 1: 300}, 600)
     assert np.allclose(targets, 0.5)
-    assert est.target_predictions(params, X[0], {0: 300, 1: 300}, 600).shape == (1, 2)
+    one = est.target_predictions(params, X[0], g.standardize_all(X[0]),
+                                 {0: 300, 1: 300}, 600)
+    assert one.shape == (1, 2)

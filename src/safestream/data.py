@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import struct
 from dataclasses import dataclass, field
@@ -58,13 +59,18 @@ class Dataset:
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.ids[idx], self.split)
 
+    def _masked(self, keep: np.ndarray) -> "Dataset":
+        # rows of a checked dataset kept in order by a boolean mask cannot
+        # repeat an id, so the subset skips __post_init__'s checks
+        sub = copy.copy(self)
+        sub.X, sub.y, sub.ids = self.X[keep], self.y[keep], self.ids[keep]
+        return sub
+
     def without_ids(self, drop: np.ndarray) -> "Dataset":
-        keep = ~np.isin(self.ids, drop)
-        return self.take(np.flatnonzero(keep))
+        return self._masked(~np.isin(self.ids, drop))
 
     def select_ids(self, wanted: np.ndarray) -> "Dataset":
-        keep = np.isin(self.ids, wanted)
-        return self.take(np.flatnonzero(keep))
+        return self._masked(np.isin(self.ids, wanted))
 
     def class_counts(self) -> dict[int, int]:
         labels, counts = np.unique(self.y, return_counts=True)

@@ -18,7 +18,7 @@ O(1)-per-class statistics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,7 +111,6 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
     return RetentionGradState(grad, size_new, state.size_d0)
 
 
-@dataclass
 class ForgettingLedger:
     """All points forgotten so far, as raw features X and labels y, plus the
     trade-off weight lambda. Membership lives in the engine's surviving id
@@ -121,26 +120,51 @@ class ForgettingLedger:
     the (n_classes, count, k) ``ClassConditionalGaussians.standardize_all``
     stack. That transform is frozen at t=0, so a row's Z never changes once
     it is appended. The targets depend on the current class statistics and
-    counts; they are not stored and are recomputed from Z each round."""
+    counts; they are not stored and are recomputed from Z each round.
 
-    lam: float
-    X: np.ndarray | None = None
-    y: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    Z: np.ndarray | None = None
+    Rows live in buffers whose capacity doubles when full, so an append
+    copies only its own rows (amortized); X, y and Z are views of the filled
+    prefix, X and Z None while the ledger is empty."""
+
+    def __init__(self, lam: float):
+        self.lam = lam
+        self.count = 0
+        self._X: np.ndarray | None = None
+        self._y = np.empty(0, dtype=np.int64)
+        self._Z: np.ndarray | None = None
 
     @property
-    def count(self) -> int:
-        return len(self.y)
+    def X(self) -> np.ndarray | None:
+        return None if self._X is None else self._X[: self.count]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._y[: self.count]
+
+    @property
+    def Z(self) -> np.ndarray | None:
+        return None if self._Z is None else self._Z[:, : self.count]
 
     def append(self, X: np.ndarray, y: np.ndarray, Z: np.ndarray | None) -> None:
         """Append rows X, labels y and their ``standardize_all`` stack Z;
         a call with no labels changes nothing."""
-        if len(y) == 0:
+        m = len(y)
+        if m == 0:
             return
         X = np.atleast_2d(X)
-        self.X = X.copy() if self.X is None else np.vstack([self.X, X])
-        self.y = np.concatenate([self.y, np.asarray(y, dtype=np.int64)])
-        self.Z = Z.copy() if self.Z is None else np.concatenate([self.Z, Z], axis=1)
+        lo, hi = self.count, self.count + m
+        if hi > len(self._y):
+            cap = max(hi, 2 * len(self._y))
+            X_buf = np.empty((cap, X.shape[1]))
+            y_buf = np.empty(cap, dtype=np.int64)
+            Z_buf = np.empty((Z.shape[0], cap, Z.shape[2]))
+            if lo:
+                X_buf[:lo], y_buf[:lo], Z_buf[:, :lo] = self.X, self.y, self.Z
+            self._X, self._y, self._Z = X_buf, y_buf, Z_buf
+        self._X[lo:hi] = X
+        self._y[lo:hi] = y
+        self._Z[:, lo:hi] = Z
+        self.count = hi
 
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,

@@ -5,7 +5,9 @@ Per-class feature statistics are kept in a *standardized* space frozen at
 initialization: raw inputs are projected with a fixed Gaussian matrix, then
 whitened per class with the inverse Cholesky factor of the initial projected
 covariance. In that space the initial distribution of every class is N(0, I)
-exactly, which makes the later density-ratio denominators closed-form.
+exactly, which makes the later density-ratio denominators closed-form. Each
+whitening, frozen or current, is one GEMM against the explicit k x k inverse
+of a Cholesky factor, not a triangular solve over every row.
 
 The covariance downdate uses the exact sum-of-squares group identity
 
@@ -23,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as spstats
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from .errors import ClassExhaustionError, ConfigError, StatsError
 
@@ -50,6 +53,14 @@ def cholesky_with_jitter(sigma: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(sigma + CHOL_JITTER * np.eye(sigma.shape[0]))
     except np.linalg.LinAlgError:
         raise StatsError("covariance not positive definite even after jitter") from None
+
+
+def inverse_cholesky(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a lower Cholesky factor, by LAPACK's triangular inverse."""
+    inv, info = dtrtri(chol, lower=1)
+    if info != 0:
+        raise StatsError(f"Cholesky factor is not invertible (dtrtri info {info})")
+    return inv
 
 
 def downdate_mean(n: int, mu: np.ndarray, m: int, mu_rm: np.ndarray,
@@ -135,6 +146,8 @@ class ClassConditionalGaussians:
         self.projection = projection
         self.base_mu = base_mu
         self.base_chol = base_chol
+        self.base_inv = {label: inverse_cholesky(chol)
+                         for label, chol in base_chol.items()}
         self.stats = stats
         self.min_class_count = min_class_count
 
@@ -153,39 +166,41 @@ class ClassConditionalGaussians:
         if min_class_count is None:
             min_class_count = proj_dim + 2
         U = X @ projection
+        labels = [int(label) for label in np.unique(y)]
         base_mu: dict[int, np.ndarray] = {}
         base_chol: dict[int, np.ndarray] = {}
-        stats: dict[int, ClassStats] = {}
-        for label in np.unique(y):
-            label = int(label)
+        for label in labels:
             rows = U[y == label]
             if len(rows) < proj_dim + 2:
                 raise ConfigError(
                     f"class {label} has {len(rows)} samples, "
                     f"needs >= {proj_dim + 2} for a {proj_dim}-dim Gaussian"
                 )
-            mu0, sigma0 = batch_mean_cov(rows)
-            chol0 = cholesky_with_jitter(sigma0)
-            Z = solve_triangular(chol0, (rows - mu0).T, lower=True).T
+            base_mu[label], sigma0 = batch_mean_cov(rows)
+            base_chol[label] = cholesky_with_jitter(sigma0)
+        gaussians = cls(projection, base_mu, base_chol, {}, min_class_count)
+        for label in labels:
+            Z = gaussians._whiten(U[y == label], label)
             mu, sigma = batch_mean_cov(Z)
-            stats[label] = ClassStats(len(rows), mu, sigma, cholesky_with_jitter(sigma))
-            base_mu[label] = mu0
-            base_chol[label] = chol0
-        return cls(projection, base_mu, base_chol, stats, min_class_count)
+            gaussians.stats[label] = ClassStats(len(Z), mu, sigma,
+                                                cholesky_with_jitter(sigma))
+        return gaussians
+
+    def _whiten(self, U: np.ndarray, label: int) -> np.ndarray:
+        """Frozen t=0 whitening of projected rows U under the given class."""
+        return (U - self.base_mu[label]) @ self.base_inv[label].T
 
     def standardize_batch(self, X: np.ndarray, label: int) -> np.ndarray:
         """Frozen t=0 transform of raw inputs under the given class."""
         if label not in self.base_mu:
             raise StatsError(f"no statistics for class {label}")
-        U = np.atleast_2d(X) @ self.projection
-        return solve_triangular(
-            self.base_chol[label], (U - self.base_mu[label]).T, lower=True
-        ).T
+        return self._whiten(np.atleast_2d(X) @ self.projection, label)
 
     def standardize_all(self, X: np.ndarray) -> np.ndarray:
         """(n_classes, n, k) stack of ``standardize_batch(X, c)`` over the
-        fitted classes, in the order of ``classes``."""
-        return np.stack([self.standardize_batch(X, label) for label in self.classes])
+        fitted classes, in the order of ``classes``; X is projected once."""
+        U = np.atleast_2d(X) @ self.projection
+        return np.stack([self._whiten(U, label) for label in self.classes])
 
     def remove(self, X: np.ndarray, y: np.ndarray) -> list[int]:
         """Downdate per-class statistics for a deletion batch.
@@ -222,10 +237,10 @@ class ClassConditionalGaussians:
         """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for each standardized row."""
         st = self.stats[label]
         d = Z.shape[1]
-        W = solve_triangular(st.chol, (Z - st.mu).T, lower=True).T
+        W = (Z - st.mu) @ inverse_cholesky(st.chol).T
         logdet = 2.0 * float(np.log(np.diag(st.chol)).sum())
-        log_num = -0.5 * (d * LOG_2PI + logdet + (W * W).sum(axis=1))
-        log_den = -0.5 * (d * LOG_2PI + (Z * Z).sum(axis=1))
+        log_num = -0.5 * (d * LOG_2PI + logdet + np.einsum("ij,ij->i", W, W))
+        log_den = -0.5 * (d * LOG_2PI + np.einsum("ij,ij->i", Z, Z))
         return log_num - log_den
 
     def snapshot(self) -> dict:

@@ -4,6 +4,14 @@ Two desk-scale backbones: a softmax-linear head and a one-hidden-layer tanh
 MLP. Parameters live in a single flat float64 vector so the unlearning engine
 can treat every architecture as a point in R^p. All gradients are analytic
 and are checked against central finite differences in the test suite.
+
+Layout: the kernels work class-major. Logits, probabilities and their
+gradients are (C, n) arrays, one row per class, and MLP hidden activations
+are (h, n), so every softmax reduction runs along a long contiguous axis
+rather than across the 2-10 classes of each row. The public functions keep
+row-major shapes: inputs X are (n, d), ``predict_proba_batch`` returns
+(n, C) (a transposed view) and ``sum_grad_kl_to_targets`` takes (n, C)
+targets.
 """
 
 from __future__ import annotations
@@ -92,27 +100,31 @@ def _mlp_views(arch: Architecture, theta: np.ndarray):
 
 
 def _forward(params: ModelParams, X: np.ndarray):
-    """Logits for a batch; returns (logits, hidden) with hidden None for linear."""
+    """Class-major logits (C, n) for the rows of X (n, d); returns
+    (logits, hidden) with hidden (h, n), None for the linear head."""
     arch = params.arch
     if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise ConfigError(f"input has shape {X.shape}, arch expects (*, {arch.input_dim})")
     if arch.hidden_dim is None:
         w, b = _linear_views(arch, params.theta)
-        return X @ w.T + b, None
+        return w @ X.T + b[:, None], None
     w1, b1, w2, b2 = _mlp_views(arch, params.theta)
-    hidden = np.tanh(X @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+    hidden = np.tanh(w1 @ X.T + b1[:, None])
+    return w2 @ hidden + b2[:, None], hidden
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the class axis of (C, n) logits, computed in place."""
+    logits -= logits.max(axis=0)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=0)
+    return logits
 
 
 def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """(n, C) class probabilities for the rows of X."""
     logits, _ = _forward(params, np.atleast_2d(X))
-    return _softmax(logits)
+    return _softmax(logits).T
 
 
 def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
@@ -128,19 +140,19 @@ def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> flo
 
 def _backprop_sum(params: ModelParams, X: np.ndarray, dlogits: np.ndarray,
                   hidden: np.ndarray | None) -> np.ndarray:
-    """Flat gradient of sum_i L_i given dL_i/dlogits_i rows."""
+    """Flat gradient of sum_i L_i given the class-major (C, n) dL_i/dlogits_i
+    columns and the (h, n) hidden activations."""
     arch = params.arch
     if arch.hidden_dim is None:
-        gw = dlogits.T @ X
-        gb = dlogits.sum(axis=0)
+        gw = dlogits @ X
+        gb = dlogits.sum(axis=1)
         return np.concatenate([gw.ravel(), gb])
     w1, b1, w2, b2 = _mlp_views(arch, params.theta)
-    gw2 = dlogits.T @ hidden
-    gb2 = dlogits.sum(axis=0)
-    dhidden = dlogits @ w2
-    dpre = dhidden * (1.0 - hidden * hidden)
-    gw1 = dpre.T @ X
-    gb1 = dpre.sum(axis=0)
+    gw2 = dlogits @ hidden.T
+    gb2 = dlogits.sum(axis=1)
+    dpre = (w2.T @ dlogits) * (1.0 - hidden * hidden)
+    gw1 = dpre @ X
+    gb1 = dpre.sum(axis=1)
     return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
 
@@ -151,9 +163,8 @@ def grad_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.
     if len(X) == 0:
         raise ConfigError("empty batch")
     logits, hidden = _forward(params, X)
-    p = _softmax(logits)
-    dlogits = p.copy()
-    dlogits[np.arange(len(y)), y] -= 1.0
+    dlogits = _softmax(logits)
+    dlogits[y, np.arange(len(y))] -= 1.0
     return _backprop_sum(params, X, dlogits, hidden) / len(y)
 
 
@@ -170,20 +181,20 @@ def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Rows of dKL(p||t)/dlogits for batched p, t: p_k (log(p_k/t_k) - KL)."""
+    """Class-major (C, n) dKL(p||t)/dlogits for batched p, t: p_k (log(p_k/t_k) - KL)."""
     logp = np.log(np.maximum(p, PROB_FLOOR))
     logt = np.log(np.maximum(target, PROB_FLOOR))
-    kl = (p * (logp - logt)).sum(axis=1, keepdims=True)
+    kl = (p * (logp - logt)).sum(axis=0)
     return p * (logp - logt - kl)
 
 
 def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
                            targets: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. theta of sum_i KL(p_i || target_i), p_i the predicted
-    probabilities of row i. Targets are constants: no gradient flows through
-    them."""
+    probabilities of row i and targets (n, C). Targets are constants: no
+    gradient flows through them."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     logits, hidden = _forward(params, X)
     p = _softmax(logits)
-    dlogits = _kl_dlogits(p, np.asarray(targets, dtype=np.float64))
+    dlogits = _kl_dlogits(p, np.asarray(targets, dtype=np.float64).T)
     return _backprop_sum(params, X, dlogits, hidden)

@@ -16,6 +16,9 @@ from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
     ModelParams,
+    _backprop_sum,
+    _forward,
+    _softmax,
     grad_cross_entropy,
     init_params,
     kl_rows,
@@ -51,23 +54,31 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     """Train from a seeded fresh initialization until max epochs or the
     gradient norm drops below ``grad_tol``."""
     config.validate()
-    if len(X) == 0:
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    n = len(X)
+    if n == 0:
         raise ConfigError("cannot retrain on empty data")
     rng = np.random.default_rng(config.seed)
     params = init_params(arch, rng)
-    theta = params.theta.copy()
+    theta = params.theta
 
     if config.batch_size is None:
+        # the class-major kernels directly: params views theta, which each
+        # epoch updates in place
+        onehot_t = np.zeros((arch.n_classes, n))
+        onehot_t[y, np.arange(n)] = 1.0
         for _ in range(config.epochs):
-            params = ModelParams(arch, theta)
-            g = grad_cross_entropy(params, X, y)
+            logits, hidden = _forward(params, X)
+            dlogits = _softmax(logits)
+            dlogits -= onehot_t
+            g = _backprop_sum(params, X, dlogits, hidden) / n
             if not np.all(np.isfinite(g)):
                 raise NumericalError("retrain diverged: non-finite gradient")
             if np.linalg.norm(g) < config.grad_tol:
                 break
-            theta = theta - config.lr * g
+            theta -= config.lr * g
     else:
-        n = len(X)
         for _ in range(config.epochs):
             order = rng.permutation(n)
             for start in range(0, n, config.batch_size):

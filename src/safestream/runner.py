@@ -18,6 +18,7 @@ import typing
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from .data import Dataset, load_csv, load_idx, make_synthetic
@@ -394,6 +395,14 @@ VERIFY_TOLERANCES = {
 }
 
 
+def _reference_standardize(gaussians: ClassConditionalGaussians, X: np.ndarray,
+                           label: int) -> np.ndarray:
+    """The frozen t=0 transform by a triangular solve against the base
+    Cholesky factor, independent of the engine's own whitening."""
+    U = X @ gaussians.projection - gaussians.base_mu[label]
+    return solve_triangular(gaussians.base_chol[label], U.T, lower=True).T
+
+
 def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
     """N(mu_t, Sigma_t) over N(0, I) at the standardized rows Z, from scipy's
     densities, clipped as the engine clips its ratios."""
@@ -406,7 +415,7 @@ def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
 
 def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
     """The engine's forgetting gradient recomputed from the raw ledger rows:
-    a fresh standardization per class, scipy's density ratios, the label
+    a reference standardization per class, scipy's density ratios, the label
     ratios, the renormalized targets with the w_0 fallback, one backward
     pass. It reads neither the cached projections nor the engine's density
     ratio or target code."""
@@ -416,7 +425,7 @@ def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
     for label, st in gaussians.stats.items():
         lr = label_ratio(engine.class_counts.get(label, 0), est.counts0[label],
                          engine.retention.size_dt, est.size_d0)
-        Z = gaussians.standardize_batch(led.X, label)
+        Z = _reference_standardize(gaussians, led.X, label)
         q[:, label] = lr * _scipy_density_ratio(Z, st)
     raw = p0 * q
     norm = raw.sum(axis=1)
@@ -446,7 +455,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             if st.frozen:
                 continue
             rows = remaining.X[remaining.y == label]
-            Z = engine.gaussians.standardize_batch(rows, label)
+            Z = _reference_standardize(engine.gaussians, rows, label)
             mu, sigma = batch_mean_cov(Z)
             errs["downdate_two_pass"] = max(
                 errs["downdate_two_pass"],

@@ -52,26 +52,26 @@ class ShiftEstimator:
     def class_ratio_matrix(self, Z: np.ndarray, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:
         """(n, C) matrix of q_t^{(c)}(x_i) over every class c, from the
-        ``standardize_all`` stack Z of the rows."""
+        ``standardize_all`` stack Z of the rows; a transposed view of the
+        class-major array it fills one class row at a time."""
         n_classes = max(self.counts0) + 1
-        q = np.full((Z.shape[1], n_classes), RATIO_FLOOR)
+        q = np.full((n_classes, Z.shape[1]), RATIO_FLOOR)
         for Zc, label in zip(Z, self.gaussians.classes):
             lr = label_ratio(
                 counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
             )
-            q[:, label] = lr * density_ratio(Zc, self.gaussians, label)
-        return q
+            q[label] = lr * density_ratio(Zc, self.gaussians, label)
+        return q.T
 
     def target_predictions(self, params0: ModelParams, X: np.ndarray,
                            Z: np.ndarray, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:
-        """Reweighted, renormalized stand-ins for the retrained predictions at
-        the rows X, whose ``standardize_all`` stack is Z."""
+        """(n, C) reweighted, renormalized stand-ins for the retrained
+        predictions at the rows X, whose ``standardize_all`` stack is Z."""
         X = np.atleast_2d(X)
-        probs0 = predict_proba_batch(params0, X)
-        q = self.class_ratio_matrix(Z, counts_t, size_dt)
-        raw = probs0 * q
-        norm = raw.sum(axis=1, keepdims=True)
-        ok = np.isfinite(norm[:, 0]) & (norm[:, 0] > 0.0)
-        out = np.where(ok[:, None], raw / np.where(ok[:, None], norm, 1.0), probs0)
-        return out
+        probs0 = predict_proba_batch(params0, X).T
+        raw = probs0 * self.class_ratio_matrix(Z, counts_t, size_dt).T
+        norm = raw.sum(axis=0)
+        ok = np.isfinite(norm) & (norm > 0.0)
+        out = np.where(ok, raw / np.where(ok, norm, 1.0), probs0)
+        return out.T

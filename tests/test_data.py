@@ -159,10 +159,17 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 2)), [0, 1], [3, 3])
 
+    def test_take_still_checks_ids(self):
+        train, _ = make_synthetic(200, 4, 2, 3.0, seed=0)
+        with pytest.raises(DataError):
+            train.take([0, 0])
+
     def test_id_subsetting(self):
         ds = Dataset(np.arange(10).reshape(5, 2), [0, 1, 0, 1, 0], np.arange(5))
         kept = ds.without_ids(np.array([1, 3]))
         assert kept.ids.tolist() == [0, 2, 4]
+        assert kept.X.tolist() == ds.X[[0, 2, 4]].tolist()
+        assert kept.y.tolist() == [0, 0, 0]
         sel = ds.select_ids(np.array([4, 0]))
         assert sorted(sel.ids.tolist()) == [0, 4]
 

@@ -330,3 +330,20 @@ def test_ledger_counts_and_rounds():
     assert ledger.X.tolist() == [[1.0] * 3, [1.0] * 3, [0.0] * 3]
     # the projection cache grows along its row axis, one slab per class
     assert ledger.Z.tolist() == [[[1.0], [1.0], [0.0]]] * 2
+
+
+def test_ledger_appends_match_concatenation():
+    # the capacity buffer must hold exactly the rows appended, in order,
+    # through every regrowth, and never alias the caller's arrays
+    rng = np.random.default_rng(0)
+    ledger = ForgettingLedger(lam=1.0)
+    Xs, ys, Zs = [], [], []
+    for m in (3, 0, 1, 5, 2, 9, 1, 16):
+        X, y, Z = rng.standard_normal((m, 4)), rng.integers(0, 3, m), rng.standard_normal((3, m, 2))
+        ledger.append(X, y, Z)
+        Xs.append(X.copy()), ys.append(y.copy()), Zs.append(Z.copy())
+        X[:], y[:], Z[:] = 0.0, 7, 0.0
+        assert ledger.count == sum(len(v) for v in ys)
+        assert np.array_equal(ledger.X, np.concatenate(Xs))
+        assert np.array_equal(ledger.y, np.concatenate(ys))
+        assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 from safestream.errors import ClassExhaustionError, ConfigError, StatsError
 from safestream.gaussian import (
@@ -11,6 +12,7 @@ from safestream.gaussian import (
     cholesky_with_jitter,
     downdate_cov,
     downdate_mean,
+    inverse_cholesky,
     make_projection,
     mardia_test,
 )
@@ -189,6 +191,11 @@ def test_cholesky_jitter_recovers_singular():
     assert np.all(np.isfinite(chol))
 
 
+def test_inverse_cholesky_rejects_singular_factor():
+    with pytest.raises(StatsError, match="not invertible"):
+        inverse_cholesky(np.diag([1.0, 0.0, 2.0]))
+
+
 @pytest.fixture(scope="module")
 def fitted():
     rng = np.random.default_rng(12)
@@ -230,6 +237,15 @@ class TestClassGaussians:
         )
         x = X[0]
         assert np.allclose(g2.standardize_batch(x[None, :], 0), x @ g.projection, atol=1e-12)
+
+    def test_standardize_all_matches_triangular_solve(self, fitted):
+        X, _, g = fitted
+        Z = g.standardize_all(X)
+        assert Z.shape == (2, len(X), 6)
+        for j, label in enumerate(g.classes):
+            U = X @ g.projection - g.base_mu[label]
+            want = solve_triangular(g.base_chol[label], U.T, lower=True).T
+            assert np.abs(Z[j] - want).max() < 1e-12
 
     def test_undersized_class_rejected(self):
         X = np.random.default_rng(0).standard_normal((10, 12))

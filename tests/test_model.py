@@ -58,6 +58,23 @@ def test_predict_proba_normalized(seed):
     assert np.all(p >= 0.0) and np.all(p <= 1.0)
 
 
+@pytest.mark.parametrize("hidden", [None, 4])
+def test_predict_proba_batch_is_rows_by_classes(hidden):
+    arch = Architecture(6, 3, hidden)
+    params, _, rng = random_model(8, arch)
+    X = rng.standard_normal((7, 6))
+    p = predict_proba_batch(params, X)
+    assert p.shape == (7, 3)
+    H = X
+    if hidden is not None:
+        w1, b1 = params.theta[:24].reshape(4, 6), params.theta[24:28]
+        H = np.tanh(X @ w1.T + b1)
+    k = H.shape[1]
+    W, b = params.theta[-3 * (k + 1):-3].reshape(3, k), params.theta[-3:]
+    e = np.exp(H @ W.T + b)
+    assert np.abs(p - e / e.sum(axis=1, keepdims=True)).max() < 1e-12
+
+
 def test_cross_entropy_perfect_prediction():
     arch = Architecture(1, 2)
     theta = np.array([50.0, -50.0, 0.0, 0.0])

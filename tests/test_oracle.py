@@ -4,7 +4,7 @@ from scipy.special import rel_entr
 
 from safestream.data import make_synthetic
 from safestream.engine import ForgettingLedger, SafeConfig
-from safestream.errors import ConfigError
+from safestream.errors import ConfigError, NumericalError
 from safestream.evaluation import accuracy
 from safestream.gaussian import ClassConditionalGaussians, make_projection
 from safestream.model import (
@@ -41,6 +41,46 @@ def forgotten(train, rows, lam):
     return ledger
 
 
+def textbook_init(arch, seed):
+    """Zeros for the linear head; for the MLP, seeded N(0, 1/fan_in) weights
+    drawn hidden layer first, zero biases."""
+    d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
+    if h is None:
+        return np.zeros(c * (d + 1))
+    rng = np.random.default_rng(seed)
+    w1 = rng.standard_normal((h, d)) / np.sqrt(d)
+    w2 = rng.standard_normal((c, h)) / np.sqrt(h)
+    return np.concatenate([w1.ravel(), np.zeros(h), w2.ravel(), np.zeros(c)])
+
+
+def textbook_descent(X, y, arch, cfg):
+    """Full-batch gradient descent on the mean cross-entropy, row-major:
+    one row of logits per sample, the gradient written out layer by layer."""
+    d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
+    n = len(X)
+    Y = np.eye(c)[y]
+    theta = textbook_init(arch, cfg.seed)
+    for _ in range(cfg.epochs):
+        if h is None:
+            W, b = theta[: c * d].reshape(c, d), theta[c * d:]
+            H = X
+        else:
+            W1 = theta[: h * d].reshape(h, d)
+            b1 = theta[h * d: h * d + h]
+            W = theta[h * d + h: h * d + h + c * h].reshape(c, h)
+            b = theta[h * d + h + c * h:]
+            H = np.tanh(X @ W1.T + b1)
+        logits = H @ W.T + b
+        E = np.exp(logits - logits.max(axis=1, keepdims=True))
+        D = (E / E.sum(axis=1, keepdims=True) - Y) / n
+        grad = [(D.T @ H).ravel(), D.sum(axis=0)]
+        if h is not None:
+            Dh = (D @ W) * (1.0 - H * H)
+            grad = [(Dh.T @ X).ravel(), Dh.sum(axis=0)] + grad
+        theta = theta - cfg.lr * np.concatenate(grad)
+    return theta
+
+
 class TestRetrain:
     def test_separable_blobs_reach_high_accuracy(self, small_task):
         train, _, arch = small_task
@@ -70,6 +110,32 @@ class TestRetrain:
         b = retrain(train.X, train.y, arch, cfg)
         assert np.array_equal(a.theta, b.theta)
         assert accuracy(a, train.X, train.y) >= 0.9
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_full_batch_matches_row_major_descent(self, small_task, hidden):
+        train, _, _ = small_task
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        cfg = RetrainConfig(epochs=40, lr=0.5, seed=9, grad_tol=0.0)
+        got = retrain(train.X, train.y, arch, cfg).theta
+        want = textbook_descent(train.X, train.y, arch, cfg)
+        assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_nonfinite_feature_raises(self, small_task, hidden):
+        train, _, _ = small_task
+        X = train.X.copy()
+        X[3, 2] = np.nan
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        with pytest.raises(NumericalError, match="non-finite gradient"):
+            retrain(X, train.y, arch, RetrainConfig(epochs=5))
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_grad_tol_stops_before_first_step(self, small_task, hidden):
+        train, _, _ = small_task
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        cfg = RetrainConfig(epochs=50, seed=4, grad_tol=1e9)
+        got = retrain(train.X, train.y, arch, cfg).theta
+        assert np.array_equal(got, textbook_init(arch, cfg.seed))
 
     def test_empty_data_rejected(self, small_task):
         _, _, arch = small_task

@@ -168,6 +168,9 @@ class TestVerify:
                      id="retention_recursion"),
         pytest.param("downdate_two_pass", safestream.gaussian, "downdate_cov",
                      lambda out: out + 1e-6, id="downdate_two_pass"),
+        pytest.param("downdate_two_pass", ClassConditionalGaussians,
+                     "standardize_batch", lambda out: out + 1e-6,
+                     id="downdate_two_pass-standardize_batch"),
         pytest.param("forgetting_gradient", ClassConditionalGaussians,
                      "standardize_all", lambda out: out + 1e-6,
                      id="forgetting_gradient"),

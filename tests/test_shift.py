@@ -172,3 +172,25 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     one = est.target_predictions(params, X[0], g.standardize_all(X[0]),
                                  {0: 300, 1: 300}, 600)
     assert one.shape == (1, 2)
+
+
+def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
+    # both return (n, C): a caller reads class c's ratios as q[:, c]
+    X, y, g = gaussian_setup
+    counts0, counts_t = {0: 300, 1: 300}, {0: 250, 1: 300}
+    est = ShiftEstimator(g, counts0, 600)
+    arch = Architecture(8, 2)
+    params = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
+    Z = g.standardize_all(X[:7])
+    q = est.class_ratio_matrix(Z, counts_t, 550)
+    assert q.shape == (7, 2)
+    for j, label in enumerate(g.classes):
+        want = label_ratio(counts_t[label], 300, 550, 600) * density_ratio(Z[j], g, label)
+        assert np.array_equal(q[:, label], want)
+    targets = est.target_predictions(params, X[:7], Z, counts_t, 550)
+    assert targets.shape == (7, 2)
+    W, b = params.theta[:16].reshape(2, 8), params.theta[16:]
+    logits = X[:7] @ W.T + b
+    p0 = np.exp(logits - logits.max(axis=1, keepdims=True))
+    raw = p0 * q
+    assert np.abs(targets - raw / raw.sum(axis=1, keepdims=True)).max() < 1e-12

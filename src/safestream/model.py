@@ -127,12 +127,15 @@ def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return _softmax(logits).T
 
 
+def _check_labels(y: np.ndarray, n_classes: int) -> None:
+    if y.size and not (0 <= y.min() and y.max() < n_classes):
+        raise ConfigError(f"labels outside [0, {n_classes})")
+
+
 def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Mean of -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
     y = np.asarray(y, dtype=np.int64)
-    c = params.arch.n_classes
-    if y.size and not (0 <= y.min() and y.max() < c):
-        raise ConfigError(f"labels outside [0, {c})")
+    _check_labels(y, params.arch.n_classes)
     p = predict_proba_batch(params, X)
     py = np.maximum(p[np.arange(len(y)), y], PROB_FLOOR)
     return float(-np.log(py).mean())
@@ -162,9 +165,11 @@ def grad_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if len(X) == 0:
         raise ConfigError("empty batch")
+    _check_labels(y, params.arch.n_classes)
     logits, hidden = _forward(params, X)
     dlogits = _softmax(logits)
-    dlogits[y, np.arange(len(y))] -= 1.0
+    # minus the one-hot labels; a dense compare beats a scattered subtract
+    dlogits -= y == np.arange(params.arch.n_classes)[:, None]
     return _backprop_sum(params, X, dlogits, hidden) / len(y)
 
 

@@ -16,9 +16,6 @@ from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
     ModelParams,
-    _backprop_sum,
-    _forward,
-    _softmax,
     grad_cross_entropy,
     init_params,
     kl_rows,
@@ -64,15 +61,9 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     theta = params.theta
 
     if config.batch_size is None:
-        # the class-major kernels directly: params views theta, which each
-        # epoch updates in place
-        onehot_t = np.zeros((arch.n_classes, n))
-        onehot_t[y, np.arange(n)] = 1.0
+        # params views theta, which each epoch updates in place
         for _ in range(config.epochs):
-            logits, hidden = _forward(params, X)
-            dlogits = _softmax(logits)
-            dlogits -= onehot_t
-            g = _backprop_sum(params, X, dlogits, hidden) / n
+            g = grad_cross_entropy(params, X, y)
             if not np.all(np.isfinite(g)):
                 raise NumericalError("retrain diverged: non-finite gradient")
             if np.linalg.norm(g) < config.grad_tol:

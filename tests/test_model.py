@@ -99,6 +99,12 @@ def test_cross_entropy_label_range():
         mean_cross_entropy(params, x[None, :], [3])
     with pytest.raises(ConfigError):
         mean_cross_entropy(params, np.vstack([x, x, x]), [-1, 0, 1])
+    # the gradient subtracts the one-hot labels by comparison, so an
+    # out-of-range label would otherwise subtract nothing
+    with pytest.raises(ConfigError):
+        grad_cross_entropy(params, x[None, :], [3])
+    with pytest.raises(ConfigError):
+        grad_cross_entropy(params, np.vstack([x, x, x]), [-1, 0, 1])
 
 
 def test_grad_zero_at_perfect_prediction():

@@ -26,7 +26,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     ids: np.ndarray
-    split: str = "train"
 
     def __post_init__(self):
         self.X = np.ascontiguousarray(self.X, dtype=np.float64)
@@ -57,7 +56,7 @@ class Dataset:
         return int(self.y.max()) + 1 if self.n else 0
 
     def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.X[idx], self.y[idx], self.ids[idx], self.split)
+        return Dataset(self.X[idx], self.y[idx], self.ids[idx])
 
     def _masked(self, keep: np.ndarray) -> "Dataset":
         # rows of a checked dataset kept in order by a boolean mask cannot
@@ -249,6 +248,6 @@ def make_synthetic(
         test_mask[members[:k]] = True
     train_idx = np.flatnonzero(~test_mask)
     test_idx = np.flatnonzero(test_mask)
-    train = Dataset(X[train_idx], y[train_idx], ids[train_idx], "train")
-    test = Dataset(X[test_idx], y[test_idx], ids[test_idx], "test")
+    train = Dataset(X[train_idx], y[train_idx], ids[train_idx])
+    test = Dataset(X[test_idx], y[test_idx], ids[test_idx])
     return train, test

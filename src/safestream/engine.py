@@ -88,7 +88,6 @@ class RetentionGradState:
 
     grad: np.ndarray
     size_dt: int
-    size_d0: int
 
 
 def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
@@ -100,7 +99,7 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
     ``grad_sum_ft`` is the *sum* (not mean) of per-sample gradients at w_0.
     """
     if m == 0:
-        return RetentionGradState(state.grad.copy(), state.size_dt, state.size_d0)
+        return RetentionGradState(state.grad.copy(), state.size_dt)
     size_new = state.size_dt - m
     if size_new <= 0:
         raise StreamError(
@@ -108,7 +107,7 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
             f"({state.size_dt} left)"
         )
     grad = (state.size_dt / size_new) * state.grad - grad_sum_ft / size_new
-    return RetentionGradState(grad, size_new, state.size_d0)
+    return RetentionGradState(grad, size_new)
 
 
 class ForgettingLedger:
@@ -169,26 +168,27 @@ class ForgettingLedger:
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
                         shift: ShiftEstimator, counts_t: dict[int, int],
-                        size_dt: int) -> np.ndarray:
-    """(lam / sum |F_i|) * sum over forgotten points of the KL gradient toward
-    the current shift targets; zero vector for an empty ledger."""
+                        size_dt: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(gradient, targets)``: (lam / sum |F_i|) * sum over forgotten points
+    of the KL gradient toward the current shift targets, and those (n, C)
+    targets; a zero vector and None for an empty ledger."""
     if ledger.count == 0:
-        return np.zeros(params0.arch.n_params)
+        return np.zeros(params0.arch.n_params), None
     targets = shift.target_predictions(params0, ledger.X, ledger.Z, counts_t,
                                        size_dt)
     g = sum_grad_kl_to_targets(params0, ledger.X, targets)
-    return (ledger.lam / ledger.count) * g
+    return (ledger.lam / ledger.count) * g, targets
 
 
 @dataclass
 class RoundResult:
     params: ModelParams
-    round: int
     accepted: int                # request size after filtering
     dropped: int                 # repeated ids (first kept) / non-members
     grad_norm: float
     perturbation: np.ndarray
     exhausted_classes: list[int]
+    targets: np.ndarray | None   # shift targets per ledger row; None if empty
 
 
 class SafeUnlearner:
@@ -209,10 +209,9 @@ class SafeUnlearner:
         self.retention = retention
         self.gaussians = gaussians
         self.class_counts = dict(class_counts)
-        self.counts0 = dict(class_counts)
         self.surviving = set(int(i) for i in surviving_ids)
         self.ledger = ForgettingLedger(lam=config.lam)
-        self.shift = ShiftEstimator(gaussians, self.counts0, retention.size_d0)
+        self.shift = ShiftEstimator(gaussians, class_counts)
         self.gamma = learning_rate(config)
         self.phi = perturbation_scale(config)
         self.round = 0
@@ -240,7 +239,7 @@ class SafeUnlearner:
             raise StreamError("request features, labels, and ids disagree in length")
         if not np.all(np.isfinite(X)):
             raise StreamError("request features contain non-finite values")
-        unknown = set(y.tolist()) - self.counts0.keys()
+        unknown = set(y.tolist()) - self.shift.counts0.keys()
         if unknown:
             raise StreamError(f"request labels {sorted(unknown)} are not fitted classes")
 
@@ -269,10 +268,11 @@ class SafeUnlearner:
         self.surviving.difference_update(int(i) for i in ids)
         self.ledger.append(X, y, Z)
 
-        g = self.retention.grad + forgetting_gradient(
+        g_forget, targets = forgetting_gradient(
             self.params0, self.ledger, self.shift,
             self.class_counts, self.retention.size_dt,
         )
+        g = self.retention.grad + g_forget
         b = self.draw_perturbation(t)
         gnorm = float(np.linalg.norm(g))
         theta = self.params0.theta - b
@@ -281,10 +281,10 @@ class SafeUnlearner:
         self.round = t
         return RoundResult(
             params=ModelParams(self.params0.arch, theta),
-            round=t,
             accepted=m,
             dropped=dropped,
             grad_norm=gnorm,
             perturbation=b,
             exhausted_classes=exhausted,
+            targets=targets,
         )

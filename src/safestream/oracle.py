@@ -22,15 +22,15 @@ from .model import (
     mean_cross_entropy,
     predict_proba_batch,
 )
-from .shift import ShiftEstimator
 
 
 @dataclass(frozen=True)
 class RetrainConfig:
-    """Full-batch gradient descent settings for the exact-unlearning oracle.
+    """Gradient descent settings for the exact-unlearning oracle.
 
-    ``batch_size`` of None means full batch (the convex presets); MLP presets
-    use seeded mini-batch descent and are compared on behavior, not weights.
+    ``batch_size`` of None means full batch, which every preset uses, MLP
+    ones included. A config that sets ``batch_size`` gets seeded mini-batch
+    descent instead.
     """
 
     epochs: int = 300
@@ -87,29 +87,30 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
 
 
 def true_risk(params: ModelParams, X_t: np.ndarray, y_t: np.ndarray,
-              ledger: ForgettingLedger, params_star: ModelParams,
-              lam: float) -> float:
-    """Mean retention loss on the remaining data plus the lambda-weighted mean
-    KL from the model's predictions to the retrained model's predictions over
-    all forgotten points. Empty ledger -> retention-only risk."""
+              ledger: ForgettingLedger, params_star: ModelParams) -> float:
+    """Mean retention loss on the remaining data plus the mean KL, weighted
+    by ``ledger.lam``, from the model's predictions to the retrained model's
+    predictions over all forgotten points. Empty ledger -> retention-only
+    risk."""
     risk = mean_cross_entropy(params, X_t, y_t)
     if ledger.count:
         p = predict_proba_batch(params, ledger.X)
         q = predict_proba_batch(params_star, ledger.X)
-        risk += (lam / ledger.count) * kl_rows(p, q).sum()
+        risk += (ledger.lam / ledger.count) * kl_rows(p, q).sum()
     return float(risk)
 
 
 def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
-                   ledger: ForgettingLedger, shift: ShiftEstimator,
-                   params0: ModelParams, counts_t: dict[int, int],
+                   ledger: ForgettingLedger, targets: np.ndarray | None,
                    size_dt: int) -> float:
     """The engine-side risk estimate: the retention decomposition
 
         (|D_0|/|D_t|) R_0(w) - (1/|D_t|) sum_forgotten loss(w)
 
-    plus the forgetting term with shift targets in place of the retrained
-    model. Requires the retained initial data, so it is verify-mode only."""
+    plus the forgetting term toward ``targets``, the shift targets the
+    engine built this round (``RoundResult.targets``), in place of the
+    retrained model. Requires the retained initial data, so only ``run`` in
+    oracle mode calls it."""
     r0 = mean_cross_entropy(params, X0, y0)
     risk = (len(X0) / size_dt) * r0
     if ledger.count:
@@ -118,8 +119,6 @@ def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
             p_led[np.arange(ledger.count), ledger.y], 1e-12
         ))
         risk -= losses.sum() / size_dt
-        targets = shift.target_predictions(params0, ledger.X, ledger.Z,
-                                           counts_t, size_dt)
         risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
     return float(risk)
 

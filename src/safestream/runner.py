@@ -40,6 +40,7 @@ from .model import (
     Architecture,
     ModelParams,
     grad_cross_entropy,
+    mean_cross_entropy,
     predict_proba_batch,
     sum_grad_kl_to_targets,
 )
@@ -205,20 +206,16 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         train = load_idx(spec.images, spec.labels)
         if spec.test_images and spec.test_labels:
             test = load_idx(spec.test_images, spec.test_labels)
-            test = Dataset(test.X, test.y, test.ids + train.n, "test")
+            test = Dataset(test.X, test.y, test.ids + train.n)
         else:
-            test = Dataset(np.empty((0, train.dim)), [], [], "test")
+            test = Dataset(np.empty((0, train.dim)), [], [])
         return train, test
     full = load_csv(spec.path, spec.label_column)
     rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_DATA))
     perm = rng.permutation(full.n)
     n_test = int(round(spec.test_fraction * full.n))
     test_idx, train_idx = perm[:n_test], perm[n_test:]
-    train = full.take(train_idx)
-    test = full.take(test_idx)
-    return Dataset(train.X, train.y, train.ids, "train"), Dataset(
-        test.X, test.y, test.ids, "test"
-    )
+    return full.take(train_idx), full.take(test_idx)
 
 
 def build_arch(cfg: RunConfig, input_dim: int, n_classes: int) -> Architecture:
@@ -234,10 +231,8 @@ def resolved_proj_dim(cfg: SafeConfig, input_dim: int) -> int:
 class RunState:
     """Everything the round loop needs, built once per run."""
 
-    cfg: RunConfig
     train: Dataset
     test: Dataset
-    arch: Architecture
     params0: ModelParams
     engine: SafeUnlearner
     requests: list[np.ndarray]
@@ -251,7 +246,6 @@ def initialize(cfg: RunConfig) -> RunState:
     retention0 = RetentionGradState(
         grad=grad_cross_entropy(params0, train.X, train.y),
         size_dt=train.n,
-        size_d0=train.n,
     )
     proj_dim = resolved_proj_dim(cfg.safe, train.dim)
     projection = make_projection(train.dim, proj_dim, derive_seed(cfg.seed, _SEED_PROJ))
@@ -261,7 +255,7 @@ def initialize(cfg: RunConfig) -> RunState:
         params0, safe, retention0, gaussians, train.class_counts(), train.ids
     )
     requests = generate_stream(train, cfg.stream, gaussians.min_class_count)
-    return RunState(cfg, train, test, arch, params0, engine, requests)
+    return RunState(train, test, params0, engine, requests)
 
 
 def round_loop(state: RunState):
@@ -326,19 +320,16 @@ def run(cfg: RunConfig, out) -> dict:
         if cfg.oracle:
             o0 = time.perf_counter()
             star = retrain(
-                remaining.X, remaining.y, state.arch,
+                remaining.X, remaining.y, state.params0.arch,
                 replace(cfg.retrain, seed=derive_seed(cfg.seed, _SEED_RETRAIN, t)),
             )
             retrain_ms = (time.perf_counter() - o0) * 1e3
-            risk_w = true_risk(result.params, remaining.X, remaining.y,
-                               led, star, cfg.safe.lam)
-            risk_star = true_risk(star, remaining.X, remaining.y,
-                                  led, star, cfg.safe.lam)
+            risk_w = true_risk(result.params, remaining.X, remaining.y, led, star)
+            # true_risk of w* itself: its KL term against itself is 0
+            risk_star = mean_cross_entropy(star, remaining.X, remaining.y)
             account.update(risk_w, risk_star, star)
-            surrogate = surrogate_risk(
-                result.params, train.X, train.y, led, engine.shift,
-                state.params0, engine.class_counts, engine.retention.size_dt,
-            )
+            surrogate = surrogate_risk(result.params, train.X, train.y, led,
+                                       result.targets, engine.retention.size_dt)
             oracle_ms = (time.perf_counter() - o0) * 1e3
             rec["oracle"] = {
                 "risk_w": risk_w,
@@ -484,8 +475,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
 
         # the cached-projection gradient vs a recompute from the raw rows
         if engine.ledger.count:
-            got = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
-                                      engine.class_counts, engine.retention.size_dt)
+            got, _ = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
+                                         engine.class_counts, engine.retention.size_dt)
             want = _reference_forgetting_gradient(engine)
             errs["forgetting_gradient"] = max(
                 errs["forgetting_gradient"],

@@ -40,14 +40,14 @@ class ShiftEstimator:
 
     Ratios multiply the initial model's class probabilities componentwise and
     the result is renormalized; rows that degenerate fall back to the initial
-    prediction unchanged.
+    prediction unchanged. It owns the initial class counts and |D_0|.
     """
 
     def __init__(self, gaussians: ClassConditionalGaussians,
-                 counts0: dict[int, int], size_d0: int):
+                 counts0: dict[int, int]):
         self.gaussians = gaussians
         self.counts0 = dict(counts0)
-        self.size_d0 = size_d0
+        self.size_d0 = sum(self.counts0.values())
 
     def class_ratio_matrix(self, Z: np.ndarray, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:

@@ -30,7 +30,6 @@ def build_engine(train, params0, safe: SafeConfig, proj_seed: int = 11):
     retention = RetentionGradState(
         grad=grad_cross_entropy(params0, train.X, train.y),
         size_dt=train.n,
-        size_d0=train.n,
     )
     return SafeUnlearner(
         params0, safe, retention, gaussians, train.class_counts(), train.ids

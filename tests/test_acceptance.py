@@ -199,7 +199,7 @@ def test_c05_perturbation_calibration():
 
     engine = SafeUnlearner(
         params0, cfg,
-        RetentionGradState(np.zeros(arch.n_params), 40, 40),
+        RetentionGradState(np.zeros(arch.n_params), 40),
         g, {0: int((y == 0).sum()), 1: int((y == 1).sum())}, np.arange(40),
     )
     need = 1_000_000

@@ -59,7 +59,7 @@ class TestSchedules:
 
 class TestRetentionRecursion:
     def test_empty_request_is_noop(self):
-        state = RetentionGradState(np.array([1.0, 2.0]), 100, 100)
+        state = RetentionGradState(np.array([1.0, 2.0]), 100)
         out = update_retention_grad(state, np.zeros(2), 0)
         assert np.array_equal(out.grad, state.grad)
         assert out.size_dt == 100
@@ -67,7 +67,7 @@ class TestRetentionRecursion:
     def test_matches_direct_mean_gradient(self, blob_task):
         train, _, params0 = blob_task
         state = RetentionGradState(
-            grad_cross_entropy(params0, train.X, train.y), train.n, train.n
+            grad_cross_entropy(params0, train.X, train.y), train.n
         )
         rng = np.random.default_rng(0)
         alive = np.ones(train.n, dtype=bool)
@@ -83,7 +83,7 @@ class TestRetentionRecursion:
     def test_two_requests_equal_their_union(self, blob_task):
         train, _, params0 = blob_task
         start = RetentionGradState(
-            grad_cross_entropy(params0, train.X, train.y), train.n, train.n
+            grad_cross_entropy(params0, train.X, train.y), train.n
         )
         a = np.arange(0, 30)
         b = np.arange(30, 50)
@@ -99,7 +99,7 @@ class TestRetentionRecursion:
         assert seq.size_dt == union.size_dt
 
     def test_emptying_request_rejected(self):
-        state = RetentionGradState(np.zeros(2), 10, 10)
+        state = RetentionGradState(np.zeros(2), 10)
         with pytest.raises(StreamError):
             update_retention_grad(state, np.zeros(2), 10)
 
@@ -108,10 +108,11 @@ class TestForgettingGradient:
     def test_empty_ledger_zero_vector(self, blob_task):
         train, _, params0 = blob_task
         engine = build_engine(train, params0, SafeConfig(T=5, lam=100.0))
-        g = forgetting_gradient(
+        g, targets = forgetting_gradient(
             params0, engine.ledger, engine.shift, engine.class_counts, train.n
         )
         assert np.array_equal(g, np.zeros(params0.arch.n_params))
+        assert targets is None
 
     def test_zero_when_target_equals_prediction(self, blob_task):
         train, _, params0 = blob_task
@@ -124,7 +125,7 @@ class TestForgettingGradient:
         ledger = ForgettingLedger(lam=10.0)
         ledger.append(train.X[:1], train.y[:1],
                       engine.gaussians.standardize_all(train.X[:1]))
-        g = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
+        g, _ = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
 
     def test_matches_finite_difference_of_assembled_risk(self, blob_task):
@@ -142,7 +143,8 @@ class TestForgettingGradient:
         targets = engine.shift.target_predictions(params0, ledger.X, ledger.Z,
                                                   counts, size_dt)
 
-        analytic = forgetting_gradient(params0, ledger, engine.shift, counts, size_dt)
+        analytic, _ = forgetting_gradient(params0, ledger, engine.shift, counts,
+                                          size_dt)
 
         def assembled(theta):
             p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
@@ -207,7 +209,7 @@ class TestProcessRequest:
             min_class_count=1,
         )
         retention = RetentionGradState(
-            grad_cross_entropy(params0, X, y), len(X), len(X)
+            grad_cross_entropy(params0, X, y), len(X)
         )
         eng = SafeUnlearner(
             params0, SafeConfig(T=3, W=1.0, seed=9), retention, g,
@@ -264,15 +266,19 @@ class TestProcessRequest:
     def test_ledger_projection_cache_matches_fresh_standardization(
         self, engine, blob_task
     ):
-        # the cached per-class projections must equal a fresh standardization
-        # of the ledger rows, bit for bit, through every kind of request
-        train, _, _ = blob_task
+        # the cached per-class projections, and the shift targets each round
+        # returns, must equal a fresh standardization and a fresh target
+        # build from the ledger rows, bit for bit, through every kind of
+        # request
+        train, _, params0 = blob_task
+        assert engine.shift.size_d0 == train.n
         empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
         class0 = np.flatnonzero(train.y == 0)
         others = np.flatnonzero(train.y != 0)
         repeated = np.array([others[0], others[0], others[1]])
         foreign = (np.zeros((1, train.dim)), np.array([1]), np.array([10_000_000]))
         requests = [
+            empty,  # the ledger is still empty, so there are no targets
             (train.X[repeated], train.y[repeated], train.ids[repeated]),
             foreign,
             empty,
@@ -282,10 +288,16 @@ class TestProcessRequest:
         ]
         exhausted = []
         for X, y, ids in requests:
-            exhausted += engine.process_request(X, y, ids).exhausted_classes
+            result = engine.process_request(X, y, ids)
+            exhausted += result.exhausted_classes
             led = engine.ledger
-            if led.count:
-                assert np.array_equal(led.Z, engine.gaussians.standardize_all(led.X))
+            if not led.count:
+                assert result.targets is None
+                continue
+            assert np.array_equal(led.Z, engine.gaussians.standardize_all(led.X))
+            assert np.array_equal(result.targets, engine.shift.target_predictions(
+                params0, led.X, led.Z, engine.class_counts, engine.retention.size_dt
+            ))
         assert exhausted == [0] and engine.gaussians.stats[0].frozen
         assert engine.ledger.Z.shape == (3, 2 + len(class0) - 3 + 28, 10)
 

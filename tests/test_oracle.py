@@ -148,14 +148,14 @@ class TestTrueRisk:
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         ledger = ForgettingLedger(lam=100.0)
-        risk = true_risk(star, train.X, train.y, ledger, star, 100.0)
+        risk = true_risk(star, train.X, train.y, ledger, star)
         assert risk == pytest.approx(mean_cross_entropy(star, train.X, train.y))
 
     def test_forgetting_term_vanishes_at_star(self, small_task):
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         ledger = forgotten(train, np.arange(20), 100.0)
-        risk = true_risk(star, train.X[20:], train.y[20:], ledger, star, 100.0)
+        risk = true_risk(star, train.X[20:], train.y[20:], ledger, star)
         assert risk == pytest.approx(
             mean_cross_entropy(star, train.X[20:], train.y[20:]), abs=1e-12
         )
@@ -167,7 +167,7 @@ class TestTrueRisk:
         star = ModelParams(arch, rng.standard_normal(arch.n_params))
         keep, forget = train.take(np.arange(200)), train.take(np.arange(200, 240))
         ledger = forgotten(train, np.arange(200, 240), 5.0)
-        got = true_risk(w, keep.X, keep.y, ledger, star, 5.0)
+        got = true_risk(w, keep.X, keep.y, ledger, star)
 
         p_keep = predict_proba_batch(w, keep.X)
         retention = -np.log(p_keep[np.arange(keep.n), keep.y]).mean()
@@ -183,10 +183,7 @@ class TestSurrogateRisk:
         engine = build_engine(train, params0, SafeConfig(T=5, lam=7.0))
         rng = np.random.default_rng(2)
         w = ModelParams(arch, rng.standard_normal(arch.n_params))
-        got = surrogate_risk(
-            w, train.X, train.y, engine.ledger, engine.shift, params0,
-            engine.class_counts, train.n,
-        )
+        got = surrogate_risk(w, train.X, train.y, engine.ledger, None, train.n)
         assert got == pytest.approx(mean_cross_entropy(w, train.X, train.y))
 
     def test_collapses_to_true_risk_with_forced_targets(self, small_task):
@@ -198,19 +195,12 @@ class TestSurrogateRisk:
         star = retrain(
             train.X[30:], train.y[30:], arch, RetrainConfig(epochs=80, seed=0)
         )
-
-        class ForcedTargets:
-            def target_predictions(self, params, X, Z, counts, size):
-                return predict_proba_batch(star, X)
-
         w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
         surro = surrogate_risk(
-            w, train.X, train.y, engine.ledger, ForcedTargets(), params0,
-            engine.class_counts, engine.retention.size_dt,
+            w, train.X, train.y, engine.ledger,
+            predict_proba_batch(star, engine.ledger.X), engine.retention.size_dt,
         )
-        true = true_risk(
-            w, train.X[30:], train.y[30:], engine.ledger, star, 7.0
-        )
+        true = true_risk(w, train.X[30:], train.y[30:], engine.ledger, star)
         assert surro == pytest.approx(true, abs=1e-12)
 
 

@@ -104,7 +104,7 @@ def test_density_ratio_clipped_positive_finite():
 def test_target_identity_when_ratios_one(gaussian_setup):
     X, y, g = gaussian_setup
     counts0 = {0: 300, 1: 300}
-    est = ShiftEstimator(g, counts0, 600)
+    est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(1).standard_normal(arch.n_params))
     targets = est.target_predictions(params, X[:10], g.standardize_all(X[:10]),
@@ -125,7 +125,7 @@ def test_target_closed_form_reweighting():
 def test_target_normalization_invariance(gaussian_setup):
     X, y, g = gaussian_setup
     counts0 = {0: 300, 1: 300}
-    est = ShiftEstimator(g, counts0, 600)
+    est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(2).standard_normal(arch.n_params))
     q = est.class_ratio_matrix(g.standardize_all(X[:5]), counts0, 600)
@@ -157,7 +157,7 @@ def test_target_monotone_in_ratio(seed):
 
 def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     X, y, g = gaussian_setup
-    est = ShiftEstimator(g, {0: 300, 1: 300}, 600)
+    est = ShiftEstimator(g, {0: 300, 1: 300})
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.zeros(arch.n_params))
 
@@ -165,7 +165,7 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
         def class_ratio_matrix(self, Z, counts_t, size_dt):
             return np.zeros((Z.shape[1], 2))
 
-    est2 = AllZeroRatios(g, {0: 300, 1: 300}, 600)
+    est2 = AllZeroRatios(g, {0: 300, 1: 300})
     targets = est2.target_predictions(params, X[:3], g.standardize_all(X[:3]),
                                       {0: 300, 1: 300}, 600)
     assert np.allclose(targets, 0.5)
@@ -178,7 +178,7 @@ def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
     # both return (n, C): a caller reads class c's ratios as q[:, c]
     X, y, g = gaussian_setup
     counts0, counts_t = {0: 300, 1: 300}, {0: 250, 1: 300}
-    est = ShiftEstimator(g, counts0, 600)
+    est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
     Z = g.standardize_all(X[:7])

@@ -8,7 +8,7 @@ from safestream.streams import StreamSpec, generate_stream
 
 def flat_dataset(n, n_classes=10):
     return Dataset(
-        np.zeros((n, 1)), np.arange(n) % n_classes, np.arange(n), "train"
+        np.zeros((n, 1)), np.arange(n) % n_classes, np.arange(n)
     )
 
 

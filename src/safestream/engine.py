@@ -11,8 +11,11 @@ assembles the total gradient and emits
 
 with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine never reads the
 training set after initialization; it keeps only the surviving id set, the
-forgotten points with their frozen per-class standardized projections, and
-O(1)-per-class statistics.
+forgotten points with what about them is frozen at w_0 and t=0 (per-class
+standardized projections and their squared norms, w_0 class probabilities
+and, for the MLP, w_0 hidden activations), and O(1)-per-class statistics.
+Each of those is computed once, when its row enters the ledger, so a round
+runs no forward pass over the ledger.
 """
 
 from __future__ import annotations
@@ -23,8 +26,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StreamError
-from .gaussian import ClassConditionalGaussians
-from .model import ModelParams, grad_cross_entropy, sum_grad_kl_to_targets
+from .gaussian import ClassConditionalGaussians, sq_norms
+from .model import (
+    ModelParams,
+    forward_proba,
+    grad_cross_entropy,
+    sum_grad_kl_to_targets,
+)
 from .shift import ShiftEstimator
 
 ZERO_GRAD_TOL = 1e-12
@@ -110,60 +118,87 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
     return RetentionGradState(grad, size_new)
 
 
+# the axis along which each ledger column stacks its rows: X and y are
+# row-major, the frozen columns are per class (or per hidden unit) first
+_ROW_AXIS = {"X": 0, "y": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
+
+
+def _along(axis: int, lo: int, hi: int) -> tuple:
+    return (slice(None),) * axis + (slice(lo, hi),)
+
+
 class ForgettingLedger:
     """All points forgotten so far, as raw features X and labels y, plus the
     trade-off weight lambda. Membership lives in the engine's surviving id
     set, so each point enters at most once.
 
-    Z caches each point's standardized projection under every fitted class,
-    the (n_classes, count, k) ``ClassConditionalGaussians.standardize_all``
-    stack. That transform is frozen at t=0, so a row's Z never changes once
-    it is appended. The targets depend on the current class statistics and
-    counts; they are not stored and are recomputed from Z each round.
+    Beside each row it keeps what the forgetting gradient needs of it that is
+    frozen once the row is appended (``frozen_columns``), with its cost per
+    row in floats:
+
+    - Z: the standardized projection under every fitted class, the
+      (n_classes, count, k) ``ClassConditionalGaussians.standardize_all``
+      stack; n_classes * k;
+    - zz: the (n_classes, count) squared norms of Z, which fix the base
+      density N(z | 0, I); n_classes;
+    - P0: the class-major (C, count) w_0 probabilities; C;
+    - H: the (h, count) w_0 hidden activations of the MLP, None for the
+      linear head; h.
+
+    The targets depend on the current class statistics and counts; they are
+    not stored and are recomputed from these columns each round.
 
     Rows live in buffers whose capacity doubles when full, so an append
-    copies only its own rows (amortized); X, y and Z are views of the filled
-    prefix, X and Z None while the ledger is empty."""
+    copies only its own rows (amortized); each column is a view of the
+    filled prefix, None while the ledger is empty (y is then empty)."""
 
     def __init__(self, lam: float):
         self.lam = lam
         self.count = 0
-        self._X: np.ndarray | None = None
-        self._y = np.empty(0, dtype=np.int64)
-        self._Z: np.ndarray | None = None
+        self._buf: dict[str, np.ndarray] = {"y": np.empty(0, dtype=np.int64)}
 
-    @property
-    def X(self) -> np.ndarray | None:
-        return None if self._X is None else self._X[: self.count]
+    def _rows(self, name: str) -> np.ndarray | None:
+        buf = self._buf.get(name)
+        return None if buf is None else buf[_along(_ROW_AXIS[name], 0, self.count)]
 
-    @property
-    def y(self) -> np.ndarray:
-        return self._y[: self.count]
+    X = property(lambda self: self._rows("X"))
+    y = property(lambda self: self._rows("y"))
+    Z = property(lambda self: self._rows("Z"))
+    zz = property(lambda self: self._rows("zz"))
+    P0 = property(lambda self: self._rows("P0"))
+    H = property(lambda self: self._rows("H"))
 
-    @property
-    def Z(self) -> np.ndarray | None:
-        return None if self._Z is None else self._Z[:, : self.count]
-
-    def append(self, X: np.ndarray, y: np.ndarray, Z: np.ndarray | None) -> None:
-        """Append rows X, labels y and their ``standardize_all`` stack Z;
-        a call with no labels changes nothing."""
+    def append(self, X: np.ndarray, y: np.ndarray, **frozen) -> None:
+        """Append rows X, labels y and, by name, their frozen columns (see
+        ``frozen_columns``; a column given as None is not kept); a call with
+        no labels changes nothing."""
         m = len(y)
         if m == 0:
             return
-        X = np.atleast_2d(X)
+        cols = {"X": np.atleast_2d(X), "y": y,
+                **{name: v for name, v in frozen.items() if v is not None}}
         lo, hi = self.count, self.count + m
-        if hi > len(self._y):
-            cap = max(hi, 2 * len(self._y))
-            X_buf = np.empty((cap, X.shape[1]))
-            y_buf = np.empty(cap, dtype=np.int64)
-            Z_buf = np.empty((Z.shape[0], cap, Z.shape[2]))
-            if lo:
-                X_buf[:lo], y_buf[:lo], Z_buf[:, :lo] = self.X, self.y, self.Z
-            self._X, self._y, self._Z = X_buf, y_buf, Z_buf
-        self._X[lo:hi] = X
-        self._y[lo:hi] = y
-        self._Z[:, lo:hi] = Z
+        if hi > len(self._buf["y"]):
+            cap = max(hi, 2 * len(self._buf["y"]))
+            for name, rows in cols.items():
+                axis = _ROW_AXIS[name]
+                shape = rows.shape[:axis] + (cap,) + rows.shape[axis + 1:]
+                buf = np.empty(shape, dtype=np.int64 if name == "y" else np.float64)
+                if lo:
+                    buf[_along(axis, 0, lo)] = self._rows(name)
+                self._buf[name] = buf
+        for name, rows in cols.items():
+            self._buf[name][_along(_ROW_AXIS[name], lo, hi)] = rows
         self.count = hi
+
+
+def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
+                   X: np.ndarray) -> dict[str, np.ndarray | None]:
+    """The ledger columns of rows X (Z, zz, P0, H; see ``ForgettingLedger``):
+    one frozen projection and one forward pass at w_0 over these rows only."""
+    Z = gaussians.standardize_all(X)
+    P0, H = forward_proba(params0, X)
+    return {"Z": Z, "zz": sq_norms(Z), "P0": P0, "H": H}
 
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
@@ -171,12 +206,15 @@ def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
                         size_dt: int) -> tuple[np.ndarray, np.ndarray | None]:
     """``(gradient, targets)``: (lam / sum |F_i|) * sum over forgotten points
     of the KL gradient toward the current shift targets, and those (n, C)
-    targets; a zero vector and None for an empty ledger."""
+    targets; a zero vector and None for an empty ledger. Everything it reads
+    of a ledger row was frozen when the row was appended, so it runs no
+    forward pass."""
     if ledger.count == 0:
         return np.zeros(params0.arch.n_params), None
-    targets = shift.target_predictions(params0, ledger.X, ledger.Z, counts_t,
+    targets = shift.target_predictions(ledger.P0, ledger.Z, ledger.zz, counts_t,
                                        size_dt)
-    g = sum_grad_kl_to_targets(params0, ledger.X, targets)
+    g = sum_grad_kl_to_targets(params0, ledger.X, targets,
+                               forward=(ledger.P0, ledger.H))
     return (ledger.lam / ledger.count) * g, targets
 
 
@@ -258,7 +296,7 @@ class SafeUnlearner:
         else:
             grad_sum = np.zeros(self.params0.arch.n_params)
         retention = update_retention_grad(self.retention, grad_sum, m)
-        Z = self.gaussians.standardize_all(X) if m else None
+        frozen = frozen_columns(self.params0, self.gaussians, X) if m else {}
 
         exhausted = self.gaussians.remove(X, y) if m else []
         self.retention = retention
@@ -266,7 +304,7 @@ class SafeUnlearner:
         for label in y:
             self.class_counts[int(label)] -= 1
         self.surviving.difference_update(int(i) for i in ids)
-        self.ledger.append(X, y, Z)
+        self.ledger.append(X, y, **frozen)
 
         g_forget, targets = forgetting_gradient(
             self.params0, self.ledger, self.shift,

@@ -102,6 +102,13 @@ def downdate_cov(n: int, sigma: np.ndarray, mu_new: np.ndarray, m: int,
     return 0.5 * (sigma_new + sigma_new.T)  # kill asymmetric rounding
 
 
+def sq_norms(Z: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row, along the last axis of Z: (n, k)
+    rows give (n,), a (n_classes, n, k) stack gives (n_classes, n). A row's
+    value does not depend on the rows beside it."""
+    return np.einsum("...j,...j->...", Z, Z)
+
+
 def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-pass mean and Bessel-corrected covariance; zero matrix for m == 1."""
     Z = np.atleast_2d(Z)
@@ -233,14 +240,18 @@ class ClassConditionalGaussians:
             st.chol = cholesky_with_jitter(sigma_new)
         return exhausted
 
-    def log_density_vs_base_batch(self, Z: np.ndarray, label: int) -> np.ndarray:
-        """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for each standardized row."""
+    def log_density_vs_base_batch(self, Z: np.ndarray, zz: np.ndarray,
+                                  label: int) -> np.ndarray:
+        """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for each standardized
+        row of Z, given the rows' squared norms ``zz = sq_norms(Z)``. Those
+        fix the base density; they are frozen with Z, so the ledger keeps
+        them."""
         st = self.stats[label]
         d = Z.shape[1]
         W = (Z - st.mu) @ inverse_cholesky(st.chol).T
         logdet = 2.0 * float(np.log(np.diag(st.chol)).sum())
-        log_num = -0.5 * (d * LOG_2PI + logdet + np.einsum("ij,ij->i", W, W))
-        log_den = -0.5 * (d * LOG_2PI + np.einsum("ij,ij->i", Z, Z))
+        log_num = -0.5 * (d * LOG_2PI + logdet + sq_norms(W))
+        log_den = -0.5 * (d * LOG_2PI + zz)
         return log_num - log_den
 
     def snapshot(self) -> dict:

@@ -11,7 +11,9 @@ are (h, n), so every softmax reduction runs along a long contiguous axis
 rather than across the 2-10 classes of each row. The public functions keep
 row-major shapes: inputs X are (n, d), ``predict_proba_batch`` returns
 (n, C) (a transposed view) and ``sum_grad_kl_to_targets`` takes (n, C)
-targets.
+targets. ``forward_proba`` is the exception: it returns the class-major
+forward pass itself, so a caller can keep it and hand it back to the KL
+backward.
 """
 
 from __future__ import annotations
@@ -105,12 +107,19 @@ def _forward(params: ModelParams, X: np.ndarray):
     arch = params.arch
     if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise ConfigError(f"input has shape {X.shape}, arch expects (*, {arch.input_dim})")
+    # biases are added in place: the same sums, one (C, n) temporary fewer
     if arch.hidden_dim is None:
         w, b = _linear_views(arch, params.theta)
-        return w @ X.T + b[:, None], None
+        logits = w @ X.T
+        logits += b[:, None]
+        return logits, None
     w1, b1, w2, b2 = _mlp_views(arch, params.theta)
-    hidden = np.tanh(w1 @ X.T + b1[:, None])
-    return w2 @ hidden + b2[:, None], hidden
+    hidden = w1 @ X.T
+    hidden += b1[:, None]
+    np.tanh(hidden, out=hidden)
+    logits = w2 @ hidden
+    logits += b2[:, None]
+    return logits, hidden
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -121,10 +130,16 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
+def forward_proba(params: ModelParams, X: np.ndarray):
+    """The forward pass over the rows of X: class-major (C, n) probabilities
+    and the (h, n) hidden activations, None for the linear head."""
+    logits, hidden = _forward(params, np.atleast_2d(X))
+    return _softmax(logits), hidden
+
+
 def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     """(n, C) class probabilities for the rows of X."""
-    logits, _ = _forward(params, np.atleast_2d(X))
-    return _softmax(logits).T
+    return forward_proba(params, X)[0].T
 
 
 def _check_labels(y: np.ndarray, n_classes: int) -> None:
@@ -194,12 +209,18 @@ def _kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 
 def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
-                           targets: np.ndarray) -> np.ndarray:
+                           targets: np.ndarray, forward=None) -> np.ndarray:
     """Gradient w.r.t. theta of sum_i KL(p_i || target_i), p_i the predicted
     probabilities of row i and targets (n, C). Targets are constants: no
-    gradient flows through them."""
+    gradient flows through them.
+
+    ``forward`` is the ``forward_proba(params, X)`` pair, when the caller
+    already holds it: the backward pass then reads those probabilities and
+    hidden activations, and X only for the gradient of the weights applied
+    to X. The engine passes the pair it cached when each ledger row was
+    appended, since its params are always w_0. Left None, the forward pass
+    runs here."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    logits, hidden = _forward(params, X)
-    p = _softmax(logits)
+    p, hidden = forward_proba(params, X) if forward is None else forward
     dlogits = _kl_dlogits(p, np.asarray(targets, dtype=np.float64).T)
     return _backprop_sum(params, X, dlogits, hidden)

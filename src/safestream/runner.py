@@ -35,6 +35,7 @@ from .gaussian import (
     ClassStats,
     batch_mean_cov,
     make_projection,
+    sq_norms,
 )
 from .model import (
     Architecture,
@@ -408,8 +409,9 @@ def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
     """The engine's forgetting gradient recomputed from the raw ledger rows:
     a reference standardization per class, scipy's density ratios, the label
     ratios, the renormalized targets with the w_0 fallback, one backward
-    pass. It reads neither the cached projections nor the engine's density
-    ratio or target code."""
+    pass with its own forward pass. It reads none of the ledger's frozen
+    columns (projections, their norms, w_0 probabilities and hidden
+    activations), nor the engine's density ratio or target code."""
     led, gaussians, est = engine.ledger, engine.gaussians, engine.shift
     p0 = predict_proba_batch(engine.params0, led.X)
     q = np.full((led.count, max(est.counts0) + 1), RATIO_FLOOR)
@@ -473,7 +475,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             float(np.abs(result.params.theta - twin_result.params.theta).max()),
         )
 
-        # the cached-projection gradient vs a recompute from the raw rows
+        # the gradient from the ledger's frozen columns vs a recompute from
+        # the raw rows
         if engine.ledger.count:
             got, _ = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
                                          engine.class_counts, engine.retention.size_dt)
@@ -489,7 +492,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     for label, st in engine.gaussians.stats.items():
         Z = engine.gaussians.standardize_batch(probe.X, label)
         want = _scipy_density_ratio(Z, st)
-        got = density_ratio(Z, engine.gaussians, label)
+        got = density_ratio(Z, sq_norms(Z), engine.gaussians, label)
         errs["density_ratio"] = max(errs["density_ratio"],
                                     float(np.abs(got - want).max()))
 

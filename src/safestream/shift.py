@@ -9,7 +9,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .gaussian import ClassConditionalGaussians
-from .model import ModelParams, predict_proba_batch
+# the shift layer takes the w_0 predictions as input and runs no forward
+# pass; predict_proba_batch stays importable here because the benchmark's
+# tracer (perfbench/tracing.py) captures it by this module path
+from .model import predict_proba_batch  # noqa: F401
 
 RATIO_FLOOR = 1e-6
 RATIO_CEIL = 1e6
@@ -26,11 +29,11 @@ def label_ratio(n_t_y: int, n_0_y: int, size_dt: int, size_d0: int) -> float:
     return (n_t_y / n_0_y) * (size_d0 / size_dt)
 
 
-def density_ratio(Z: np.ndarray, gaussians: ClassConditionalGaussians,
-                  label: int) -> np.ndarray:
+def density_ratio(Z: np.ndarray, zz: np.ndarray,
+                  gaussians: ClassConditionalGaussians, label: int) -> np.ndarray:
     """Current-vs-initial Gaussian density ratio at each standardized row of
-    Z, clipped to [1e-6, 1e6]."""
-    logr = gaussians.log_density_vs_base_batch(Z, label)
+    Z, whose squared norms are zz, clipped to [1e-6, 1e6]."""
+    logr = gaussians.log_density_vs_base_batch(Z, zz, label)
     with np.errstate(over="ignore"):
         return np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
 
@@ -49,28 +52,29 @@ class ShiftEstimator:
         self.counts0 = dict(counts0)
         self.size_d0 = sum(self.counts0.values())
 
-    def class_ratio_matrix(self, Z: np.ndarray, counts_t: dict[int, int],
-                           size_dt: int) -> np.ndarray:
+    def class_ratio_matrix(self, Z: np.ndarray, zz: np.ndarray,
+                           counts_t: dict[int, int], size_dt: int) -> np.ndarray:
         """(n, C) matrix of q_t^{(c)}(x_i) over every class c, from the
-        ``standardize_all`` stack Z of the rows; a transposed view of the
-        class-major array it fills one class row at a time."""
+        ``standardize_all`` stack Z of the rows and its ``sq_norms`` zz; a
+        transposed view of the class-major array it fills one class row at a
+        time."""
         n_classes = max(self.counts0) + 1
         q = np.full((n_classes, Z.shape[1]), RATIO_FLOOR)
-        for Zc, label in zip(Z, self.gaussians.classes):
+        for Zc, zzc, label in zip(Z, zz, self.gaussians.classes):
             lr = label_ratio(
                 counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
             )
-            q[label] = lr * density_ratio(Zc, self.gaussians, label)
+            q[label] = lr * density_ratio(Zc, zzc, self.gaussians, label)
         return q.T
 
-    def target_predictions(self, params0: ModelParams, X: np.ndarray,
-                           Z: np.ndarray, counts_t: dict[int, int],
+    def target_predictions(self, probs0: np.ndarray, Z: np.ndarray,
+                           zz: np.ndarray, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:
         """(n, C) reweighted, renormalized stand-ins for the retrained
-        predictions at the rows X, whose ``standardize_all`` stack is Z."""
-        X = np.atleast_2d(X)
-        probs0 = predict_proba_batch(params0, X).T
-        raw = probs0 * self.class_ratio_matrix(Z, counts_t, size_dt).T
+        predictions at n rows, given their class-major (C, n) w_0
+        probabilities ``probs0`` (``forward_proba(params0, X)[0]``), their
+        ``standardize_all`` stack Z and its ``sq_norms`` zz."""
+        raw = probs0 * self.class_ratio_matrix(Z, zz, counts_t, size_dt).T
         norm = raw.sum(axis=0)
         ok = np.isfinite(norm) & (norm > 0.0)
         out = np.where(ok, raw / np.where(ok, norm, 1.0), probs0)

@@ -2,21 +2,26 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+import safestream.model
 from safestream.engine import (
     ForgettingLedger,
     RetentionGradState,
     SafeConfig,
     SafeUnlearner,
     forgetting_gradient,
+    frozen_columns,
     learning_rate,
     perturbation_scale,
     update_retention_grad,
 )
 from safestream.errors import ConfigError, StreamError
+from safestream.gaussian import sq_norms
 from safestream.model import (
     Architecture,
     ModelParams,
+    forward_proba,
     grad_cross_entropy,
+    init_params,
     predict_proba_batch,
 )
 from safestream.shift import ShiftEstimator
@@ -119,12 +124,13 @@ class TestForgettingGradient:
         engine = build_engine(train, params0, SafeConfig(T=5))
 
         class IdentityShift:
-            def target_predictions(self, params, X, Z, counts, size):
-                return predict_proba_batch(params, X)
+            # a fresh prediction, so the cached P0 must match it too
+            def target_predictions(self, probs0, Z, zz, counts, size):
+                return predict_proba_batch(params0, train.X[:1])
 
         ledger = ForgettingLedger(lam=10.0)
         ledger.append(train.X[:1], train.y[:1],
-                      engine.gaussians.standardize_all(train.X[:1]))
+                      **frozen_columns(params0, engine.gaussians, train.X[:1]))
         g, _ = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
 
@@ -140,7 +146,7 @@ class TestForgettingGradient:
         ledger = engine.ledger
         counts = dict(engine.class_counts)
         size_dt = engine.retention.size_dt
-        targets = engine.shift.target_predictions(params0, ledger.X, ledger.Z,
+        targets = engine.shift.target_predictions(ledger.P0, ledger.Z, ledger.zz,
                                                   counts, size_dt)
 
         analytic, _ = forgetting_gradient(params0, ledger, engine.shift, counts,
@@ -157,12 +163,13 @@ class TestForgettingGradient:
 def engine_state(eng):
     """Everything process_request may change, in comparable form."""
     led = eng.ledger
+    columns = (led.X, led.Z, led.zz, led.P0, led.H)
     return {
         "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": eng.gaussians.snapshot(),
-        "ledger": (None if led.X is None else led.X.tolist(), led.y.tolist(),
-                   None if led.Z is None else led.Z.tolist()),
+        "ledger": (led.y.tolist(),
+                   *(None if c is None else c.tolist() for c in columns)),
         "surviving": set(eng.surviving),
         "round": eng.round,
     }
@@ -172,6 +179,74 @@ def engine_state(eng):
 def engine(blob_task):
     train, _, params0 = blob_task
     return build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+
+
+def build_mlp_engine(blob_task):
+    """The ``engine`` fixture's config over a seeded, untrained 8-unit MLP."""
+    train, _, _ = blob_task
+    arch = Architecture(train.dim, train.n_classes, 8)
+    params0 = init_params(arch, np.random.default_rng(4))
+    return build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+
+
+@pytest.fixture(params=["softmax", "mlp"])
+def any_engine(request, engine, blob_task):
+    return engine if request.param == "softmax" else build_mlp_engine(blob_task)
+
+
+def max_rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def check_frozen_columns_through_requests(engine, train):
+    """The ledger's frozen columns, and the shift targets each round returns,
+    must equal a fresh standardization, a fresh forward pass at w_0 and a
+    fresh target build from the ledger rows through every kind of request:
+    bit for bit, except the MLP's forward pass, whose per-request GEMMs may
+    round differently from one over the whole ledger (to 1e-14 relative)."""
+    params0 = engine.params0
+    assert engine.shift.size_d0 == train.n
+    empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
+    class0 = np.flatnonzero(train.y == 0)
+    others = np.flatnonzero(train.y != 0)
+    repeated = np.array([others[0], others[0], others[1]])
+    foreign = (np.zeros((1, train.dim)), np.array([1]), np.array([10_000_000]))
+    requests = [
+        empty,  # the ledger is still empty, so there are no targets
+        (train.X[repeated], train.y[repeated], train.ids[repeated]),
+        foreign,
+        empty,
+        # drains class 0 below its minimum count, so it freezes
+        (train.X[class0[:-3]], train.y[class0[:-3]], train.ids[class0[:-3]]),
+        (train.X[others[2:30]], train.y[others[2:30]], train.ids[others[2:30]]),
+    ]
+    exhausted = []
+    for X, y, ids in requests:
+        result = engine.process_request(X, y, ids)
+        exhausted += result.exhausted_classes
+        led = engine.ledger
+        if not led.count:
+            assert result.targets is None
+            continue
+        Z = engine.gaussians.standardize_all(led.X)
+        P0, H = forward_proba(params0, led.X)
+        assert np.array_equal(led.Z, Z)
+        assert np.array_equal(led.zz, sq_norms(Z))
+        if params0.arch.hidden_dim is None:
+            assert np.array_equal(led.P0, P0) and led.H is None
+        else:
+            assert max_rel_err(led.P0, P0) <= 1e-14
+            assert max_rel_err(led.H, H) <= 1e-14
+        assert np.array_equal(result.targets, engine.shift.target_predictions(
+            led.P0, Z, sq_norms(Z), engine.class_counts,
+            engine.retention.size_dt,
+        ))
+    assert exhausted == [0] and engine.gaussians.stats[0].frozen
+    rows = 2 + len(class0) - 3 + 28
+    assert engine.ledger.Z.shape == (3, rows, 10)
+    assert engine.ledger.zz.shape == engine.ledger.P0.shape == (3, rows)
+    if params0.arch.hidden_dim is not None:
+        assert engine.ledger.H.shape == (8, rows)
 
 
 class TestProcessRequest:
@@ -266,40 +341,32 @@ class TestProcessRequest:
     def test_ledger_projection_cache_matches_fresh_standardization(
         self, engine, blob_task
     ):
-        # the cached per-class projections, and the shift targets each round
-        # returns, must equal a fresh standardization and a fresh target
-        # build from the ledger rows, bit for bit, through every kind of
-        # request
-        train, _, params0 = blob_task
-        assert engine.shift.size_d0 == train.n
-        empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
-        class0 = np.flatnonzero(train.y == 0)
-        others = np.flatnonzero(train.y != 0)
-        repeated = np.array([others[0], others[0], others[1]])
-        foreign = (np.zeros((1, train.dim)), np.array([1]), np.array([10_000_000]))
-        requests = [
-            empty,  # the ledger is still empty, so there are no targets
-            (train.X[repeated], train.y[repeated], train.ids[repeated]),
-            foreign,
-            empty,
-            # drains class 0 below its minimum count, so it freezes
-            (train.X[class0[:-3]], train.y[class0[:-3]], train.ids[class0[:-3]]),
-            (train.X[others[2:30]], train.y[others[2:30]], train.ids[others[2:30]]),
-        ]
-        exhausted = []
-        for X, y, ids in requests:
-            result = engine.process_request(X, y, ids)
-            exhausted += result.exhausted_classes
-            led = engine.ledger
-            if not led.count:
-                assert result.targets is None
-                continue
-            assert np.array_equal(led.Z, engine.gaussians.standardize_all(led.X))
-            assert np.array_equal(result.targets, engine.shift.target_predictions(
-                params0, led.X, led.Z, engine.class_counts, engine.retention.size_dt
-            ))
-        assert exhausted == [0] and engine.gaussians.stats[0].frozen
-        assert engine.ledger.Z.shape == (3, 2 + len(class0) - 3 + 28, 10)
+        check_frozen_columns_through_requests(engine, blob_task[0])
+
+    def test_ledger_forward_cache_matches_fresh_forward_on_mlp(self, blob_task):
+        check_frozen_columns_through_requests(build_mlp_engine(blob_task),
+                                              blob_task[0])
+
+    def test_round_forwards_only_the_request_rows(self, any_engine, blob_task,
+                                                  monkeypatch):
+        # an accepted request of m rows runs the model forward over those m
+        # rows twice (the retention gradient, the ledger's frozen columns)
+        # and never over the L rows the ledger already holds
+        engine, (train, _, _) = any_engine, blob_task
+        L, m = 200, 10
+        engine.process_request(train.X[:L], train.y[:L], train.ids[:L])
+        forwarded = []
+        exact = safestream.model._forward
+
+        def recording(params, X):
+            forwarded.append(len(X))
+            return exact(params, X)
+
+        monkeypatch.setattr(safestream.model, "_forward", recording)
+        rows = slice(L, L + m)
+        result = engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
+        assert result.accepted == m and engine.ledger.count == L + m
+        assert sum(forwarded) <= 2 * m, forwarded
 
     def test_w0_never_mutated(self, engine, blob_task):
         train, _, params0 = blob_task
@@ -333,9 +400,10 @@ class TestProcessRequest:
 def test_ledger_counts_and_rounds():
     ledger = ForgettingLedger(lam=1.0)
     assert ledger.count == 0
-    ledger.append(np.ones((2, 3)), np.array([0, 1]), np.ones((2, 2, 1)))
-    ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64), np.zeros((2, 0, 1)))
-    ledger.append(np.zeros((1, 3)), np.array([1]), np.zeros((2, 1, 1)))
+    ledger.append(np.ones((2, 3)), np.array([0, 1]), Z=np.ones((2, 2, 1)))
+    ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64),
+                  Z=np.zeros((2, 0, 1)))
+    ledger.append(np.zeros((1, 3)), np.array([1]), Z=np.zeros((2, 1, 1)))
     assert ledger.count == 3
     # rows stay in the order of the rounds that forgot them
     assert ledger.y.tolist() == [0, 1, 1]
@@ -345,17 +413,22 @@ def test_ledger_counts_and_rounds():
 
 
 def test_ledger_appends_match_concatenation():
-    # the capacity buffer must hold exactly the rows appended, in order,
-    # through every regrowth, and never alias the caller's arrays
+    # the capacity buffers must hold exactly the rows appended, in order,
+    # through every regrowth, and never alias the caller's arrays; a column
+    # given as None is not kept
     rng = np.random.default_rng(0)
     ledger = ForgettingLedger(lam=1.0)
-    Xs, ys, Zs = [], [], []
+    Xs, ys, Zs, P0s = [], [], [], []
     for m in (3, 0, 1, 5, 2, 9, 1, 16):
-        X, y, Z = rng.standard_normal((m, 4)), rng.integers(0, 3, m), rng.standard_normal((3, m, 2))
-        ledger.append(X, y, Z)
+        X, y = rng.standard_normal((m, 4)), rng.integers(0, 3, m)
+        Z, P0 = rng.standard_normal((3, m, 2)), rng.standard_normal((5, m))
+        ledger.append(X, y, Z=Z, P0=P0, H=None)
         Xs.append(X.copy()), ys.append(y.copy()), Zs.append(Z.copy())
-        X[:], y[:], Z[:] = 0.0, 7, 0.0
+        P0s.append(P0.copy())
+        X[:], y[:], Z[:], P0[:] = 0.0, 7, 0.0, 0.0
         assert ledger.count == sum(len(v) for v in ys)
         assert np.array_equal(ledger.X, np.concatenate(Xs))
         assert np.array_equal(ledger.y, np.concatenate(ys))
         assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))
+        assert np.array_equal(ledger.P0, np.concatenate(P0s, axis=1))
+        assert ledger.H is None and ledger.zz is None

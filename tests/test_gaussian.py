@@ -15,6 +15,7 @@ from safestream.gaussian import (
     inverse_cholesky,
     make_projection,
     mardia_test,
+    sq_norms,
 )
 
 LOG_2PI = np.log(2.0 * np.pi)
@@ -26,7 +27,8 @@ def log_ratio(Z, mu, sigma):
     d = len(mu)
     st = ClassStats(50, mu, sigma, np.linalg.cholesky(sigma))
     g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st}, d + 2)
-    return g.log_density_vs_base_batch(np.atleast_2d(Z), 0)
+    Z = np.atleast_2d(Z)
+    return g.log_density_vs_base_batch(Z, sq_norms(Z), 0)
 
 
 def std_normal_log(z):

@@ -174,6 +174,10 @@ class TestVerify:
         pytest.param("forgetting_gradient", ClassConditionalGaussians,
                      "standardize_all", lambda out: out + 1e-6,
                      id="forgetting_gradient"),
+        # the forward pass that fills the ledger's cached w_0 probabilities
+        pytest.param("forgetting_gradient", safestream.engine, "forward_proba",
+                     lambda out: (out[0] + 1e-6, out[1]),
+                     id="forgetting_gradient-forward_proba"),
     ])
     def test_density_ratio_suite_catches_perturbed_log_ratio(
         self, monkeypatch, suite, owner, name, bump

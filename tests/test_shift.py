@@ -10,8 +10,9 @@ from safestream.gaussian import (
     ClassStats,
     cholesky_with_jitter,
     make_projection,
+    sq_norms,
 )
-from safestream.model import Architecture, ModelParams
+from safestream.model import Architecture, ModelParams, forward_proba
 from safestream.shift import (
     RATIO_FLOOR,
     ShiftEstimator,
@@ -60,7 +61,8 @@ def test_density_ratio_one_without_deletions(gaussian_setup):
     X, y, g = gaussian_setup
     for x, label in zip(X[:20], y[:20]):
         z = g.standardize_batch(x[None, :], int(label))
-        assert density_ratio(z, g, int(label)) == pytest.approx([1.0], abs=1e-6)
+        got = density_ratio(z, sq_norms(z), g, int(label))
+        assert got == pytest.approx([1.0], abs=1e-6)
 
 
 def test_density_ratio_closed_form_mean_shift():
@@ -73,7 +75,7 @@ def test_density_ratio_closed_form_mean_shift():
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
     )
-    got = density_ratio(np.zeros((1, dim)), g, 0)
+    got = density_ratio(np.zeros((1, dim)), np.zeros(1), g, 0)
     assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
 
 
@@ -87,7 +89,8 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
         z = g.standardize_batch(x[None, :], 0)
         direct = np.exp(multivariate_normal(st.mu, st.sigma).logpdf(z)
                         - multivariate_normal(np.zeros(4), np.eye(4)).logpdf(z))
-        assert density_ratio(z, g, 0) == pytest.approx([float(direct)], abs=1e-10)
+        got = density_ratio(z, sq_norms(z), g, 0)
+        assert got == pytest.approx([float(direct)], abs=1e-10)
 
 
 def test_density_ratio_clipped_positive_finite():
@@ -97,7 +100,8 @@ def test_density_ratio_clipped_positive_finite():
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
     )
-    low, high = density_ratio(np.vstack([np.zeros(dim), far_mu]), g, 0)
+    Z = np.vstack([np.zeros(dim), far_mu])
+    low, high = density_ratio(Z, sq_norms(Z), g, 0)
     assert low == 1e-6 and high == 1e6
 
 
@@ -107,8 +111,9 @@ def test_target_identity_when_ratios_one(gaussian_setup):
     est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(1).standard_normal(arch.n_params))
-    targets = est.target_predictions(params, X[:10], g.standardize_all(X[:10]),
-                                     counts0, 600)
+    Z = g.standardize_all(X[:10])
+    targets = est.target_predictions(forward_proba(params, X[:10])[0], Z,
+                                     sq_norms(Z), counts0, 600)
     from safestream.model import predict_proba_batch
 
     assert np.abs(targets - predict_proba_batch(params, X[:10])).max() < 1e-6
@@ -128,7 +133,8 @@ def test_target_normalization_invariance(gaussian_setup):
     est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(2).standard_normal(arch.n_params))
-    q = est.class_ratio_matrix(g.standardize_all(X[:5]), counts0, 600)
+    Z = g.standardize_all(X[:5])
+    q = est.class_ratio_matrix(Z, sq_norms(Z), counts0, 600)
     from safestream.model import predict_proba_batch
 
     probs = predict_proba_batch(params, X[:5])
@@ -162,14 +168,16 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     params = ModelParams(arch, np.zeros(arch.n_params))
 
     class AllZeroRatios(ShiftEstimator):
-        def class_ratio_matrix(self, Z, counts_t, size_dt):
+        def class_ratio_matrix(self, Z, zz, counts_t, size_dt):
             return np.zeros((Z.shape[1], 2))
 
     est2 = AllZeroRatios(g, {0: 300, 1: 300})
-    targets = est2.target_predictions(params, X[:3], g.standardize_all(X[:3]),
-                                      {0: 300, 1: 300}, 600)
+    Z = g.standardize_all(X[:3])
+    targets = est2.target_predictions(forward_proba(params, X[:3])[0], Z,
+                                      sq_norms(Z), {0: 300, 1: 300}, 600)
     assert np.allclose(targets, 0.5)
-    one = est.target_predictions(params, X[0], g.standardize_all(X[0]),
+    Z = g.standardize_all(X[0])
+    one = est.target_predictions(forward_proba(params, X[0])[0], Z, sq_norms(Z),
                                  {0: 300, 1: 300}, 600)
     assert one.shape == (1, 2)
 
@@ -182,12 +190,15 @@ def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
     Z = g.standardize_all(X[:7])
-    q = est.class_ratio_matrix(Z, counts_t, 550)
+    zz = sq_norms(Z)
+    q = est.class_ratio_matrix(Z, zz, counts_t, 550)
     assert q.shape == (7, 2)
     for j, label in enumerate(g.classes):
-        want = label_ratio(counts_t[label], 300, 550, 600) * density_ratio(Z[j], g, label)
+        want = (label_ratio(counts_t[label], 300, 550, 600)
+                * density_ratio(Z[j], zz[j], g, label))
         assert np.array_equal(q[:, label], want)
-    targets = est.target_predictions(params, X[:7], Z, counts_t, 550)
+    targets = est.target_predictions(forward_proba(params, X[:7])[0], Z, zz,
+                                     counts_t, 550)
     assert targets.shape == (7, 2)
     W, b = params.theta[:16].reshape(2, 8), params.theta[16:]
     logits = X[:7] @ W.T + b

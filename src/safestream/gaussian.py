@@ -20,7 +20,7 @@ the surviving points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as spstats
@@ -122,13 +122,27 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ClassStats:
-    """Per-class running statistics in the standardized space."""
+    """Per-class running statistics in the standardized space.
+
+    ``chol`` is set through ``set_chol``, which keeps its inverse
+    ``inv_chol`` and the log-determinant of sigma beside it, so the density
+    ratios of every round reuse them."""
 
     n: int
     mu: np.ndarray
     sigma: np.ndarray
     chol: np.ndarray
     frozen: bool = False
+    inv_chol: np.ndarray = field(init=False, repr=False)
+    logdet: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.set_chol(self.chol)
+
+    def set_chol(self, chol: np.ndarray) -> None:
+        self.inv_chol = inverse_cholesky(chol)
+        self.chol = chol
+        self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
 
     def snapshot(self) -> dict:
         return {
@@ -237,7 +251,7 @@ class ClassConditionalGaussians:
                 exhausted.append(label)
                 continue
             st.n, st.mu, st.sigma = n_new, mu_new, sigma_new
-            st.chol = cholesky_with_jitter(sigma_new)
+            st.set_chol(cholesky_with_jitter(sigma_new))
         return exhausted
 
     def log_density_vs_base_batch(self, Z: np.ndarray, zz: np.ndarray,
@@ -248,9 +262,8 @@ class ClassConditionalGaussians:
         them."""
         st = self.stats[label]
         d = Z.shape[1]
-        W = (Z - st.mu) @ inverse_cholesky(st.chol).T
-        logdet = 2.0 * float(np.log(np.diag(st.chol)).sum())
-        log_num = -0.5 * (d * LOG_2PI + logdet + sq_norms(W))
+        W = (Z - st.mu) @ st.inv_chol.T
+        log_num = -0.5 * (d * LOG_2PI + st.logdet + sq_norms(W))
         log_den = -0.5 * (d * LOG_2PI + zz)
         return log_num - log_den
 

@@ -21,6 +21,7 @@ from .model import (
     kl_rows,
     mean_cross_entropy,
     predict_proba_batch,
+    prepare_rows,
 )
 
 
@@ -61,9 +62,11 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     theta = params.theta
 
     if config.batch_size is None:
-        # params views theta, which each epoch updates in place
+        # the rows are prepared once, before the first epoch; params views
+        # theta, which each epoch updates in place
+        rows = prepare_rows(arch, X, y)
         for _ in range(config.epochs):
-            g = grad_cross_entropy(params, X, y)
+            g = grad_cross_entropy(params, rows)
             if not np.all(np.isfinite(g)):
                 raise NumericalError("retrain diverged: non-finite gradient")
             if np.linalg.norm(g) < config.grad_tol:

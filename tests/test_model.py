@@ -13,6 +13,7 @@ from safestream.model import (
     kl_rows,
     mean_cross_entropy,
     predict_proba_batch,
+    prepare_rows,
     sum_grad_kl_to_targets,
 )
 
@@ -125,6 +126,22 @@ def test_grad_duplicate_batch_equals_single():
     single = grad_cross_entropy(params, x[None, :], np.array([1]))
     double = grad_cross_entropy(params, np.vstack([x, x]), np.array([1, 1]))
     assert np.allclose(single, double, atol=1e-15)
+
+
+@pytest.mark.parametrize("hidden", [None, 4])
+@pytest.mark.parametrize("n", [1, 7, 300])
+def test_prepared_rows_grad_equals_one_off_grad(hidden, n):
+    # retrain prepares its rows once and reuses them every epoch; the bits
+    # must be those of a gradient over the same rows taken once. Class 1 of
+    # 3 never appears, so its one-hot row is all zeros.
+    params, _, rng = random_model(11, Architecture(6, 3, hidden))
+    X = rng.standard_normal((n, 6))
+    y = rng.choice([0, 2], n)
+    rows = prepare_rows(params.arch, X, y)
+    assert np.array_equal(grad_cross_entropy(params, rows),
+                          grad_cross_entropy(params, X, y))
+    assert np.array_equal(grad_cross_entropy(params, rows),
+                          grad_cross_entropy(params, rows))
 
 
 @given(st.integers(0, 10_000))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+import safestream.oracle
 from safestream.data import make_synthetic
 from safestream.engine import ForgettingLedger, SafeConfig
 from safestream.errors import ConfigError, NumericalError
@@ -140,6 +141,39 @@ class TestRetrain:
         _, _, arch = small_task
         with pytest.raises(ConfigError):
             retrain(np.empty((0, 8)), np.empty(0, int), arch, RetrainConfig())
+
+    @staticmethod
+    def count_epoch_calls(monkeypatch):
+        # the benchmark's epoch probe hooks this same module attribute
+        calls = []
+        exact = safestream.oracle.grad_cross_entropy
+
+        def counting(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(safestream.oracle, "grad_cross_entropy", counting)
+        return calls
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_full_batch_takes_one_gradient_per_epoch(self, small_task, hidden,
+                                                     monkeypatch):
+        train, _, _ = small_task
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        calls = self.count_epoch_calls(monkeypatch)
+        retrain(train.X, train.y, arch, RetrainConfig(epochs=17, lr=0.5, grad_tol=0.0))
+        assert len(calls) == 17
+
+    @pytest.mark.parametrize("bad", [2, -1])
+    def test_full_batch_bad_label_rejected_before_first_epoch(self, small_task, bad,
+                                                              monkeypatch):
+        train, _, arch = small_task
+        y = train.y.copy()
+        y[5] = bad  # the task has 2 classes
+        calls = self.count_epoch_calls(monkeypatch)
+        with pytest.raises(ConfigError, match="labels outside"):
+            retrain(train.X, y, arch, RetrainConfig(epochs=5))
+        assert calls == []
 
 
 class TestTrueRisk:

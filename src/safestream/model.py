@@ -15,12 +15,13 @@ targets. ``forward_proba`` is the exception: it returns the class-major
 forward pass itself, so a caller can keep it and hand it back to the KL
 backward.
 
-Prepared rows: ``prepare_rows`` checks a batch's labels once and builds its
-class-major one-hot labels (C, n) as floats, which subtract in about half
-the time of a boolean compare. A full-batch fit prepares its rows before the
-first epoch and hands them to ``grad_cross_entropy`` every epoch; a one-off
-``grad_cross_entropy(params, X, y)`` prepares its rows for that one call.
-Both run the same kernel on the same rows, so they give the same bits.
+Prepared rows: ``prepare_rows`` is the one label check. It rejects an empty
+batch or a label outside [0, C), and builds the class-major one-hot labels
+(C, n) as floats, which subtract in about half the time of a boolean
+compare. Both cross-entropy functions read their labels through it. A
+full-batch fit prepares its rows once, before the first epoch, and hands
+them to ``grad_cross_entropy`` every epoch; a one-off call prepares its own
+and runs the same kernel, so both give the same bits.
 """
 
 from __future__ import annotations
@@ -76,13 +77,11 @@ class ModelParams:
         return ModelParams(self.arch, self.theta.copy())
 
 
-def init_params(arch: Architecture, rng: np.random.Generator | None = None) -> ModelParams:
+def init_params(arch: Architecture, rng: np.random.Generator) -> ModelParams:
     """Fresh initialization: zeros for the convex linear head, scaled
     Gaussian for the MLP (which needs symmetry breaking)."""
     if arch.hidden_dim is None:
         return ModelParams(arch, np.zeros(arch.n_params))
-    if rng is None:
-        rng = np.random.default_rng(0)
     d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
     w1 = rng.standard_normal((h, d)) / np.sqrt(d)
     w2 = rng.standard_normal((c, h)) / np.sqrt(h)
@@ -149,17 +148,12 @@ def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return forward_proba(params, X)[0].T
 
 
-def _check_labels(y: np.ndarray, n_classes: int) -> None:
-    if y.size and not (0 <= y.min() and y.max() < n_classes):
-        raise ConfigError(f"labels outside [0, {n_classes})")
-
-
 def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
     """Mean of -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
-    y = np.asarray(y, dtype=np.int64)
-    _check_labels(y, params.arch.n_classes)
-    p = predict_proba_batch(params, X)
-    py = np.maximum(p[np.arange(len(y)), y], PROB_FLOOR)
+    rows = prepare_rows(params.arch, X, y)
+    p, _ = forward_proba(params, rows.X)
+    # each one-hot column has one nonzero entry, so its sum is p_y exactly
+    py = np.maximum((p * rows.onehot).sum(axis=0), PROB_FLOOR)
     return float(-np.log(py).mean())
 
 
@@ -197,6 +191,8 @@ def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRo
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if len(X) == 0:
         raise ConfigError("empty batch")
+    if len(y) != len(X):
+        raise ConfigError(f"{len(y)} labels for {len(X)} rows")
     onehot = y == np.arange(arch.n_classes)[:, None]
     # an in-range label sets exactly one entry of its column, any other none
     if np.count_nonzero(onehot) != len(y):

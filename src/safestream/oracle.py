@@ -25,68 +25,41 @@ from .model import (
 )
 
 
+# full-batch descent stops once the gradient norm falls below this
+GRAD_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class RetrainConfig:
-    """Gradient descent settings for the exact-unlearning oracle.
-
-    ``batch_size`` of None means full batch, which every preset uses, MLP
-    ones included. A config that sets ``batch_size`` gets seeded mini-batch
-    descent instead.
-    """
+    """Full-batch gradient descent settings for the exact-unlearning oracle."""
 
     epochs: int = 300
     lr: float = 1.0
-    batch_size: int | None = None
     seed: int = 0
-    grad_tol: float = 1e-7
 
     def validate(self) -> None:
         if self.epochs < 1 or self.lr <= 0:
             raise ConfigError(f"invalid retrain config {self}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError(f"invalid batch_size {self.batch_size}")
 
 
 def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
             config: RetrainConfig) -> ModelParams:
     """Train from a seeded fresh initialization until max epochs or the
-    gradient norm drops below ``grad_tol``."""
+    gradient norm drops below ``GRAD_TOL``."""
     config.validate()
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    n = len(X)
-    if n == 0:
-        raise ConfigError("cannot retrain on empty data")
-    rng = np.random.default_rng(config.seed)
-    params = init_params(arch, rng)
-    theta = params.theta
-
-    if config.batch_size is None:
-        # the rows are prepared once, before the first epoch; params views
-        # theta, which each epoch updates in place
-        rows = prepare_rows(arch, X, y)
-        for _ in range(config.epochs):
-            g = grad_cross_entropy(params, rows)
-            if not np.all(np.isfinite(g)):
-                raise NumericalError("retrain diverged: non-finite gradient")
-            if np.linalg.norm(g) < config.grad_tol:
-                break
-            theta -= config.lr * g
-    else:
-        for _ in range(config.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                params = ModelParams(arch, theta)
-                g = grad_cross_entropy(params, X[idx], y[idx])
-                if not np.all(np.isfinite(g)):
-                    raise NumericalError("retrain diverged: non-finite gradient")
-                theta = theta - config.lr * g
-
-    out = ModelParams(arch, theta)
-    if not np.isfinite(mean_cross_entropy(out, X, y)):
+    # rows prepared once, before the first epoch; each epoch updates theta in place
+    rows = prepare_rows(arch, X, y)
+    params = init_params(arch, np.random.default_rng(config.seed))
+    for _ in range(config.epochs):
+        g = grad_cross_entropy(params, rows)
+        if not np.all(np.isfinite(g)):
+            raise NumericalError("retrain diverged: non-finite gradient")
+        if np.linalg.norm(g) < GRAD_TOL:
+            break
+        params.theta -= config.lr * g
+    if not np.isfinite(mean_cross_entropy(params, rows.X, y)):
         raise NumericalError("retrain diverged: non-finite loss")
-    return out
+    return params
 
 
 def true_risk(params: ModelParams, X_t: np.ndarray, y_t: np.ndarray,

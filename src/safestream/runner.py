@@ -92,6 +92,8 @@ class DatasetSpec:
             raise ConfigError("idx dataset needs 'images' and 'labels' paths")
         if self.kind == "csv" and not (self.path and self.label_column):
             raise ConfigError("csv dataset needs 'path' and 'label_column'")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ConfigError(f"test_fraction {self.test_fraction} not in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,8 @@ _JSON_NAMES = {bool: "boolean", int: "integer", float: "number", str: "string",
 def _check_fields(cls, values: dict, where: str) -> None:
     """Every key of ``values`` must be a field of dataclass ``cls`` and every
     value of the JSON type the field's annotation names: an integer passes
-    as a number, null only where None is allowed, and JSON true never as a
-    number."""
+    as a number, null only where None is allowed, JSON true never as a
+    number, and NaN or Infinity never at all."""
     hints = typing.get_type_hints(cls)
     unknown = set(values) - set(hints)
     if unknown:
@@ -155,6 +157,8 @@ def _check_fields(cls, values: dict, where: str) -> None:
         if not ok:
             want = " or ".join(_JSON_NAMES[k] for k in kinds)
             raise ConfigError(f"{where} {name} must be a JSON {want}, got {value!r}")
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{where} {name} must be finite, got {value!r}")
 
 
 def config_from_dict(raw: dict) -> RunConfig:

@@ -6,6 +6,7 @@ from safestream.engine import RetentionGradState, SafeConfig, SafeUnlearner
 from safestream.gaussian import ClassConditionalGaussians, make_projection
 from safestream.model import Architecture, grad_cross_entropy
 from safestream.oracle import RetrainConfig, retrain
+from safestream.runner import resolved_proj_dim
 
 
 def central_difference(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
@@ -24,7 +25,7 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
 
 
 def build_engine(train, params0, safe: SafeConfig, proj_seed: int = 11):
-    proj_dim = safe.proj_dim if safe.proj_dim is not None else min(train.dim, 32)
+    proj_dim = resolved_proj_dim(safe, train.dim)
     projection = make_projection(train.dim, proj_dim, proj_seed)
     gaussians = ClassConditionalGaussians.fit(train.X, train.y, projection)
     retention = RetentionGradState(

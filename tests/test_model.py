@@ -106,6 +106,12 @@ def test_cross_entropy_label_range():
         grad_cross_entropy(params, x[None, :], [3])
     with pytest.raises(ConfigError):
         grad_cross_entropy(params, np.vstack([x, x, x]), [-1, 0, 1])
+    # an empty batch has no mean, and a label count that differs from the
+    # row count pairs no row with its label
+    with pytest.raises(ConfigError, match="empty batch"):
+        mean_cross_entropy(params, np.empty((0, 6)), [])
+    with pytest.raises(ConfigError, match="2 labels for 3 rows"):
+        mean_cross_entropy(params, np.vstack([x, x, x]), [0, 1])
 
 
 def test_grad_zero_at_perfect_prediction():

@@ -102,20 +102,13 @@ class TestRetrain:
         lb = mean_cross_entropy(b, train.X, train.y)
         assert abs(la - lb) < 1e-6
 
-    def test_minibatch_path_seeded(self, small_task):
-        train, _, _ = small_task
-        arch = Architecture(train.dim, train.n_classes, hidden_dim=6)
-        cfg = RetrainConfig(epochs=5, lr=0.1, batch_size=64, seed=7)
-        a = retrain(train.X, train.y, arch, cfg)
-        b = retrain(train.X, train.y, arch, cfg)
-        assert np.array_equal(a.theta, b.theta)
-        assert accuracy(a, train.X, train.y) >= 0.9
-
     @pytest.mark.parametrize("hidden", [None, 5])
-    def test_full_batch_matches_row_major_descent(self, small_task, hidden):
+    def test_full_batch_matches_row_major_descent(self, small_task, hidden,
+                                                  monkeypatch):
         train, _, _ = small_task
         arch = Architecture(train.dim, train.n_classes, hidden)
-        cfg = RetrainConfig(epochs=40, lr=0.5, seed=9, grad_tol=0.0)
+        monkeypatch.setattr(safestream.oracle, "GRAD_TOL", 0.0)
+        cfg = RetrainConfig(epochs=40, lr=0.5, seed=9)
         got = retrain(train.X, train.y, arch, cfg).theta
         want = textbook_descent(train.X, train.y, arch, cfg)
         assert np.abs(got - want).max() < 1e-12
@@ -130,10 +123,12 @@ class TestRetrain:
             retrain(X, train.y, arch, RetrainConfig(epochs=5))
 
     @pytest.mark.parametrize("hidden", [None, 5])
-    def test_grad_tol_stops_before_first_step(self, small_task, hidden):
+    def test_grad_tol_stops_before_first_step(self, small_task, hidden,
+                                              monkeypatch):
         train, _, _ = small_task
         arch = Architecture(train.dim, train.n_classes, hidden)
-        cfg = RetrainConfig(epochs=50, seed=4, grad_tol=1e9)
+        monkeypatch.setattr(safestream.oracle, "GRAD_TOL", 1e9)
+        cfg = RetrainConfig(epochs=50, seed=4)
         got = retrain(train.X, train.y, arch, cfg).theta
         assert np.array_equal(got, textbook_init(arch, cfg.seed))
 
@@ -161,7 +156,8 @@ class TestRetrain:
         train, _, _ = small_task
         arch = Architecture(train.dim, train.n_classes, hidden)
         calls = self.count_epoch_calls(monkeypatch)
-        retrain(train.X, train.y, arch, RetrainConfig(epochs=17, lr=0.5, grad_tol=0.0))
+        monkeypatch.setattr(safestream.oracle, "GRAD_TOL", 0.0)
+        retrain(train.X, train.y, arch, RetrainConfig(epochs=17, lr=0.5))
         assert len(calls) == 17
 
     @pytest.mark.parametrize("bad", [2, -1])

@@ -268,22 +268,32 @@ class TestCli:
         assert main(["verify", "--config", cfg,
                      "--output", str(tmp_path / "v.jsonl")]) == 0
 
-    @pytest.mark.parametrize("overrides", [
-        {"seed": "x"},
-        {"seed": 1.5},
-        {"safe": {"K": "2"}},
-        {"dataset": {"n": "100"}},
-        {"stream": {"rounds": 1.5}},
-        {"safe": 5},
-        {"checkpoint_in": "w0.json"},
+    @pytest.mark.parametrize("overrides, names", [
+        ({"seed": "x"}, "config seed"),
+        ({"seed": 1.5}, "config seed"),
+        ({"safe": {"K": "2"}}, "safe K"),
+        ({"dataset": {"n": "100"}}, "dataset n"),
+        ({"stream": {"rounds": 1.5}}, "stream rounds"),
+        ({"safe": 5}, "safe section"),
+        ({"checkpoint_in": "w0.json"}, "unknown config keys"),
+        ({"safe": {"K": float("nan")}}, "safe K must be finite"),
+        ({"retrain": {"lr": float("inf")}}, "retrain lr must be finite"),
+        ({"dataset": {**BASE["dataset"], "test_fraction": -0.1}}, "test_fraction"),
+        ({"dataset": {**BASE["dataset"], "test_fraction": 1.0}}, "test_fraction"),
+        ({"retrain": {"batch_size": 64}}, "unknown retrain keys"),
+        ({"retrain": {"grad_tol": 0.0}}, "unknown retrain keys"),
     ], ids=["seed-str", "seed-float", "safe-K-str", "dataset-n-str",
-            "stream-rounds-float", "safe-not-object", "checkpoint_in"])
-    def test_malformed_config_exit_code(self, tmp_path, overrides):
+            "stream-rounds-float", "safe-not-object", "checkpoint_in",
+            "safe-K-nan", "retrain-lr-inf", "test-fraction-negative",
+            "test-fraction-one", "retrain-batch-size", "retrain-grad-tol"])
+    def test_malformed_config_exit_code(self, tmp_path, overrides, names):
         cfg = self.write_cfg(tmp_path, **overrides)
         out = tmp_path / "err.jsonl"
         assert main(["run", "--config", cfg, "--output", str(out)]) == 1
         rec = json.loads(out.read_text().splitlines()[-1])
         assert rec["type"] == "error" and rec["error"] == "ConfigError"
+        # the message names what was wrong, not a later symptom of it
+        assert names in rec["message"]
 
     def test_oracle_flags(self, tmp_path):
         cfg = self.write_cfg(tmp_path, stream={"rounds": 2, "per_round": 5})

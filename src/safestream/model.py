@@ -148,13 +148,18 @@ def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return forward_proba(params, X)[0].T
 
 
-def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
-    """Mean of -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
+def cross_entropy_rows(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-row -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
     rows = prepare_rows(params.arch, X, y)
     p, _ = forward_proba(params, rows.X)
     # each one-hot column has one nonzero entry, so its sum is p_y exactly
     py = np.maximum((p * rows.onehot).sum(axis=0), PROB_FLOOR)
-    return float(-np.log(py).mean())
+    return -np.log(py)
+
+
+def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+    """Mean of ``cross_entropy_rows`` over a batch."""
+    return float(cross_entropy_rows(params, X, y).mean())
 
 
 def _backprop_sum(params: ModelParams, X: np.ndarray, dlogits: np.ndarray,

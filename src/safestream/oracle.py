@@ -16,6 +16,7 @@ from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
     ModelParams,
+    cross_entropy_rows,
     grad_cross_entropy,
     init_params,
     kl_rows,
@@ -91,10 +92,7 @@ def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
     risk = (len(X0) / size_dt) * r0
     if ledger.count:
         p_led = predict_proba_batch(params, ledger.X)
-        losses = -np.log(np.maximum(
-            p_led[np.arange(ledger.count), ledger.y], 1e-12
-        ))
-        risk -= losses.sum() / size_dt
+        risk -= cross_entropy_rows(params, ledger.X, ledger.y).sum() / size_dt
         risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
     return float(risk)
 

@@ -357,21 +357,23 @@ def test_c10_calibration_rule_can_fail():
     assert any(f.startswith("kurtosis rejections") for f in failed)
 
 
+C11_CONFIG = {
+    "dataset": {"kind": "synthetic", "n": 1200, "dim": 10, "classes": 3,
+                "separation": 4.0},
+    "safe": {"K": 2.5, "T": 5, "lam": 200.0, "epsilon": 2000.0,
+             "delta": 1e-5, "proj_dim": 4},
+    "stream": {"rounds": 5, "per_round": 20},
+    "retrain": {"epochs": 80, "lr": 1.0},
+    "oracle": True,
+    "evaluate_mia": True,
+    "measure_time": False,
+    "seed": 42,
+}
+
+
 def test_c11_determinism(tmp_path):
-    raw = {
-        "dataset": {"kind": "synthetic", "n": 1200, "dim": 10, "classes": 3,
-                    "separation": 4.0},
-        "safe": {"K": 2.5, "T": 5, "lam": 200.0, "epsilon": 2000.0,
-                 "delta": 1e-5, "proj_dim": 4},
-        "stream": {"rounds": 5, "per_round": 20},
-        "retrain": {"epochs": 80, "lr": 1.0},
-        "oracle": True,
-        "evaluate_mia": True,
-        "measure_time": False,
-        "seed": 42,
-    }
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(raw))
+    cfg_path.write_text(json.dumps(C11_CONFIG))
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     assert main(["run", "--config", str(cfg_path), "--output", str(a)]) == 0
     assert main(["run", "--config", str(cfg_path), "--output", str(b)]) == 0
@@ -379,6 +381,28 @@ def test_c11_determinism(tmp_path):
     report("C11", "byte-identical-replay", identical,
            f"{len(a.read_bytes())} bytes, timing capture off")
     assert identical
+
+
+def test_c11_mia_beside_test_reference():
+    # at epsilon = 2000 the emitted model stays close to w_0, which never
+    # overfit its blobs: the attack's rate on the forgotten rows must sit
+    # within 4 pooled binomial standard errors of its rate on test rows
+    n_test = round(0.2 * C11_CONFIG["dataset"]["n"])  # the default split
+    worst = 0.0
+    for seed in range(42, 52):
+        buf = io.StringIO()
+        run(config_from_dict({**C11_CONFIG, "seed": seed}), buf)
+        records = [json.loads(line) for line in buf.getvalue().splitlines()]
+        n_led = 0
+        for r in records[:-1]:
+            n_led += r["request_size"]
+            mia, ref = r["mia"], r["mia_test"]
+            pooled = (mia * n_led + ref * n_test) / (n_led + n_test)
+            se = np.sqrt(pooled * (1.0 - pooled) * (1.0 / n_led + 1.0 / n_test))
+            assert abs(mia - ref) <= 4.0 * se, (seed, r["t"], mia, ref)
+            worst = max(worst, abs(mia - ref) / se)
+    report("C11", "mia-beside-test-reference", True,
+           f"worst |mia - mia_test| = {worst:.2f} pooled SE over 50 rounds")
 
 
 def test_c12_idx_round_trip(tmp_path):

@@ -39,9 +39,11 @@ def base_config(**overrides):
 
 
 ROUND_KEYS = {"type", "t", "request_size", "wall_ms", "grad_norm",
-              "exhausted_classes", "ra", "fa", "ta", "mia", "config_hash"}
+              "exhausted_classes", "ra", "fa", "ta", "mia", "mia_test",
+              "config_hash"}
 ORACLE_KEYS = {"risk_w", "risk_star", "regret", "cumulative_regret", "v_t",
-               "ra_star", "fa_star", "ta_star", "surrogate_risk", "risk_gap",
+               "ra_star", "fa_star", "ta_star", "mia_star", "surrogate_risk",
+               "risk_gap",
                "gap_bound", "retrain_ms", "oracle_ms"}
 
 
@@ -135,6 +137,35 @@ class TestRun:
             assert r["oracle"]["regret"] >= -1e-8  # retrained model is optimal
         summary = records[-1]
         assert "oracle" in summary and summary["oracle"]["v_t"] >= 0.0
+
+    def test_mia_reported_without_test_rows(self, tmp_path):
+        # the loss-threshold attack needs no non-members: a run with an
+        # empty test split still reports mia, and only its test reference
+        # is absent
+        rng = np.random.default_rng(5)
+        y = np.repeat(np.arange(3), 100)
+        X = rng.normal(0.0, 1.0, (300, 4)) + 3.0 * y[:, None]
+        p = tmp_path / "rows.csv"
+        lines = ["a,b,c,d,label"] + [
+            ",".join(f"{v:.6f}" for v in row) + f",{lab}" for row, lab in zip(X, y)
+        ]
+        p.write_text("\n".join(lines) + "\n")
+        cfg = base_config(
+            dataset={"kind": "csv", "path": str(p), "label_column": "label",
+                     "test_fraction": 0.0},
+            stream={"rounds": 3, "per_round": 10},
+            evaluate_mia=True, oracle=True,
+        )
+        records = run_to_records(cfg)
+        rounds = [r for r in records if r["type"] == "round"]
+        assert len(rounds) == 3
+        for r in rounds:
+            assert 0.0 <= r["mia"] <= 1.0 and r["mia_test"] is None
+            assert 0.0 <= r["oracle"]["mia_star"] <= 1.0
+        summary = records[-1]
+        assert summary["means"]["mia"] is not None
+        assert summary["means"]["mia_test"] is None
+        assert summary["final"]["mia_test"] is None
 
     def test_wall_time_scales_with_request_not_dataset(self):
         small = run_to_records(base_config())

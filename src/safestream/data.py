@@ -5,7 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class Dataset:
 
     def select_ids(self, wanted: np.ndarray) -> "Dataset":
         return self._masked(np.isin(self.ids, wanted))
-
-    def class_counts(self) -> dict[int, int]:
-        labels, counts = np.unique(self.y, return_counts=True)
-        return {int(l): int(c) for l, c in zip(labels, counts)}
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
@@ -154,8 +150,9 @@ def write_idx_labels(path: str, labels: np.ndarray) -> None:
 def load_csv(path: str, label_column: str) -> Dataset:
     """Load a headered CSV with numeric features and integer/string labels.
 
-    String labels map to indices by first occurrence. Features are min-max
-    scaled per column to [0, 1]; constant columns scale to zero.
+    String labels map to indices by first occurrence. Every feature cell
+    must be a finite number. Features are min-max scaled per column to
+    [0, 1]; constant columns scale to zero.
     """
     try:
         f = open(path, newline="")
@@ -200,6 +197,13 @@ def load_csv(path: str, label_column: str) -> Dataset:
         y[i] = label_map[lab]
 
     X = np.asarray(rows, dtype=np.float64)
+    bad = np.argwhere(~np.isfinite(X))
+    if len(bad):
+        r, c = bad[0]
+        raise DataError(
+            f"{path}: non-finite feature {X[r, c]} at row {r + 2}, "
+            f"column {header[feat_idx[c]]!r}"
+        )
     lo = X.min(axis=0)
     span = X.max(axis=0) - lo
     span[span == 0.0] = 1.0  # constant column -> all zeros

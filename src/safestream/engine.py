@@ -9,8 +9,8 @@ assembles the total gradient and emits
 
     w_t = w_0 - gamma * g_t / ||g_t||_2 - b_t,
 
-with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine never reads the
-training set after initialization; it keeps only the surviving id set, the
+with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine reads the
+training set once, in its constructor; it keeps only the surviving id set, the
 forgotten points with what about them is frozen at w_0 and t=0 (per-class
 standardized projections and their squared norms, w_0 class probabilities
 and, for the MLP, w_0 hidden activations), and O(1)-per-class statistics.
@@ -218,6 +218,21 @@ def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
     return (ledger.lam / ledger.count) * g, targets
 
 
+def _index_column(values, what: str) -> np.ndarray:
+    """Request ids or labels as a 1-d int64 array; a StreamError unless they
+    are 1-d, numeric and every entry is a whole number."""
+    a = np.atleast_1d(np.asarray(values))
+    if a.ndim != 1 or a.dtype.kind not in "iuf":
+        raise StreamError(f"request {what} must be a 1-d integer array, "
+                          f"got {a.dtype} of shape {a.shape}")
+    with np.errstate(invalid="ignore"):
+        out = a.astype(np.int64, copy=False)
+    if a.dtype.kind != "i" and not np.array_equal(out, a):
+        raise StreamError(f"request {what} must be whole numbers, "
+                          f"got {a[out != a][:3].tolist()}")
+    return out
+
+
 @dataclass
 class RoundResult:
     params: ModelParams
@@ -230,13 +245,19 @@ class RoundResult:
 
 
 class SafeUnlearner:
-    """Single-writer state machine processing one deletion request per round."""
+    """Single-writer state machine processing one deletion request per round.
+
+    The constructor is given the training rows D_0 (features X, labels y,
+    row ids) and reads them there and never again. From them it derives the
+    whole initial state: the retention gradient at w_0, the class counts, the
+    per-class Gaussians under ``projection``, the surviving id set and the
+    shift estimator. A request that ``process_request`` rejects leaves that
+    state unchanged.
+    """
 
     def __init__(self, params0: ModelParams, config: SafeConfig,
-                 retention: RetentionGradState,
-                 gaussians: ClassConditionalGaussians,
-                 class_counts: dict[int, int],
-                 surviving_ids: np.ndarray):
+                 projection: np.ndarray, X: np.ndarray, y: np.ndarray,
+                 ids: np.ndarray):
         config.validate()
         if config.W is None:
             config = replace(config, W=float(np.linalg.norm(params0.theta)))
@@ -244,35 +265,32 @@ class SafeUnlearner:
                 raise ConfigError("cannot resolve W from zero initial parameters")
         self.config = config
         self.params0 = params0.copy()
-        self.retention = retention
-        self.gaussians = gaussians
-        self.class_counts = dict(class_counts)
-        self.surviving = set(int(i) for i in surviving_ids)
+        self.retention = RetentionGradState(grad_cross_entropy(params0, X, y), len(y))
+        labels, counts = np.unique(y, return_counts=True)
+        self.class_counts = {int(c): int(k) for c, k in zip(labels, counts)}
+        self.gaussians = ClassConditionalGaussians.fit(X, y, projection)
+        self.surviving = set(int(i) for i in ids)
         self.ledger = ForgettingLedger(lam=config.lam)
-        self.shift = ShiftEstimator(gaussians, class_counts)
+        self.shift = ShiftEstimator(self.gaussians, self.class_counts)
         self.gamma = learning_rate(config)
         self.phi = perturbation_scale(config)
         self.round = 0
 
-    def _round_rng(self, t: int) -> np.random.Generator:
+    def draw_perturbation(self, t: int) -> np.ndarray:
         # keyed by (seed, round), so a replay of the same requests draws the
         # same perturbation in every round
-        return np.random.default_rng(
+        rng = np.random.default_rng(
             np.random.SeedSequence(entropy=self.config.seed, spawn_key=(t,))
         )
-
-    def draw_perturbation(self, t: int) -> np.ndarray:
-        return self._round_rng(t).normal(
-            0.0, self.phi, size=self.params0.arch.n_params
-        )
+        return rng.normal(0.0, self.phi, size=self.params0.arch.n_params)
 
     def process_request(self, X: np.ndarray, y: np.ndarray,
                         ids: np.ndarray) -> RoundResult:
         t = self.round + 1
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = np.atleast_1d(np.asarray(y, dtype=np.int64))
-        ids = np.atleast_1d(np.asarray(ids, dtype=np.int64))
         # the whole request is checked before any state changes
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        y = _index_column(y, "labels")
+        ids = _index_column(ids, "ids")
         if not (len(X) == len(y) == len(ids)):
             raise StreamError("request features, labels, and ids disagree in length")
         if not np.all(np.isfinite(X)):
@@ -298,6 +316,7 @@ class SafeUnlearner:
         retention = update_retention_grad(self.retention, grad_sum, m)
         frozen = frozen_columns(self.params0, self.gaussians, X) if m else {}
 
+        # remove commits all of its class statistics or none of them
         exhausted = self.gaussians.remove(X, y) if m else []
         self.retention = retention
 

@@ -25,17 +25,5 @@ class StatsError(SafestreamError):
     """Gaussian statistics are degenerate beyond recovery."""
 
 
-class ClassExhaustionError(StatsError):
-    """A deletion would drop a class below the minimum supported count.
-
-    Carries the class index so the caller can freeze that class's statistics
-    and continue.
-    """
-
-    def __init__(self, label: int, message: str):
-        super().__init__(message)
-        self.label = label
-
-
 class NumericalError(SafestreamError):
     """Numerical failure (divergent retrain, non-finite values)."""

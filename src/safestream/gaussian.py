@@ -27,7 +27,7 @@ from scipy import stats as spstats
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dtrtri
 
-from .errors import ClassExhaustionError, ConfigError, StatsError
+from .errors import ConfigError, StatsError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 CHOL_JITTER = 1e-6
@@ -63,24 +63,19 @@ def inverse_cholesky(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def downdate_mean(n: int, mu: np.ndarray, m: int, mu_rm: np.ndarray,
-                  min_count: int, label: int = -1) -> tuple[int, np.ndarray]:
-    """Mean after removing a batch of m points with mean mu_rm."""
+def downdate_mean(n: int, mu: np.ndarray, m: int,
+                  mu_rm: np.ndarray) -> tuple[int, np.ndarray]:
+    """Count and mean after removing a batch of m < n points with mean mu_rm."""
     if m == 0:
         return n, mu.copy()
     n_new = n - m
-    if n_new < min_count:
-        raise ClassExhaustionError(
-            label, f"removing {m} points would leave class {label} with "
-                   f"{n_new} < {min_count} samples"
-        )
     return n_new, (n * mu - m * mu_rm) / n_new
 
 
 def downdate_cov(n: int, sigma: np.ndarray, mu_new: np.ndarray, m: int,
-                 mu_rm: np.ndarray, sigma_rm: np.ndarray,
-                 label: int = -1) -> np.ndarray:
-    """Bessel-corrected covariance after removing a batch.
+                 mu_rm: np.ndarray, sigma_rm: np.ndarray) -> np.ndarray:
+    """Bessel-corrected covariance after removing a batch of m points that
+    leaves n - m >= 2.
 
     sigma_rm is the Bessel-corrected covariance of the removed batch and must
     be the zero matrix when m == 1.
@@ -88,10 +83,6 @@ def downdate_cov(n: int, sigma: np.ndarray, mu_new: np.ndarray, m: int,
     if m == 0:
         return sigma.copy()
     n_new = n - m
-    if n_new < 2:
-        raise ClassExhaustionError(
-            label, f"class {label} would drop to {n_new} < 2 samples"
-        )
     diff = mu_new - mu_rm
     s_new = (
         (n - 1) * sigma
@@ -124,9 +115,9 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ClassStats:
     """Per-class running statistics in the standardized space.
 
-    ``chol`` is set through ``set_chol``, which keeps its inverse
-    ``inv_chol`` and the log-determinant of sigma beside it, so the density
-    ratios of every round reuse them."""
+    The inverse of ``chol`` (``inv_chol``) and the log-determinant of sigma
+    are computed once, on construction, so the density ratios of every round
+    reuse them; a downdate builds new statistics rather than edit these."""
 
     n: int
     mu: np.ndarray
@@ -137,12 +128,8 @@ class ClassStats:
     logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.set_chol(self.chol)
-
-    def set_chol(self, chol: np.ndarray) -> None:
-        self.inv_chol = inverse_cholesky(chol)
-        self.chol = chol
-        self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        self.inv_chol = inverse_cholesky(self.chol)
+        self.logdet = 2.0 * float(np.log(np.diag(self.chol)).sum())
 
     def snapshot(self) -> dict:
         return {
@@ -157,35 +144,39 @@ class ClassConditionalGaussians:
     """Projected, per-class Gaussian model of the surviving training data.
 
     Holds the frozen initial transform (projection + per-class whitening) and
-    the per-class statistics tracked under deletion. A class whose count would
-    fall below ``min_class_count`` freezes at its last valid statistics.
+    the per-class statistics tracked under deletion. ``remove`` alone decides
+    when a class freezes: once its count would fall below
+    ``min_class_count``, it keeps its last statistics.
     """
 
     def __init__(self, projection: np.ndarray, base_mu: dict[int, np.ndarray],
-                 base_chol: dict[int, np.ndarray], stats: dict[int, ClassStats],
-                 min_class_count: int):
+                 base_chol: dict[int, np.ndarray], stats: dict[int, ClassStats]):
         self.projection = projection
         self.base_mu = base_mu
         self.base_chol = base_chol
         self.base_inv = {label: inverse_cholesky(chol)
                          for label, chol in base_chol.items()}
         self.stats = stats
-        self.min_class_count = min_class_count
 
     @property
     def proj_dim(self) -> int:
         return self.projection.shape[1]
 
     @property
+    def min_class_count(self) -> int:
+        """The fewest points a class may keep, proj_dim + 2: ``fit`` rejects
+        a smaller class and ``remove`` freezes a class rather than go below
+        it."""
+        return self.proj_dim + 2
+
+    @property
     def classes(self) -> list[int]:
         return sorted(self.stats)
 
     @classmethod
-    def fit(cls, X: np.ndarray, y: np.ndarray, projection: np.ndarray,
-            min_class_count: int | None = None) -> "ClassConditionalGaussians":
+    def fit(cls, X: np.ndarray, y: np.ndarray,
+            projection: np.ndarray) -> "ClassConditionalGaussians":
         proj_dim = projection.shape[1]
-        if min_class_count is None:
-            min_class_count = proj_dim + 2
         U = X @ projection
         labels = [int(label) for label in np.unique(y)]
         base_mu: dict[int, np.ndarray] = {}
@@ -199,7 +190,7 @@ class ClassConditionalGaussians:
                 )
             base_mu[label], sigma0 = batch_mean_cov(rows)
             base_chol[label] = cholesky_with_jitter(sigma0)
-        gaussians = cls(projection, base_mu, base_chol, {}, min_class_count)
+        gaussians = cls(projection, base_mu, base_chol, {})
         for label in labels:
             Z = gaussians._whiten(U[y == label], label)
             mu, sigma = batch_mean_cov(Z)
@@ -224,12 +215,17 @@ class ClassConditionalGaussians:
         return np.stack([self._whiten(U, label) for label in self.classes])
 
     def remove(self, X: np.ndarray, y: np.ndarray) -> list[int]:
-        """Downdate per-class statistics for a deletion batch.
+        """Downdate the per-class statistics for a deletion batch, all or
+        nothing.
 
-        Returns the labels whose statistics hit exhaustion and froze; already
-        frozen classes are skipped silently.
+        A class the batch would leave with fewer than ``min_class_count``
+        points freezes at its current statistics; already frozen classes are
+        skipped. Every other class's count, mean, covariance and Cholesky
+        factor is computed before any class changes, so a ``StatsError``
+        leaves every class as it was. Returns the labels frozen by this call.
         """
         exhausted: list[int] = []
+        updated: dict[int, ClassStats] = {}
         for label in np.unique(y):
             label = int(label)
             st = self.stats.get(label)
@@ -238,20 +234,17 @@ class ClassConditionalGaussians:
             if st.frozen:
                 continue
             Z = self.standardize_batch(X[y == label], label)
-            mu_rm, sigma_rm = batch_mean_cov(Z)
-            try:
-                n_new, mu_new = downdate_mean(
-                    st.n, st.mu, len(Z), mu_rm, self.min_class_count, label
-                )
-                sigma_new = downdate_cov(
-                    st.n, st.sigma, mu_new, len(Z), mu_rm, sigma_rm, label
-                )
-            except ClassExhaustionError:
-                st.frozen = True
+            if st.n - len(Z) < self.min_class_count:
                 exhausted.append(label)
                 continue
-            st.n, st.mu, st.sigma = n_new, mu_new, sigma_new
-            st.set_chol(cholesky_with_jitter(sigma_new))
+            mu_rm, sigma_rm = batch_mean_cov(Z)
+            n_new, mu_new = downdate_mean(st.n, st.mu, len(Z), mu_rm)
+            sigma_new = downdate_cov(st.n, st.sigma, mu_new, len(Z), mu_rm, sigma_rm)
+            updated[label] = ClassStats(n_new, mu_new, sigma_new,
+                                        cholesky_with_jitter(sigma_new))
+        for label in exhausted:
+            self.stats[label].frozen = True
+        self.stats.update(updated)
         return exhausted
 
     def log_density_vs_base_batch(self, Z: np.ndarray, zz: np.ndarray,

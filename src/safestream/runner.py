@@ -35,7 +35,6 @@ from scipy.stats import multivariate_normal
 from .data import Dataset, load_csv, load_idx, make_synthetic
 from .engine import (
     ZERO_GRAD_TOL,
-    RetentionGradState,
     SafeConfig,
     SafeUnlearner,
     forgetting_gradient,
@@ -264,18 +263,10 @@ def initialize(cfg: RunConfig) -> RunState:
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
     params0 = retrain(train.X, train.y, arch, cfg.retrain)
-    retention0 = RetentionGradState(
-        grad=grad_cross_entropy(params0, train.X, train.y),
-        size_dt=train.n,
-    )
     proj_dim = resolved_proj_dim(cfg.safe, train.dim)
     projection = make_projection(train.dim, proj_dim, derive_seed(cfg.seed, _SEED_PROJ))
-    gaussians = ClassConditionalGaussians.fit(train.X, train.y, projection)
-    safe = replace(cfg.safe, proj_dim=proj_dim)
-    engine = SafeUnlearner(
-        params0, safe, retention0, gaussians, train.class_counts(), train.ids
-    )
-    requests = generate_stream(train, cfg.stream, gaussians.min_class_count)
+    engine = SafeUnlearner(params0, cfg.safe, projection, train.X, train.y, train.ids)
+    requests = generate_stream(train, cfg.stream, engine.gaussians.min_class_count)
     return RunState(train, test, params0, engine, requests)
 
 

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from safestream.data import make_synthetic
-from safestream.engine import RetentionGradState, SafeConfig, SafeUnlearner
-from safestream.gaussian import ClassConditionalGaussians, make_projection
-from safestream.model import Architecture, grad_cross_entropy
+from safestream.engine import SafeConfig, SafeUnlearner
+from safestream.gaussian import make_projection
+from safestream.model import Architecture
 from safestream.oracle import RetrainConfig, retrain
 from safestream.runner import resolved_proj_dim
 
@@ -27,14 +27,7 @@ def relative_error(got: np.ndarray, want: np.ndarray) -> float:
 def build_engine(train, params0, safe: SafeConfig, proj_seed: int = 11):
     proj_dim = resolved_proj_dim(safe, train.dim)
     projection = make_projection(train.dim, proj_dim, proj_seed)
-    gaussians = ClassConditionalGaussians.fit(train.X, train.y, projection)
-    retention = RetentionGradState(
-        grad=grad_cross_entropy(params0, train.X, train.y),
-        size_dt=train.n,
-    )
-    return SafeUnlearner(
-        params0, safe, retention, gaussians, train.class_counts(), train.ids
-    )
+    return SafeUnlearner(params0, safe, projection, train.X, train.y, train.ids)
 
 
 @pytest.fixture(scope="session")

@@ -192,16 +192,8 @@ def test_c05_perturbation_calibration():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 100))
     y = rng.integers(0, 2, 40)
-    g = ClassConditionalGaussians.fit(
-        X, y, make_projection(100, 2, 0), min_class_count=2
-    )
-    from safestream.engine import RetentionGradState
-
-    engine = SafeUnlearner(
-        params0, cfg,
-        RetentionGradState(np.zeros(arch.n_params), 40),
-        g, {0: int((y == 0).sum()), 1: int((y == 1).sum())}, np.arange(40),
-    )
+    engine = SafeUnlearner(params0, cfg, make_projection(100, 2, 0), X, y,
+                           np.arange(40))
     need = 1_000_000
     rounds = need // arch.n_params + 1
     draws = np.concatenate(

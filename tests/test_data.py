@@ -114,6 +114,15 @@ class TestCsv:
         with pytest.raises(DataError, match=r"row 3.*'f2'"):
             load_csv(str(p), "label")
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        # the label column sits between the features, so the column named
+        # must be the feature's own, not its position among the features
+        p = tmp_path / "t.csv"
+        p.write_text(f"f1,label,f2\n1.0,0,2.0\n1.0,1,2.0\n1.0,1,{cell}\n")
+        with pytest.raises(DataError, match=r"non-finite.*row 4, column 'f2'"):
+            load_csv(str(p), "label")
+
     def test_missing_label_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("f1,f2\n1.0,2.0\n")
@@ -172,7 +181,3 @@ class TestDataset:
         assert kept.y.tolist() == [0, 0, 0]
         sel = ds.select_ids(np.array([4, 0]))
         assert sorted(sel.ids.tolist()) == [0, 4]
-
-    def test_class_counts(self):
-        ds = Dataset(np.zeros((4, 1)), [0, 0, 2, 2], np.arange(4))
-        assert ds.class_counts() == {0: 2, 2: 2}

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import rel_entr
 
+import safestream.gaussian
 import safestream.model
+from safestream.data import make_synthetic
 from safestream.engine import (
     ForgettingLedger,
     RetentionGradState,
@@ -14,8 +18,8 @@ from safestream.engine import (
     perturbation_scale,
     update_retention_grad,
 )
-from safestream.errors import ConfigError, StreamError
-from safestream.gaussian import sq_norms
+from safestream.errors import ConfigError, StatsError, StreamError
+from safestream.gaussian import batch_mean_cov, make_projection, sq_norms
 from safestream.model import (
     Architecture,
     ModelParams,
@@ -24,6 +28,7 @@ from safestream.model import (
     init_params,
     predict_proba_batch,
 )
+from safestream.oracle import RetrainConfig, retrain
 from safestream.shift import ShiftEstimator
 
 from conftest import build_engine, central_difference, relative_error
@@ -271,25 +276,14 @@ class TestProcessRequest:
             assert abs(np.linalg.norm(step) - engine.gamma) < 1e-10
 
     def test_zero_gradient_skips_normalized_step(self):
-        # two identical inputs with different labels make the mean gradient
+        # identical inputs with different labels make the mean gradient
         # exactly zero at theta = 0
         arch = Architecture(2, 2)
         params0 = ModelParams(arch, np.zeros(arch.n_params))
-        X = np.array([[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [-1.0, 0.5]])
-        y = np.array([0, 1, 0, 1])
-        from safestream.gaussian import ClassConditionalGaussians, make_projection
-
-        g = ClassConditionalGaussians.fit(
-            np.vstack([X] * 3), np.tile(y, 3), make_projection(2, 1, 0),
-            min_class_count=1,
-        )
-        retention = RetentionGradState(
-            grad_cross_entropy(params0, X, y), len(X)
-        )
-        eng = SafeUnlearner(
-            params0, SafeConfig(T=3, W=1.0, seed=9), retention, g,
-            {0: 2, 1: 2}, np.arange(4),
-        )
+        X = np.vstack([[[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [-1.0, 0.5]]] * 3)
+        y = np.tile([0, 1, 0, 1], 3)
+        eng = SafeUnlearner(params0, SafeConfig(T=3, W=1.0, seed=9),
+                            make_projection(2, 1, 0), X, y, np.arange(12))
         res = eng.process_request(np.empty((0, 2)), np.empty(0, int), np.empty(0, int))
         assert res.grad_norm < 1e-12
         assert np.allclose(res.params.theta, params0.theta - res.perturbation)
@@ -337,6 +331,43 @@ class TestProcessRequest:
         with pytest.raises(StreamError, match="not fitted classes"):
             engine.process_request(train.X[4:8], y, train.ids[4:8])
         assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("column, value", [
+        ("ids", lambda a: a + np.array([0.0, 0.5, 0.0, 0.0])),
+        ("labels", lambda a: np.where(np.arange(4) == 2, 1.7, a)),
+        ("ids", lambda a: np.where(np.arange(4) == 1, np.nan, a)),
+        ("labels", lambda a: np.where(np.arange(4) == 3, np.inf, a)),
+        ("ids", lambda a: np.full(4, 2.0**63)),
+        ("ids", lambda a: a.reshape(2, 2)),
+        ("labels", lambda a: a.reshape(2, 2)),
+        ("ids", lambda a: a.astype(str)),
+    ], ids=["fractional-id", "fractional-label", "nan-id", "inf-label",
+            "id-past-int64", "2d-ids", "2d-labels", "string-ids"])
+    def test_non_integer_ids_or_labels_rejected_before_any_change(
+        self, engine, blob_task, column, value
+    ):
+        train, _, _ = blob_task
+        engine.process_request(train.X[:4], train.y[:4], train.ids[:4])
+        before = engine_state(engine)
+        y, ids = train.y[4:8], train.ids[4:8]
+        if column == "ids":
+            ids = value(ids)
+        else:
+            y = value(y)
+        with pytest.raises(StreamError, match=f"request {column}"):
+            engine.process_request(train.X[4:8], y, ids)
+        assert engine_state(engine) == before
+
+    def test_whole_float_ids_and_labels_pass(self, engine, blob_task):
+        train, _, params0 = blob_task
+        twin = build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+        empty = np.empty((0, train.dim))
+        for eng, cast in ((engine, float), (twin, int)):
+            eng.process_request(empty, np.empty(0, cast), np.empty(0, cast))
+            eng.process_request(train.X[:4], train.y[:4].astype(cast),
+                                train.ids[:4].astype(cast))
+        assert engine.ledger.count == 4
+        assert engine_state(engine) == engine_state(twin)
 
     def test_ledger_projection_cache_matches_fresh_standardization(
         self, engine, blob_task
@@ -395,6 +426,143 @@ class TestProcessRequest:
     def test_perturbation_calibration_small(self, engine):
         draws = np.concatenate([engine.draw_perturbation(t) for t in range(1, 2000)])
         assert abs(draws.std() / engine.phi - 1.0) < 0.02
+
+
+def test_failed_downdate_leaves_every_class_unchanged(engine, blob_task,
+                                                      monkeypatch):
+    # the second Cholesky factor of a two-class request fails: the class
+    # downdated first must not keep its new statistics
+    train, _, params0 = blob_task
+    twin = build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+    for eng in (engine, twin):
+        eng.process_request(train.X[:4], train.y[:4], train.ids[:4])
+    before = engine_state(engine)
+    idx = np.concatenate([4 + np.flatnonzero(train.y[4:] == c)[:5] for c in (0, 1)])
+    calls = []
+    exact = safestream.gaussian.cholesky_with_jitter
+
+    def second_call_fails(sigma):
+        calls.append(sigma)
+        if len(calls) == 2:
+            raise StatsError("injected failure")
+        return exact(sigma)
+
+    monkeypatch.setattr(safestream.gaussian, "cholesky_with_jitter", second_call_fails)
+    with pytest.raises(StatsError, match="injected"):
+        engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
+    assert len(calls) == 2
+    assert engine_state(engine) == before
+    # the rejected request leaves an engine that goes on like one that
+    # never saw it
+    monkeypatch.undo()
+    for eng in (engine, twin):
+        eng.process_request(train.X[idx], train.y[idx], train.ids[idx])
+    assert engine_state(engine) == engine_state(twin)
+
+
+@pytest.fixture(scope="module")
+def small_task():
+    train, _ = make_synthetic(240, 6, 3, 4.0, seed=21)
+    arch = Architecture(train.dim, train.n_classes)
+    params0 = retrain(train.X, train.y, arch, RetrainConfig(epochs=40, lr=1.0, seed=0))
+    return train, params0
+
+
+FOREIGN_ID = 10_000_000
+
+# one request:
+# - rows: training rows by index (repeats allowed, taken modulo n);
+# - drain: (label, leave) adds every row of class ``label`` (of every class
+#   when None) but the first ``leave``; with min_class_count 5 this drains a
+#   class to its minimum or past it, or asks to empty the data;
+# - foreign: adds an id the engine never had;
+# - fault: adds one bad row that must get the whole request rejected
+REQUEST = st.fixed_dictionaries({
+    "rows": st.lists(st.integers(0, 10_000), max_size=25),
+    "drain": st.none() | st.tuples(st.sampled_from([0, 1, 2, None]),
+                                   st.sampled_from([0, 1, 4, 5, 6])),
+    "foreign": st.booleans(),
+    "fault": st.sampled_from([None, None, "nan-row", "unknown-label",
+                              "fractional-id"]),
+})
+
+
+def build_request(train, req):
+    """The request's (X, y, ids) and the training row indices it names."""
+    idx = np.array(req["rows"], dtype=np.int64) % train.n
+    if req["drain"] is not None:
+        label, leave = req["drain"]
+        rows = np.arange(train.n) if label is None else np.flatnonzero(train.y == label)
+        idx = np.concatenate([idx, rows[leave:]])
+    X, y, ids = train.X[idx], train.y[idx], train.ids[idx]
+    extra = []
+    if req["foreign"]:
+        extra.append((np.zeros(train.dim), 0, FOREIGN_ID))
+    if req["fault"] == "nan-row":
+        extra.append((np.full(train.dim, np.nan), 0, train.ids[0]))
+    elif req["fault"] == "unknown-label":
+        extra.append((train.X[0], 7, train.ids[0]))
+    elif req["fault"] == "fractional-id":
+        extra.append((train.X[0], train.y[0], 0.5))
+    for x, label, i in extra:
+        X, y, ids = np.vstack([X, x]), np.append(y, label), np.append(ids, i)
+    return X, y, ids, idx
+
+
+def check_stream_invariants(engine, train, params0, alive, counts0):
+    size = int(alive.sum())
+    assert engine.retention.size_dt == len(engine.surviving) == size
+    assert sum(engine.class_counts.values()) == size
+    assert engine.surviving == set(train.ids[alive].tolist())
+    spent = np.bincount(engine.ledger.y, minlength=len(counts0))
+    assert engine.class_counts == {c: n - int(spent[c]) for c, n in counts0.items()}
+    gaussians = engine.gaussians
+    for label, stats in gaussians.stats.items():
+        count = engine.class_counts[label]
+        assert stats.frozen == (count < gaussians.min_class_count)
+        if stats.frozen:
+            continue
+        assert stats.n == count
+        Z = gaussians.standardize_batch(train.X[alive & (train.y == label)], label)
+        mu, sigma = batch_mean_cov(Z)
+        assert np.abs(stats.mu - mu).max() < 1e-8
+        assert np.abs(stats.sigma - sigma).max() < 1e-8
+    direct = grad_cross_entropy(params0, train.X[alive], train.y[alive])
+    assert np.abs(engine.retention.grad - direct).max() < 1e-10
+
+
+def drain(label, leave):
+    return {"rows": [], "drain": (label, leave), "foreign": False, "fault": None}
+
+
+@given(requests=st.lists(REQUEST, max_size=6))
+# always cover: a class drained to exactly its minimum, then past it; a
+# request that would empty the data
+@example(requests=[drain(0, 5), drain(0, 4), drain(None, 0)])
+@settings(max_examples=60, deadline=None)
+def test_request_stream_invariants(small_task, requests):
+    train, params0 = small_task
+    engine = build_engine(train, params0,
+                          SafeConfig(T=6, lam=100.0, proj_dim=3, seed=1))
+    counts0 = dict(engine.class_counts)
+    alive = np.ones(train.n, dtype=bool)
+    for req in requests:
+        X, y, ids, idx = build_request(train, req)
+        hit = np.unique(idx[alive[idx]])
+        before = engine_state(engine)
+        frozen_before = {c for c, s in engine.gaussians.stats.items() if s.frozen}
+        if req["fault"] is not None or len(hit) == alive.sum():
+            with pytest.raises(StreamError):
+                engine.process_request(X, y, ids)
+            assert engine_state(engine) == before
+        else:
+            result = engine.process_request(X, y, ids)
+            assert result.accepted == len(hit)
+            assert result.dropped == len(y) - len(hit)
+            frozen = {c for c, s in engine.gaussians.stats.items() if s.frozen}
+            assert result.exhausted_classes == sorted(frozen - frozen_before)
+            alive[hit] = False
+        check_stream_invariants(engine, train, params0, alive, counts0)
 
 
 def test_ledger_counts_and_rounds():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 
-from safestream.errors import ClassExhaustionError, ConfigError, StatsError
+from safestream.errors import ConfigError, StatsError
 from safestream.gaussian import (
     ClassConditionalGaussians,
     ClassStats,
@@ -26,7 +26,7 @@ def log_ratio(Z, mu, sigma):
     whose frozen transform is the identity."""
     d = len(mu)
     st = ClassStats(50, mu, sigma, np.linalg.cholesky(sigma))
-    g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st}, d + 2)
+    g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st})
     Z = np.atleast_2d(Z)
     return g.log_density_vs_base_batch(Z, sq_norms(Z), 0)
 
@@ -57,13 +57,13 @@ def test_projection_too_wide_rejected():
         make_projection(4, 5, seed=0)
 
 
-def scalar_downdate(data, remove, min_count=0):
+def scalar_downdate(data, remove):
     """Two-pass oracle plus the recursive path on 1-d data."""
     data = np.asarray(data, dtype=float)[:, None]
     remove = np.asarray(remove, dtype=float)[:, None]
     mu, sigma = batch_mean_cov(data)
     mu_rm, sigma_rm = batch_mean_cov(remove) if len(remove) else (np.zeros(1), np.zeros((1, 1)))
-    n_new, mu_new = downdate_mean(len(data), mu, len(remove), mu_rm, min_count)
+    n_new, mu_new = downdate_mean(len(data), mu, len(remove), mu_rm)
     sigma_new = downdate_cov(len(data), sigma, mu_new, len(remove), mu_rm, sigma_rm)
     return n_new, float(mu_new[0]), float(sigma_new[0, 0])
 
@@ -85,7 +85,7 @@ def test_downdate_cov_scalar_example():
 def test_downdate_empty_batch_noop():
     data = np.random.default_rng(0).standard_normal((30, 3))
     mu, sigma = batch_mean_cov(data)
-    n_new, mu_new = downdate_mean(30, mu, 0, np.zeros(3), 0)
+    n_new, mu_new = downdate_mean(30, mu, 0, np.zeros(3))
     sigma_new = downdate_cov(30, sigma, mu_new, 0, np.zeros(3), np.zeros((3, 3)))
     assert n_new == 30
     assert np.array_equal(mu_new, mu) and np.array_equal(sigma_new, sigma)
@@ -94,15 +94,8 @@ def test_downdate_empty_batch_noop():
 def test_downdate_centroid_removal_keeps_mean():
     data = np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
     mu, _ = batch_mean_cov(data)  # (0, 0)
-    _, mu_new = downdate_mean(3, mu, 1, np.zeros(2), 0)
+    _, mu_new = downdate_mean(3, mu, 1, np.zeros(2))
     assert np.allclose(mu_new, mu, atol=1e-15)
-
-
-def test_downdate_exhaustion_raises():
-    with pytest.raises(ClassExhaustionError):
-        downdate_mean(10, np.zeros(2), 5, np.zeros(2), min_count=6, label=1)
-    with pytest.raises(ClassExhaustionError):
-        downdate_cov(3, np.eye(2), np.zeros(2), 2, np.zeros(2), np.zeros((2, 2)))
 
 
 def test_sequential_downdates_match_two_pass():
@@ -114,7 +107,7 @@ def test_sequential_downdates_match_two_pass():
     for _ in range(20):
         idx = rng.choice(np.flatnonzero(alive), 10, replace=False)
         mu_rm, sigma_rm = batch_mean_cov(data[idx])
-        n, mu = downdate_mean(n, mu, len(idx), mu_rm, 0)
+        n, mu = downdate_mean(n, mu, len(idx), mu_rm)
         sigma = downdate_cov(n + len(idx), sigma, mu, len(idx), mu_rm, sigma_rm)
         alive[idx] = False
     mu_direct, sigma_direct = batch_mean_cov(data[alive])
@@ -135,7 +128,7 @@ def test_downdate_order_independent(seed):
         mu, sigma = batch_mean_cov(data)
         for batch in batches:
             mu_rm, sigma_rm = batch_mean_cov(batch)
-            n, mu = downdate_mean(n, mu, len(batch), mu_rm, 0)
+            n, mu = downdate_mean(n, mu, len(batch), mu_rm)
             sigma = downdate_cov(n + len(batch), sigma, mu, len(batch), mu_rm, sigma_rm)
         return mu, sigma
 
@@ -235,7 +228,6 @@ class TestClassGaussians:
             {0: np.zeros(6)},
             {0: np.eye(6)},
             {0: g.stats[0]},
-            g.min_class_count,
         )
         x = X[0]
         assert np.allclose(g2.standardize_batch(x[None, :], 0), x @ g.projection, atol=1e-12)
@@ -280,6 +272,24 @@ class TestClassGaussians:
             assert st.n == len(rows)
             assert np.abs(st.mu - mu).max() < 1e-8
             assert np.abs(st.sigma - sigma).max() < 1e-8
+
+    def test_remove_freezes_only_below_min_class_count(self):
+        # a batch that leaves exactly min_class_count points downdates; one
+        # that would leave one fewer freezes the class where it stands
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((40, 5))
+        y = np.zeros(40, dtype=int)
+        g = ClassConditionalGaussians.fit(X, y, make_projection(5, 3, seed=5))
+        assert g.min_class_count == 5
+        assert g.remove(X[:35], y[:35]) == []
+        st = g.stats[0]
+        mu, sigma = batch_mean_cov(g.standardize_batch(X[35:], 0))
+        assert st.n == 5 and not st.frozen
+        assert np.abs(st.mu - mu).max() < 1e-8
+        assert np.abs(st.sigma - sigma).max() < 1e-8
+        before = st.snapshot()
+        assert g.remove(X[35:36], y[35:36]) == [0]
+        assert g.snapshot()["0"] == {**before, "frozen": True}
 
     def test_exhaustion_freezes_stats(self):
         rng = np.random.default_rng(4)

@@ -265,6 +265,25 @@ class TestCli:
         code = main(["run", "--config", cfg, "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
 
+    def test_non_finite_csv_cell_exit_code(self, tmp_path):
+        # a nan cell is a data error, caught on load, not a retrain that
+        # diverges later (exit 3)
+        rng = np.random.default_rng(2)
+        lines = ["a,b,label"] + [f"{u:.6f},{v:.6f},{i % 2}" for i, (u, v)
+                                 in enumerate(rng.uniform(0, 1, (40, 2)))]
+        lines[7] = "nan,0.5,0"
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = self.write_cfg(
+            tmp_path,
+            dataset={"kind": "csv", "path": str(data), "label_column": "label"},
+            safe={"proj_dim": 1}, stream={"rounds": 1, "per_round": 2},
+        )
+        out = tmp_path / "o.jsonl"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        rec = json.loads(out.read_text().splitlines()[-1])
+        assert rec["error"] == "DataError" and "row 8, column 'a'" in rec["message"]
+
     def test_error_record_written(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, stream={"rounds": 100, "per_round": 100})
         out = tmp_path / "err.jsonl"

@@ -73,7 +73,7 @@ def test_density_ratio_closed_form_mean_shift():
     mu[0] = delta
     stats = {0: ClassStats(50, mu, np.eye(dim), np.eye(dim))}
     g = ClassConditionalGaussians(
-        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
+        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
     )
     got = density_ratio(np.zeros((1, dim)), np.zeros(1), g, 0)
     assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
@@ -98,7 +98,7 @@ def test_density_ratio_clipped_positive_finite():
     far_mu = np.full(dim, 80.0)
     stats = {0: ClassStats(50, far_mu, np.eye(dim), np.eye(dim))}
     g = ClassConditionalGaussians(
-        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats, dim + 2
+        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
     )
     Z = np.vstack([np.zeros(dim), far_mu])
     low, high = density_ratio(Z, sq_norms(Z), g, 0)

@@ -65,23 +65,20 @@ def inverse_cholesky(chol: np.ndarray) -> np.ndarray:
 
 def downdate_mean(n: int, mu: np.ndarray, m: int,
                   mu_rm: np.ndarray) -> tuple[int, np.ndarray]:
-    """Count and mean after removing a batch of m < n points with mean mu_rm."""
-    if m == 0:
-        return n, mu.copy()
+    """Count and mean after removing a batch of 1 <= m < n points with mean
+    mu_rm."""
     n_new = n - m
     return n_new, (n * mu - m * mu_rm) / n_new
 
 
 def downdate_cov(n: int, sigma: np.ndarray, mu_new: np.ndarray, m: int,
                  mu_rm: np.ndarray, sigma_rm: np.ndarray) -> np.ndarray:
-    """Bessel-corrected covariance after removing a batch of m points that
-    leaves n - m >= 2.
+    """Bessel-corrected covariance after removing a batch of m >= 1 points
+    that leaves n - m >= 2.
 
     sigma_rm is the Bessel-corrected covariance of the removed batch and must
     be the zero matrix when m == 1.
     """
-    if m == 0:
-        return sigma.copy()
     n_new = n - m
     diff = mu_new - mu_rm
     s_new = (

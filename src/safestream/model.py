@@ -15,17 +15,26 @@ targets. ``forward_proba`` is the exception: it returns the class-major
 forward pass itself, so a caller can keep it and hand it back to the KL
 backward.
 
-Prepared rows: ``prepare_rows`` is the one label check. It rejects an empty
-batch or a label outside [0, C), and builds the class-major one-hot labels
-(C, n) as floats, which subtract in about half the time of a boolean
-compare. Both cross-entropy functions read their labels through it. A
-full-batch fit prepares its rows once, before the first epoch, and hands
-them to ``grad_cross_entropy`` every epoch; a one-off call prepares its own
-and runs the same kernel, so both give the same bits.
+Prepared rows: one check covers every labelled batch (no empty batch, one
+label per row, every label in [0, C)) and builds the class-major one-hot
+labels (C, n) as floats, which subtract in about half the time of a boolean
+compare. ``prepare_rows`` adds what a gradient reads: ``Xt1``, a contiguous
+copy of Xᵀ with a row of ones under it, (d+1, n). The first layer of either
+head then runs as one GEMM, ``[W | b] @ Xt1``, and its weight and bias
+gradients come from one GEMM, ``dpre @ Xt1.T``: no bias add, no sum over
+rows, and the forward GEMM reads a contiguous operand. A full-batch fit
+prepares its rows once, before the first epoch, and hands them to
+``grad_cross_entropy`` every epoch and to its final loss check; a one-off
+call prepares its own and runs the same kernel, so both give the same bits.
+Forward-only calls (``forward_proba``, the cross-entropy of raw rows, the KL
+backward over the ledger) keep the rows X (n, d) and ``w @ X.T``: each runs
+one GEMM over its rows, so a transposed copy would cost more than the faster
+GEMM saves.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +57,19 @@ class Architecture:
             raise ConfigError(f"invalid architecture {self}")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ConfigError(f"invalid hidden_dim {self.hidden_dim}")
+
+    @functools.cached_property
+    def _first_layer_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays between the first layer's slice of theta, its
+        (out, d) weights then its out biases, and the (out, d+1) matrix
+        [W | b]: theta[take] is [W | b], and G.ravel()[back] lays an
+        (out, d+1) gradient out in theta's order."""
+        d = self.input_dim
+        out = self.n_classes if self.hidden_dim is None else self.hidden_dim
+        take = np.empty((out, d + 1), dtype=np.intp)
+        take[:, :d] = np.arange(out * d).reshape(out, d)
+        take[:, d] = np.arange(out * d, out * (d + 1))
+        return take, np.argsort(take.ravel())
 
     @property
     def n_params(self) -> int:
@@ -96,33 +118,40 @@ def _linear_views(arch: Architecture, theta: np.ndarray):
 
 def _mlp_views(arch: Architecture, theta: np.ndarray):
     d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
-    o = 0
-    w1 = theta[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = theta[o : o + h]
-    o += h
-    w2 = theta[o : o + c * h].reshape(c, h)
-    o += c * h
-    b2 = theta[o : o + c]
-    return w1, b1, w2, b2
+    o1 = h * d
+    o2 = o1 + h
+    o3 = o2 + c * h
+    return theta[:o1].reshape(h, d), theta[o1:o2], theta[o2:o3].reshape(c, h), theta[o3:]
 
 
-def _forward(params: ModelParams, X: np.ndarray):
-    """Class-major logits (C, n) for the rows of X (n, d); returns
-    (logits, hidden) with hidden (h, n), None for the linear head."""
-    arch = params.arch
+def _check_input(arch: Architecture, X: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[1] != arch.input_dim:
         raise ConfigError(f"input has shape {X.shape}, arch expects (*, {arch.input_dim})")
-    # biases are added in place: the same sums, one (C, n) temporary fewer
-    if arch.hidden_dim is None:
-        w, b = _linear_views(arch, params.theta)
-        logits = w @ X.T
-        logits += b[:, None]
-        return logits, None
-    w1, b1, w2, b2 = _mlp_views(arch, params.theta)
-    hidden = w1 @ X.T
-    hidden += b1[:, None]
-    np.tanh(hidden, out=hidden)
+
+
+def _first_layer(params: ModelParams, X: np.ndarray | TrainingRows) -> np.ndarray:
+    """The (out, n) pre-activations of the first layer (the linear head's
+    logits, the MLP's hidden layer) for the rows X (n, d) or the prepared
+    ``TrainingRows`` X."""
+    arch = params.arch
+    if isinstance(X, TrainingRows):
+        return params.theta[arch._first_layer_order[0]] @ X.Xt1
+    _check_input(arch, X)
+    views = _linear_views if arch.hidden_dim is None else _mlp_views
+    w, b = views(arch, params.theta)[:2]
+    pre = w @ X.T
+    pre += b[:, None]  # in place: the same sums, one (out, n) temporary fewer
+    return pre
+
+
+def _forward(params: ModelParams, X: np.ndarray | TrainingRows):
+    """Class-major logits (C, n) for the rows X (n, d) or the ``TrainingRows``
+    X; returns (logits, hidden) with hidden (h, n), None for the linear head."""
+    pre = _first_layer(params, X)
+    if params.arch.hidden_dim is None:
+        return pre, None
+    _, _, w2, b2 = _mlp_views(params.arch, params.theta)
+    hidden = np.tanh(pre, out=pre)
     logits = w2 @ hidden
     logits += b2[:, None]
     return logits, hidden
@@ -148,65 +177,108 @@ def predict_proba_batch(params: ModelParams, X: np.ndarray) -> np.ndarray:
     return forward_proba(params, X)[0].T
 
 
-def cross_entropy_rows(params: ModelParams, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-row -log p_y over a batch, each p_y clamped at 1e-12 before the log."""
-    rows = prepare_rows(params.arch, X, y)
-    p, _ = forward_proba(params, rows.X)
+def neg_log_prob(p_y: np.ndarray) -> np.ndarray:
+    """-log p_y, each p_y clamped at 1e-12 before the log."""
+    return -np.log(np.maximum(p_y, PROB_FLOOR))
+
+
+def cross_entropy_rows(params: ModelParams, X: np.ndarray | TrainingRows,
+                       y: np.ndarray | None = None) -> np.ndarray:
+    """Per-row -log p_y over a batch: the rows X with labels y, or the
+    ``TrainingRows`` X, with y left None."""
+    if isinstance(X, TrainingRows):
+        onehot = X.onehot
+    else:
+        X, onehot = _checked_rows(params.arch, X, y)
+    p = _softmax(_forward(params, X)[0])
     # each one-hot column has one nonzero entry, so its sum is p_y exactly
-    py = np.maximum((p * rows.onehot).sum(axis=0), PROB_FLOOR)
-    return -np.log(py)
+    return neg_log_prob((p * onehot).sum(axis=0))
 
 
-def mean_cross_entropy(params: ModelParams, X: np.ndarray, y: np.ndarray) -> float:
+def mean_cross_entropy(params: ModelParams, X: np.ndarray | TrainingRows,
+                       y: np.ndarray | None = None) -> float:
     """Mean of ``cross_entropy_rows`` over a batch."""
     return float(cross_entropy_rows(params, X, y).mean())
 
 
-def _backprop_sum(params: ModelParams, X: np.ndarray, dlogits: np.ndarray,
-                  hidden: np.ndarray | None) -> np.ndarray:
+def _first_layer_grad(arch: Architecture, X: np.ndarray | TrainingRows,
+                      dpre: np.ndarray) -> np.ndarray:
+    """Flat gradient of the first layer's weights then biases, given its
+    (out, n) pre-activation gradients and the rows X (n, d) or the
+    ``TrainingRows`` X."""
+    if isinstance(X, TrainingRows):
+        return (dpre @ X.Xt1.T).ravel()[arch._first_layer_order[1]]
+    return np.concatenate([(dpre @ X).ravel(), dpre.sum(axis=1)])
+
+
+def _backprop_sum(params: ModelParams, X: np.ndarray | TrainingRows,
+                  dlogits: np.ndarray, hidden: np.ndarray | None) -> np.ndarray:
     """Flat gradient of sum_i L_i given the class-major (C, n) dL_i/dlogits_i
-    columns and the (h, n) hidden activations."""
+    columns, the (h, n) hidden activations and the rows X (n, d) or the
+    ``TrainingRows`` X."""
     arch = params.arch
     if arch.hidden_dim is None:
-        gw = dlogits @ X
-        gb = dlogits.sum(axis=1)
-        return np.concatenate([gw.ravel(), gb])
-    w1, b1, w2, b2 = _mlp_views(arch, params.theta)
+        return _first_layer_grad(arch, X, dlogits)
+    w2 = _mlp_views(arch, params.theta)[2]
     gw2 = dlogits @ hidden.T
     gb2 = dlogits.sum(axis=1)
-    dpre = (w2.T @ dlogits) * (1.0 - hidden * hidden)
-    gw1 = dpre @ X
-    gb1 = dpre.sum(axis=1)
-    return np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+    dpre = w2.T @ dlogits
+    dpre *= 1.0 - hidden * hidden
+    return np.concatenate([_first_layer_grad(arch, X, dpre), gw2.ravel(), gb2])
 
 
 @dataclass
 class TrainingRows:
-    """A labelled batch prepared by ``prepare_rows``: the rows X (n, d),
-    their labels checked once and held as class-major one-hot floats
-    (C, n)."""
+    """A labelled batch prepared by ``prepare_rows``: the rows as ``Xt1``,
+    Xᵀ with a row of ones under it (d+1, n), and their labels checked once
+    and held as class-major one-hot floats (C, n)."""
 
-    X: np.ndarray
+    Xt1: np.ndarray
     onehot: np.ndarray
 
+    def __len__(self) -> int:
+        return self.onehot.shape[1]
 
-def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRows:
-    """The rows X with labels y, ready for ``grad_cross_entropy``."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    y = np.atleast_1d(np.asarray(y, dtype=np.int64))
+
+def _checked_rows(arch: Architecture, X: np.ndarray, y: np.ndarray):
+    """The rows X (n, d) as floats and their class-major one-hot labels,
+    after the one check of a labelled batch."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    # a single row or label is a batch of one
+    if X.ndim < 2:
+        X = X.reshape(1, -1)
+    if y.ndim < 1:
+        y = y.reshape(1)
     if len(X) == 0:
         raise ConfigError("empty batch")
     if len(y) != len(X):
         raise ConfigError(f"{len(y)} labels for {len(X)} rows")
+    _check_input(arch, X)
     onehot = y == np.arange(arch.n_classes)[:, None]
     # an in-range label sets exactly one entry of its column, any other none
     if np.count_nonzero(onehot) != len(y):
         raise ConfigError(f"labels outside [0, {arch.n_classes})")
-    # X keeps its layout: a contiguous copy of Xᵀ makes the linear head's
-    # forward GEMM about 2.5x faster, but OpenBLAS then runs another kernel,
-    # whose logits differ in the last bits for many n (at 5 classes and 16
-    # features, whenever n % 8 is 1 to 4)
-    return TrainingRows(X, onehot.astype(np.float64))
+    return X, onehot.astype(np.float64)
+
+
+def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRows:
+    """The rows X with labels y, ready for ``grad_cross_entropy``."""
+    X, onehot = _checked_rows(arch, X, y)
+    # Xt1, built once per fit, turns the first layer into one GEMM each way:
+    # [W | b] @ Xt1 replaces the forward GEMM against the strided Xᵀ (at
+    # 5x16x3960, 21 against 60 µs) and the bias add, and dpre @ Xt1.T gives
+    # the bias gradient with the weights', in place of a sum over rows. On a
+    # contiguous operand OpenBLAS runs another kernel, so the logits differ
+    # from w @ X.T + b in the last bits (at 5 classes and 16 features,
+    # whenever n % 8 is 1 to 4). Forward-only calls keep X and w @ X.T: a
+    # call runs one GEMM, and at 4000 rows the copy would cost 78 µs to save
+    # 13.
+    n, d = X.shape
+    Xt1 = np.empty((d + 1, n))
+    Xt1[:d] = X.T
+    Xt1[d] = 1.0
+    return TrainingRows(Xt1, onehot)
 
 
 def grad_cross_entropy(params: ModelParams, X: np.ndarray | TrainingRows,
@@ -214,10 +286,12 @@ def grad_cross_entropy(params: ModelParams, X: np.ndarray | TrainingRows,
     """Mean analytic gradient of the cross-entropy over a batch: the rows X
     with labels y, or the ``TrainingRows`` X, with y left None."""
     rows = X if isinstance(X, TrainingRows) else prepare_rows(params.arch, X, y)
-    logits, hidden = _forward(params, rows.X)
+    logits, hidden = _forward(params, rows)
     dlogits = _softmax(logits)
     dlogits -= rows.onehot
-    return _backprop_sum(params, rows.X, dlogits, hidden) / len(rows.X)
+    g = _backprop_sum(params, rows, dlogits, hidden)
+    g /= len(rows)
+    return g
 
 
 def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:

@@ -16,11 +16,11 @@ from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
     ModelParams,
-    cross_entropy_rows,
     grad_cross_entropy,
     init_params,
     kl_rows,
     mean_cross_entropy,
+    neg_log_prob,
     predict_proba_batch,
     prepare_rows,
 )
@@ -53,12 +53,15 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     params = init_params(arch, np.random.default_rng(config.seed))
     for _ in range(config.epochs):
         g = grad_cross_entropy(params, rows)
-        if not np.all(np.isfinite(g)):
+        # np.linalg.norm of a 1-d float vector is this same sqrt(g @ g); a
+        # square that is not finite leaves g finite only when it overflowed
+        sq = g @ g
+        if not np.isfinite(sq) and not np.all(np.isfinite(g)):
             raise NumericalError("retrain diverged: non-finite gradient")
-        if np.linalg.norm(g) < GRAD_TOL:
+        if np.sqrt(sq) < GRAD_TOL:
             break
         params.theta -= config.lr * g
-    if not np.isfinite(mean_cross_entropy(params, rows.X, y)):
+    if not np.isfinite(mean_cross_entropy(params, rows)):
         raise NumericalError("retrain diverged: non-finite loss")
     return params
 
@@ -92,7 +95,9 @@ def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
     risk = (len(X0) / size_dt) * r0
     if ledger.count:
         p_led = predict_proba_batch(params, ledger.X)
-        risk -= cross_entropy_rows(params, ledger.X, ledger.y).sum() / size_dt
+        # the ledger losses read p_y from the same forward pass as the KL term
+        p_y = p_led[np.arange(ledger.count), ledger.y]
+        risk -= neg_log_prob(p_y).sum() / size_dt
         risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
     return float(risk)
 

@@ -9,6 +9,31 @@ from safestream.oracle import RetrainConfig, retrain
 from safestream.runner import resolved_proj_dim
 
 
+def textbook_grad(arch: Architecture, theta: np.ndarray, X: np.ndarray,
+                  y: np.ndarray) -> np.ndarray:
+    """Mean cross-entropy gradient written out row-major: one row of logits
+    per sample, the softmax spelled out, the gradient layer by layer."""
+    d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
+    Y = np.eye(c)[y]
+    if h is None:
+        W, b = theta[: c * d].reshape(c, d), theta[c * d:]
+        H = X
+    else:
+        W1 = theta[: h * d].reshape(h, d)
+        b1 = theta[h * d: h * d + h]
+        W = theta[h * d + h: h * d + h + c * h].reshape(c, h)
+        b = theta[h * d + h + c * h:]
+        H = np.tanh(X @ W1.T + b1)
+    logits = H @ W.T + b
+    E = np.exp(logits - logits.max(axis=1, keepdims=True))
+    D = (E / E.sum(axis=1, keepdims=True) - Y) / len(X)
+    grad = [(D.T @ H).ravel(), D.sum(axis=0)]
+    if h is not None:
+        Dh = (D @ W) * (1.0 - H * H)
+        grad = [(Dh.T @ X).ravel(), Dh.sum(axis=0)] + grad
+    return np.concatenate(grad)
+
+
 def central_difference(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     g = np.zeros_like(theta)
     for i in range(len(theta)):

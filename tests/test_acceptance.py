@@ -7,6 +7,7 @@ lines and timings.
 import io
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -410,7 +411,7 @@ def test_c12_idx_round_trip(tmp_path):
     ) and np.array_equal(ds.y, labels.astype(np.int64))
 
     bad_magic = tmp_path / "bad.idx"
-    raw = bytearray(open(ip, "rb").read())
+    raw = bytearray(Path(ip).read_bytes())
     raw[0] = 0xFF
     bad_magic.write_bytes(bytes(raw))
     try:
@@ -420,7 +421,7 @@ def test_c12_idx_round_trip(tmp_path):
         magic_rejected = "offset 0" in str(e)
 
     trunc = tmp_path / "trunc.idx"
-    trunc.write_bytes(open(lp, "rb").read()[:-5])
+    trunc.write_bytes(Path(lp).read_bytes()[:-5])
     try:
         load_idx(ip, str(trunc))
         trunc_rejected = False

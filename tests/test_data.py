@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -43,7 +45,7 @@ class TestIdx:
         load_idx(ip, lp)  # magic 0x00000803 / 0x00000801 accepted
 
         bad = tmp_path / "bad.idx"
-        raw = bytearray(open(ip, "rb").read())
+        raw = bytearray(Path(ip).read_bytes())
         raw[3] = 0x99
         bad.write_bytes(bytes(raw))
         with pytest.raises(DataError, match="offset 0"):
@@ -54,7 +56,7 @@ class TestIdx:
         labels = np.zeros(10, dtype=np.uint8)
         ip, lp = self.write_pair(tmp_path, images, labels)
         trunc = tmp_path / "trunc.idx"
-        trunc.write_bytes(open(lp, "rb").read()[: 8 + 9])  # 10 items, 9 bytes
+        trunc.write_bytes(Path(lp).read_bytes()[: 8 + 9])  # 10 items, 9 bytes
         with pytest.raises(DataError, match="offset 17"):
             load_idx(ip, str(trunc))
 
@@ -63,7 +65,7 @@ class TestIdx:
         labels = np.zeros(4, dtype=np.uint8)
         ip, lp = self.write_pair(tmp_path, images, labels)
         trunc = tmp_path / "trunc_img.idx"
-        trunc.write_bytes(open(ip, "rb").read()[:-3])
+        trunc.write_bytes(Path(ip).read_bytes()[:-3])
         with pytest.raises(DataError, match="offset 29"):  # 16 + 13 of 16 bytes
             load_idx(str(trunc), lp)
 

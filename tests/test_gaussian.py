@@ -82,15 +82,6 @@ def test_downdate_cov_scalar_example():
     assert var == pytest.approx(4.0, abs=1e-12)
 
 
-def test_downdate_empty_batch_noop():
-    data = np.random.default_rng(0).standard_normal((30, 3))
-    mu, sigma = batch_mean_cov(data)
-    n_new, mu_new = downdate_mean(30, mu, 0, np.zeros(3))
-    sigma_new = downdate_cov(30, sigma, mu_new, 0, np.zeros(3), np.zeros((3, 3)))
-    assert n_new == 30
-    assert np.array_equal(mu_new, mu) and np.array_equal(sigma_new, sigma)
-
-
 def test_downdate_centroid_removal_keeps_mean():
     data = np.array([[1.0, 1.0], [-1.0, -1.0], [0.0, 0.0]])
     mu, _ = batch_mean_cov(data)  # (0, 0)

@@ -17,7 +17,7 @@ from safestream.model import (
     sum_grad_kl_to_targets,
 )
 
-from conftest import central_difference, relative_error
+from conftest import central_difference, relative_error, textbook_grad
 
 
 def random_model(seed, arch=None):
@@ -148,6 +148,21 @@ def test_prepared_rows_grad_equals_one_off_grad(hidden, n):
                           grad_cross_entropy(params, X, y))
     assert np.array_equal(grad_cross_entropy(params, rows),
                           grad_cross_entropy(params, rows))
+
+
+@pytest.mark.parametrize("hidden", [None, 4])
+def test_prepared_grad_matches_row_major_reference_for_every_n_mod_8(hidden):
+    # the prepared rows run the first layer against a contiguous Xᵀ with a
+    # row of ones, so OpenBLAS may pick another kernel for some n % 8; the
+    # gradient may move in its last bits only
+    arch = Architecture(16, 5, hidden)
+    params, _, rng = random_model(21, arch)
+    for n in range(600, 616):
+        X = rng.standard_normal((n, 16))
+        y = rng.integers(0, 5, n)
+        got = grad_cross_entropy(params, prepare_rows(arch, X, y))
+        want = textbook_grad(arch, params.theta, X, y)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
 
 
 @given(st.integers(0, 10_000))

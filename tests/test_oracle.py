@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+import safestream.model
 import safestream.oracle
 from safestream.data import make_synthetic
 from safestream.engine import ForgettingLedger, SafeConfig
@@ -10,6 +11,8 @@ from safestream.evaluation import accuracy
 from safestream.model import (
     Architecture,
     ModelParams,
+    cross_entropy_rows,
+    kl_rows,
     mean_cross_entropy,
     predict_proba_batch,
 )
@@ -22,7 +25,7 @@ from safestream.oracle import (
     true_risk,
 )
 
-from conftest import build_engine
+from conftest import build_engine, textbook_grad
 
 
 @pytest.fixture(scope="module")
@@ -56,28 +59,9 @@ def textbook_init(arch, seed):
 def textbook_descent(X, y, arch, cfg):
     """Full-batch gradient descent on the mean cross-entropy, row-major:
     one row of logits per sample, the gradient written out layer by layer."""
-    d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
-    n = len(X)
-    Y = np.eye(c)[y]
     theta = textbook_init(arch, cfg.seed)
     for _ in range(cfg.epochs):
-        if h is None:
-            W, b = theta[: c * d].reshape(c, d), theta[c * d:]
-            H = X
-        else:
-            W1 = theta[: h * d].reshape(h, d)
-            b1 = theta[h * d: h * d + h]
-            W = theta[h * d + h: h * d + h + c * h].reshape(c, h)
-            b = theta[h * d + h + c * h:]
-            H = np.tanh(X @ W1.T + b1)
-        logits = H @ W.T + b
-        E = np.exp(logits - logits.max(axis=1, keepdims=True))
-        D = (E / E.sum(axis=1, keepdims=True) - Y) / n
-        grad = [(D.T @ H).ravel(), D.sum(axis=0)]
-        if h is not None:
-            Dh = (D @ W) * (1.0 - H * H)
-            grad = [(Dh.T @ X).ravel(), Dh.sum(axis=0)] + grad
-        theta = theta - cfg.lr * np.concatenate(grad)
+        theta = theta - cfg.lr * textbook_grad(arch, theta, X, y)
     return theta
 
 
@@ -160,6 +144,43 @@ class TestRetrain:
         retrain(train.X, train.y, arch, RetrainConfig(epochs=17, lr=0.5))
         assert len(calls) == 17
 
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_fit_prepares_its_rows_once(self, small_task, hidden, monkeypatch):
+        # the final finite-loss check reads the fit's prepared rows too
+        train, _, _ = small_task
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        calls = []
+        exact = safestream.model.prepare_rows
+
+        def counting(*args):
+            calls.append(1)
+            return exact(*args)
+
+        monkeypatch.setattr(safestream.model, "prepare_rows", counting)
+        monkeypatch.setattr(safestream.oracle, "prepare_rows", counting)
+        retrain(train.X, train.y, arch, RetrainConfig(epochs=5))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("hidden", [None, 5])
+    def test_overflowing_square_norm_of_finite_gradient_keeps_going(
+            self, small_task, hidden, monkeypatch):
+        # g @ g overflows to inf while every entry of g is finite: the stop
+        # test reads inf (not converged) and the fit steps, as np.linalg.norm
+        # did; only a gradient with a non-finite entry raises
+        train, _, _ = small_task
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        calls = []
+
+        def huge(params, rows):
+            calls.append(1)
+            return np.full_like(params.theta, 1e160)
+
+        monkeypatch.setattr(safestream.oracle, "grad_cross_entropy", huge)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            got = retrain(train.X, train.y, arch, RetrainConfig(epochs=2, lr=0.5))
+        assert len(calls) == 2
+        assert np.array_equal(got.theta, textbook_init(arch, 0) - 1e160)
+
     @pytest.mark.parametrize("bad", [2, -1])
     def test_full_batch_bad_label_rejected_before_first_epoch(self, small_task, bad,
                                                               monkeypatch):
@@ -231,6 +252,33 @@ class TestSurrogateRisk:
         )
         true = true_risk(w, train.X[30:], train.y[30:], engine.ledger, star)
         assert surro == pytest.approx(true, abs=1e-12)
+
+    def test_one_forward_pass_over_the_ledger(self, small_task, monkeypatch):
+        # the ledger losses and the KL term read the same probabilities, so
+        # the risk keeps the bits of the two-pass formula
+        train, _, arch = small_task
+        params0 = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
+        engine = build_engine(train, params0, SafeConfig(T=5, lam=7.0))
+        idx = np.arange(30)
+        engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
+        ledger, size_dt = engine.ledger, engine.retention.size_dt
+        w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
+        targets = np.full((30, arch.n_classes), 1.0 / arch.n_classes)
+        want = (len(train.X) / size_dt) * mean_cross_entropy(w, train.X, train.y)
+        want -= cross_entropy_rows(w, ledger.X, ledger.y).sum() / size_dt
+        want += (ledger.lam / 30) * kl_rows(predict_proba_batch(w, ledger.X),
+                                            targets).sum()
+        forwarded = []
+        exact = safestream.model._forward
+
+        def recording(params, X):
+            forwarded.append(len(X))
+            return exact(params, X)
+
+        monkeypatch.setattr(safestream.model, "_forward", recording)
+        got = surrogate_risk(w, train.X, train.y, ledger, targets, size_dt)
+        assert got == float(want)
+        assert sorted(forwarded) == [30, len(train.X)]
 
 
 def test_theorem_gap_bound_value():

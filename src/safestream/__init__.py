@@ -12,7 +12,7 @@ from .engine import (
     perturbation_scale,
     update_retention_grad,
 )
-from .evaluation import accuracy, mia_attack
+from .evaluation import RowScores, accuracy, mia_attack, score_rows
 from .gaussian import (
     ClassConditionalGaussians,
     ClassStats,

@@ -20,7 +20,15 @@ from .errors import (
     StatsError,
     StreamError,
 )
-from .runner import RunConfig, config_from_dict, load_config, run, sweep, verify
+from .runner import (
+    RunConfig,
+    config_from_dict,
+    load_config,
+    open_output,
+    run,
+    sweep,
+    verify,
+)
 
 # desk-scale defaults used when verify/sweep run without a config file
 STANDARD_PRESET = {
@@ -90,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             sweep(cfg, cfg.output or "sweep")
             return 0
-        with open(cfg.output, "w") if cfg.output else nullcontext(sys.stdout) as out:
+        with open_output(cfg.output) if cfg.output else nullcontext(sys.stdout) as out:
             if args.command == "run":
                 run(cfg, out)
                 return 0

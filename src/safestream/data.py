@@ -58,7 +58,8 @@ class Dataset:
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(self.X[idx], self.y[idx], self.ids[idx])
 
-    def _masked(self, keep: np.ndarray) -> "Dataset":
+    def subset(self, keep: np.ndarray) -> "Dataset":
+        """The rows where the boolean mask ``keep`` is true, in order."""
         # rows of a checked dataset kept in order by a boolean mask cannot
         # repeat an id, so the subset skips __post_init__'s checks
         sub = copy.copy(self)
@@ -66,10 +67,10 @@ class Dataset:
         return sub
 
     def without_ids(self, drop: np.ndarray) -> "Dataset":
-        return self._masked(~np.isin(self.ids, drop))
+        return self.subset(~np.isin(self.ids, drop))
 
     def select_ids(self, wanted: np.ndarray) -> "Dataset":
-        return self._masked(np.isin(self.ids, wanted))
+        return self.subset(np.isin(self.ids, wanted))
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:

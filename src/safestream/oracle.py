@@ -21,7 +21,6 @@ from .model import (
     kl_rows,
     mean_cross_entropy,
     neg_log_prob,
-    predict_proba_batch,
     prepare_rows,
 )
 
@@ -66,36 +65,35 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     return params
 
 
-def true_risk(params: ModelParams, X_t: np.ndarray, y_t: np.ndarray,
-              ledger: ForgettingLedger, params_star: ModelParams) -> float:
-    """Mean retention loss on the remaining data plus the mean KL, weighted
-    by ``ledger.lam``, from the model's predictions to the retrained model's
-    predictions over all forgotten points. Empty ledger -> retention-only
-    risk."""
-    risk = mean_cross_entropy(params, X_t, y_t)
+def true_risk(retained_loss: np.ndarray, ledger: ForgettingLedger,
+              p_led: np.ndarray, q_led: np.ndarray) -> float:
+    """The mean of ``retained_loss``, the model's per-row losses on the
+    remaining data, plus the mean KL, weighted by ``ledger.lam``, from the
+    model's predictions ``p_led`` to the retrained model's ``q_led`` over
+    all forgotten points, both (count, C) in ledger order. Empty ledger ->
+    retention-only risk."""
+    risk = float(retained_loss.mean())
     if ledger.count:
-        p = predict_proba_batch(params, ledger.X)
-        q = predict_proba_batch(params_star, ledger.X)
-        risk += (ledger.lam / ledger.count) * kl_rows(p, q).sum()
+        risk += (ledger.lam / ledger.count) * kl_rows(p_led, q_led).sum()
     return float(risk)
 
 
-def surrogate_risk(params: ModelParams, X0: np.ndarray, y0: np.ndarray,
-                   ledger: ForgettingLedger, targets: np.ndarray | None,
-                   size_dt: int) -> float:
+def surrogate_risk(loss0: np.ndarray, ledger: ForgettingLedger, p_led: np.ndarray,
+                   targets: np.ndarray | None, size_dt: int) -> float:
     """The engine-side risk estimate: the retention decomposition
 
         (|D_0|/|D_t|) R_0(w) - (1/|D_t|) sum_forgotten loss(w)
 
     plus the forgetting term toward ``targets``, the shift targets the
     engine built this round (``RoundResult.targets``), in place of the
-    retrained model. Requires the retained initial data, so only ``run`` in
-    oracle mode calls it."""
-    r0 = mean_cross_entropy(params, X0, y0)
-    risk = (len(X0) / size_dt) * r0
+    retrained model. R_0 is the mean of ``loss0``, the model's per-row
+    losses on the initial data D_0, and ``p_led`` its (count, C) predictions
+    on the forgotten points in ledger order. Requires the retained initial
+    data, so only ``run`` in oracle mode calls it."""
+    r0 = float(loss0.mean())
+    risk = (len(loss0) / size_dt) * r0
     if ledger.count:
-        p_led = predict_proba_batch(params, ledger.X)
-        # the ledger losses read p_y from the same forward pass as the KL term
+        # the ledger losses read p_y from the same predictions as the KL term
         p_y = p_led[np.arange(ledger.count), ledger.y]
         risk -= neg_log_prob(p_y).sum() / size_dt
         risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()

@@ -8,6 +8,28 @@ oracle is on), then a final summary record carrying means over rounds,
 final-round values, and the full config echo. Identical configs (with timing
 capture disabled) produce byte-identical files.
 
+Where each round's metrics read their rows: the round loop keeps a mask of
+the training rows no request has named yet (the remaining rows D_t) and the
+list of the rows requests took out of it (the forgotten rows, the same set
+as the engine's ledger, in its order). Each model, w_t and, with the oracle
+on, w*, is scored in one forward pass over all training rows and one over
+the test rows (``evaluation.score_rows``); every metric is a reduction of
+those passes over a subset of their rows:
+
+- ``ra`` / ``ra_star``: the remaining rows; ``fa`` / ``fa_star``: the
+  forgotten rows, null while there are none; ``ta`` / ``ta_star``: the test
+  rows;
+- the MIA rates, below, with the remaining rows' losses as the members;
+- ``risk_w``: the mean loss of w_t on the remaining rows plus the weighted
+  mean KL from w_t's to w*'s predictions on the forgotten rows;
+  ``risk_star``: the mean loss of w* on the remaining rows;
+- ``surrogate_risk``: R_0, the mean loss of w_t over all training rows,
+  rescaled, less w_t's losses on the forgotten rows, plus the KL term
+  toward the engine's shift targets.
+
+Only the oracle's retrain and ``verify``, which checks the engine against
+fresh statistics of the remaining rows, copy them.
+
 The MIA keys are the loss-threshold attack of ``evaluation.mia_attack``,
 with the remaining training rows as its members, and are null unless
 ``evaluate_mia`` is set:
@@ -40,7 +62,7 @@ from .engine import (
     forgetting_gradient,
 )
 from .errors import ConfigError
-from .evaluation import accuracy, mia_attack
+from .evaluation import accuracy, mia_attack, score_rows
 from .gaussian import (
     ClassConditionalGaussians,
     ClassStats,
@@ -52,7 +74,6 @@ from .model import (
     Architecture,
     ModelParams,
     grad_cross_entropy,
-    mean_cross_entropy,
     predict_proba_batch,
     sum_grad_kl_to_targets,
 )
@@ -176,6 +197,12 @@ def _check_fields(cls, values: dict, where: str) -> None:
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
 
 
+def _check_seed(seed: int, where: str) -> None:
+    # numpy's SeedSequence, which every seed reaches, takes no negative entropy
+    if seed < 0:
+        raise ConfigError(f"{where} seed must be a non-negative integer, got {seed}")
+
+
 def config_from_dict(raw: dict) -> RunConfig:
     """Build a validated RunConfig from parsed JSON, deriving any substream
     seeds the file left unset from the master seed."""
@@ -184,14 +211,18 @@ def config_from_dict(raw: dict) -> RunConfig:
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     _check_fields(RunConfig, top, "config")
     master = top.get("seed", 0)
+    _check_seed(master, "config")
 
     def section(name, cls, seed_channel):
         d = raw.get(name, {})
         if not isinstance(d, dict):
             raise ConfigError(f"{name} section must be a JSON object, got {d!r}")
         _check_fields(cls, d, name)
-        if seed_channel is not None and "seed" not in d:
-            d = {**d, "seed": derive_seed(master, seed_channel)}
+        if seed_channel is not None:
+            if "seed" in d:
+                _check_seed(d["seed"], name)
+            else:
+                d = {**d, "seed": derive_seed(master, seed_channel)}
         return cls(**d)
 
     cfg = RunConfig(
@@ -202,12 +233,25 @@ def config_from_dict(raw: dict) -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as f:
-        try:
+    try:
+        with open(path, encoding="utf-8") as f:
             raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read config ({e.strerror})") from None
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: config is not UTF-8 ({e.reason} at byte "
+                          f"{e.start})") from None
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{path}: invalid JSON ({e})") from None
     return config_from_dict(raw)
+
+
+def open_output(path: str):
+    """``path`` opened for writing; a path that cannot be is a config error."""
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot open output ({e.strerror})") from None
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -270,20 +314,67 @@ def initialize(cfg: RunConfig) -> RunState:
     return RunState(train, test, params0, engine, requests)
 
 
+class Survivors:
+    """The rows of ``train`` that no request has named yet, as the boolean
+    mask ``alive``, and the rows that requests have taken out of it,
+    ``forgotten``, in the order the engine's ledger holds them.
+
+    A round costs O(request): the request's ids are looked up in an index of
+    ``train``'s ids built once, and only their rows are touched. The
+    remaining rows are copied only on ``remaining()``."""
+
+    def __init__(self, train: Dataset):
+        self.train = train
+        self.alive = np.ones(train.n, dtype=bool)
+        self._order = np.argsort(train.ids)
+        self._sorted_ids = train.ids[self._order]
+        self._forgotten = np.empty(train.n, dtype=np.intp)
+        self._count = 0
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The rows of ``train`` that ``ids`` names, each once and in
+        ascending order, the rows ``train.select_ids(ids)`` holds: repeated
+        ids give one row, ids of no training row none, and ids already
+        forgotten their rows again."""
+        ids = np.asarray(ids)
+        pos = np.minimum(np.searchsorted(self._sorted_ids, ids), self.train.n - 1)
+        hit = self._sorted_ids[pos] == ids
+        return np.unique(self._order[pos[hit]])
+
+    def forget(self, rows: np.ndarray) -> None:
+        """Take ``rows`` out of ``alive``. Those still in it join
+        ``forgotten`` in their ascending order, as the engine appends the
+        rows of a request it accepts."""
+        new = rows[self.alive[rows]]
+        self._forgotten[self._count:self._count + len(new)] = new
+        self._count += len(new)
+        self.alive[new] = False
+
+    @property
+    def forgotten(self) -> np.ndarray:
+        return self._forgotten[:self._count]
+
+    def remaining(self) -> Dataset:
+        """A copy of the rows still alive."""
+        return self.train.subset(self.alive)
+
+
 def round_loop(state: RunState):
     """Send each request of the stream through the engine, yielding
-    ``(t, request, result, wall_ms, remaining)`` per round: ``wall_ms`` times
-    ``process_request`` alone, and ``remaining`` is the training set less
-    every id requested so far."""
+    ``(t, request, result, wall_ms, survivors)`` per round: ``request`` is
+    ``train.select_ids`` of the round's ids, ``wall_ms`` times
+    ``process_request`` alone, and ``survivors`` is the run's one
+    ``Survivors``, which no longer holds any id requested so far."""
     train, engine = state.train, state.engine
-    remaining = train
+    survivors = Survivors(train)
     for t, ids in enumerate(state.requests, start=1):
-        request = train.select_ids(ids)
+        rows = survivors.rows_of(ids)
+        request = train.take(rows)
         t0 = time.perf_counter()
         result = engine.process_request(request.X, request.y, request.ids)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        remaining = remaining.without_ids(ids)
-        yield t, request, result, wall_ms, remaining
+        survivors.forget(rows)
+        yield t, request, result, wall_ms, survivors
 
 
 def _mean(values: list) -> float | None:
@@ -307,7 +398,10 @@ def run(cfg: RunConfig, out) -> dict:
         account.start(state.params0)
 
     records: list[dict] = []
-    for t, _, result, wall_ms, remaining in round_loop(state):
+    for t, _, result, wall_ms, survivors in round_loop(state):
+        alive, forgotten = survivors.alive, survivors.forgotten
+        w, w_test = (score_rows(result.params, split.X, split.y)
+                     for split in (train, test))
         rec = {
             "type": "round",
             "t": t,
@@ -315,35 +409,37 @@ def run(cfg: RunConfig, out) -> dict:
             "wall_ms": wall_ms if cfg.measure_time else None,
             "grad_norm": result.grad_norm,
             "exhausted_classes": result.exhausted_classes,
-            "ra": accuracy(result.params, remaining.X, remaining.y),
-            "ta": accuracy(result.params, test.X, test.y),
-            "fa": None,
+            "ra": accuracy(w.correct[alive]),
+            "ta": accuracy(w_test.correct),
+            "fa": accuracy(w.correct[forgotten]),
             "mia": None,
             "mia_test": None,
             "config_hash": chash,
         }
-        # the attack's members: the training rows not yet forgotten
-        members = (remaining.X, remaining.y)
-        if led.count:
-            rec["fa"] = accuracy(result.params, led.X, led.y)
-            if cfg.evaluate_mia:
-                rec["mia"] = mia_attack(result.params, *members, led.X, led.y)
         if cfg.evaluate_mia:
-            rec["mia_test"] = mia_attack(result.params, *members, test.X, test.y)
+            # the attack's members: the training rows not yet forgotten
+            members = w.loss[alive]
+            rec["mia"] = mia_attack(members, w.loss[forgotten])
+            rec["mia_test"] = mia_attack(members, w_test.loss)
 
         if cfg.oracle:
             o0 = time.perf_counter()
+            remaining = survivors.remaining()
             star = retrain(
                 remaining.X, remaining.y, state.params0.arch,
                 replace(cfg.retrain, seed=derive_seed(cfg.seed, _SEED_RETRAIN, t)),
             )
             retrain_ms = (time.perf_counter() - o0) * 1e3
-            risk_w = true_risk(result.params, remaining.X, remaining.y, led, star)
+            ws, ws_test = (score_rows(star, split.X, split.y)
+                           for split in (train, test))
+            # both models' predictions on the forgotten rows, in ledger order
+            p_led, q_led = w.proba[:, forgotten].T, ws.proba[:, forgotten].T
+            risk_w = true_risk(w.loss[alive], led, p_led, q_led)
             # true_risk of w* itself: its KL term against itself is 0
-            risk_star = mean_cross_entropy(star, remaining.X, remaining.y)
+            risk_star = float(ws.loss[alive].mean())
             account.update(risk_w, risk_star, star)
-            surrogate = surrogate_risk(result.params, train.X, train.y, led,
-                                       result.targets, engine.retention.size_dt)
+            surrogate = surrogate_risk(w.loss, led, p_led, result.targets,
+                                       engine.retention.size_dt)
             oracle_ms = (time.perf_counter() - o0) * 1e3
             rec["oracle"] = {
                 "risk_w": risk_w,
@@ -351,11 +447,11 @@ def run(cfg: RunConfig, out) -> dict:
                 "regret": risk_w - risk_star,
                 "cumulative_regret": account.cumulative,
                 "v_t": account.v_t,
-                "ra_star": accuracy(star, remaining.X, remaining.y),
-                "fa_star": accuracy(star, led.X, led.y) if led.count else None,
-                "ta_star": accuracy(star, test.X, test.y),
-                "mia_star": (mia_attack(star, *members, led.X, led.y)
-                             if cfg.evaluate_mia and led.count else None),
+                "ra_star": accuracy(ws.correct[alive]),
+                "fa_star": accuracy(ws.correct[forgotten]),
+                "ta_star": accuracy(ws_test.correct),
+                "mia_star": (mia_attack(ws.loss[alive], ws.loss[forgotten])
+                             if cfg.evaluate_mia else None),
                 "surrogate_risk": surrogate,
                 "risk_gap": abs(surrogate - risk_w),
                 "gap_bound": theorem_gap_bound(
@@ -454,7 +550,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
     remaining = state.train  # the density-ratio probe needs it for zero rounds too
-    for _, request, result, _, remaining in round_loop(state):
+    for _, request, result, _, survivors in round_loop(state):
+        remaining = survivors.remaining()
         twin_result = twin.process_request(request.X, request.y, request.ids)
 
         # downdate vs fresh two-pass statistics over survivors
@@ -532,7 +629,7 @@ def sweep(cfg: RunConfig, out_path: str, ks=K_SWEEP_GRID, report=print) -> list[
     for k in ks:
         k_cfg = replace(cfg, safe=replace(cfg.safe, K=float(k)))
         path = f"{out_path}.K{k:g}.jsonl"
-        with open(path, "w") as f:
+        with open_output(path) as f:
             summaries.append(run(k_cfg, f))
         report(f"SWEEP K={k:g}: wrote {path}")
     return summaries

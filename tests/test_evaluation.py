@@ -3,8 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from safestream.evaluation import accuracy, mia_attack
-from safestream.model import Architecture, ModelParams
+from safestream.evaluation import accuracy, mia_attack, score_rows
+from safestream.errors import ConfigError
+from safestream.model import (
+    Architecture,
+    ModelParams,
+    cross_entropy_rows,
+    predict_proba_batch,
+)
+
+
+def acc(params, X, y):
+    return accuracy(score_rows(params, X, y).correct)
+
+
+def attack(params, mX, my, X, y):
+    """The attack's rate on (X, y) with (mX, my) as the members."""
+    return mia_attack(score_rows(params, mX, my).loss, score_rows(params, X, y).loss)
 
 
 def uniform_model(d=4, c=10):
@@ -17,23 +32,23 @@ def test_uniform_model_on_balanced_labels_is_chance():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((5000, 4))
     y = rng.integers(0, 10, 5000)
-    acc = accuracy(uniform_model(), X, y)
-    assert abs(acc - 0.1) < 0.02
+    rate = acc(uniform_model(), X, y)
+    assert abs(rate - 0.1) < 0.02
 
 
 def test_separable_fit_reaches_one(blob_task):
     train, _, params0 = blob_task
-    assert accuracy(params0, train.X, train.y) >= 0.99
+    assert acc(params0, train.X, train.y) >= 0.99
 
 
 def test_single_correct_sample():
     arch = Architecture(1, 2)
     params = ModelParams(arch, np.array([5.0, -5.0, 0.0, 0.0]))
-    assert accuracy(params, np.array([[1.0]]), np.array([0])) == 1.0
+    assert acc(params, np.array([[1.0]]), np.array([0])) == 1.0
 
 
 def test_empty_data_reports_absent():
-    assert accuracy(uniform_model(), np.empty((0, 4)), np.empty(0, int)) is None
+    assert acc(uniform_model(), np.empty((0, 4)), np.empty(0, int)) is None
 
 
 @given(st.integers(0, 10_000))
@@ -45,7 +60,40 @@ def test_accuracy_permutation_invariant(seed):
     X = rng.standard_normal((40, 3))
     y = rng.integers(0, 4, 40)
     perm = rng.permutation(40)
-    assert accuracy(params, X, y) == accuracy(params, X[perm], y[perm])
+    assert acc(params, X, y) == acc(params, X[perm], y[perm])
+
+
+@given(st.integers(0, 10_000), st.sampled_from([None, 3]))
+@settings(max_examples=40, deadline=None)
+def test_scores_match_argmax_and_loss_with_ties(seed, hidden):
+    # classes given the same weights tie exactly, so the first of them must
+    # win, as np.argmax picks it on the row-major probabilities
+    rng = np.random.default_rng(seed)
+    c = int(rng.integers(2, 6))
+    arch = Architecture(3, c, hidden)
+    theta = rng.standard_normal(arch.n_params)
+    twin = rng.integers(0, c, 2)
+    w_last = theta[arch.n_params - c * ((hidden or 3) + 1):]
+    W, b = w_last[: c * (hidden or 3)].reshape(c, -1), w_last[c * (hidden or 3):]
+    W[twin[1]], b[twin[1]] = W[twin[0]], b[twin[0]]
+    params = ModelParams(arch, theta)
+    X = rng.standard_normal((int(rng.integers(0, 60)), 3))
+    y = rng.integers(0, c, len(X))
+    scores = score_rows(params, X, y)
+    p = predict_proba_batch(params, X)
+    assert np.array_equal(scores.correct, p.argmax(axis=1) == y)
+    if len(X):
+        assert np.array_equal(scores.loss, cross_entropy_rows(params, X, y))
+        assert np.array_equal(scores.proba, p.T)
+
+
+def test_unknown_label_is_never_correct_and_has_no_loss():
+    # a test row of a class the training rows lack has no output to match
+    params = uniform_model(d=2, c=3)
+    scores = score_rows(params, np.zeros((4, 2)), np.array([0, 3, 0, 5]))
+    assert scores.correct.tolist() == [True, False, True, False]
+    with pytest.raises(ConfigError, match="labels outside"):
+        scores.loss
 
 
 def reference_losses(params, X, y):
@@ -70,8 +118,8 @@ def test_mia_unseen_rows_within_band_of_held_out_members(blob_task):
     train, test, params0 = blob_task
     mX, my = train.X[:900], train.y[:900]
     hX, hy = train.X[900:], train.y[900:]
-    member_rate = mia_attack(params0, mX, my, hX, hy)
-    test_rate = mia_attack(params0, mX, my, test.X, test.y)
+    member_rate = attack(params0, mX, my, hX, hy)
+    test_rate = attack(params0, mX, my, test.X, test.y)
     assert member_rate == reference_rate(params0, mX, my, hX, hy)
     assert test_rate == reference_rate(params0, mX, my, test.X, test.y)
     assert 0.0 < test_rate < 1.0
@@ -96,8 +144,8 @@ def test_mia_flags_memorized_members():
     my = (mX[:, 0] < 0).astype(int)
     nX = np.column_stack([rng.normal(0.0, 0.02, 400), rng.normal(0, 1, 400)])
     ny = (nX[:, 0] < 0).astype(int)
-    assert mia_attack(params, mX, my, mX, my) == 1.0
-    near = mia_attack(params, mX, my, nX, ny)
+    assert attack(params, mX, my, mX, my) == 1.0
+    near = attack(params, mX, my, nX, ny)
     assert near == reference_rate(params, mX, my, nX, ny)
     assert near <= 0.05
 
@@ -111,9 +159,9 @@ def test_mia_permutation_invariant_and_repeatable(seed):
     mX, my = rng.standard_normal((60, 3)), rng.integers(0, 4, 60)
     X, y = rng.standard_normal((40, 3)), rng.integers(0, 4, 40)
     perm = rng.permutation(40)
-    rate = mia_attack(params, mX, my, X, y)
-    assert rate == mia_attack(params, mX, my, X[perm], y[perm])
-    assert rate == mia_attack(params, mX, my, X, y)
+    rate = attack(params, mX, my, X, y)
+    assert rate == attack(params, mX, my, X[perm], y[perm])
+    assert rate == attack(params, mX, my, X, y)
 
 
 @pytest.mark.parametrize("n_members", [8, 20, 57])
@@ -125,9 +173,9 @@ def test_mia_tie_counts_as_member(n_members):
     params = uniform_model(d=2, c=10)
     mX, my = rng.standard_normal((n_members, 2)), rng.integers(0, 10, n_members)
     X, y = rng.standard_normal((100, 2)) + 1.0, rng.integers(0, 10, 100)
-    assert mia_attack(params, mX, my, X, y) == 1.0
+    assert attack(params, mX, my, X, y) == 1.0
 
 
 def test_mia_empty_rows_report_absent():
     X, y = np.ones((5, 4)), np.zeros(5, int)
-    assert mia_attack(uniform_model(), X, y, np.empty((0, 4)), np.empty(0, int)) is None
+    assert attack(uniform_model(), X, y, np.empty((0, 4)), np.empty(0, int)) is None

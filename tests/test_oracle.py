@@ -7,7 +7,7 @@ import safestream.oracle
 from safestream.data import make_synthetic
 from safestream.engine import ForgettingLedger, SafeConfig
 from safestream.errors import ConfigError, NumericalError
-from safestream.evaluation import accuracy
+from safestream.evaluation import accuracy, score_rows
 from safestream.model import (
     Architecture,
     ModelParams,
@@ -69,7 +69,7 @@ class TestRetrain:
     def test_separable_blobs_reach_high_accuracy(self, small_task):
         train, _, arch = small_task
         params = retrain(train.X, train.y, arch, RetrainConfig(epochs=120, seed=0))
-        assert accuracy(params, train.X, train.y) >= 0.99
+        assert accuracy(score_rows(params, train.X, train.y).correct) >= 0.99
 
     def test_full_data_retrain_is_bit_deterministic(self, small_task):
         train, _, arch = small_task
@@ -198,14 +198,17 @@ class TestTrueRisk:
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         ledger = ForgettingLedger(lam=100.0)
-        risk = true_risk(star, train.X, train.y, ledger, star)
+        none = np.empty((0, arch.n_classes))
+        risk = true_risk(cross_entropy_rows(star, train.X, train.y), ledger, none, none)
         assert risk == pytest.approx(mean_cross_entropy(star, train.X, train.y))
 
     def test_forgetting_term_vanishes_at_star(self, small_task):
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         ledger = forgotten(train, np.arange(20), 100.0)
-        risk = true_risk(star, train.X[20:], train.y[20:], ledger, star)
+        p_led = predict_proba_batch(star, ledger.X)
+        risk = true_risk(cross_entropy_rows(star, train.X[20:], train.y[20:]),
+                         ledger, p_led, p_led)
         assert risk == pytest.approx(
             mean_cross_entropy(star, train.X[20:], train.y[20:]), abs=1e-12
         )
@@ -217,7 +220,9 @@ class TestTrueRisk:
         star = ModelParams(arch, rng.standard_normal(arch.n_params))
         keep, forget = train.take(np.arange(200)), train.take(np.arange(200, 240))
         ledger = forgotten(train, np.arange(200, 240), 5.0)
-        got = true_risk(w, keep.X, keep.y, ledger, star)
+        got = true_risk(cross_entropy_rows(w, keep.X, keep.y), ledger,
+                        predict_proba_batch(w, forget.X),
+                        predict_proba_batch(star, forget.X))
 
         p_keep = predict_proba_batch(w, keep.X)
         retention = -np.log(p_keep[np.arange(keep.n), keep.y]).mean()
@@ -233,7 +238,8 @@ class TestSurrogateRisk:
         engine = build_engine(train, params0, SafeConfig(T=5, lam=7.0))
         rng = np.random.default_rng(2)
         w = ModelParams(arch, rng.standard_normal(arch.n_params))
-        got = surrogate_risk(w, train.X, train.y, engine.ledger, None, train.n)
+        got = surrogate_risk(cross_entropy_rows(w, train.X, train.y), engine.ledger,
+                             np.empty((0, arch.n_classes)), None, train.n)
         assert got == pytest.approx(mean_cross_entropy(w, train.X, train.y))
 
     def test_collapses_to_true_risk_with_forced_targets(self, small_task):
@@ -246,16 +252,20 @@ class TestSurrogateRisk:
             train.X[30:], train.y[30:], arch, RetrainConfig(epochs=80, seed=0)
         )
         w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
+        p_led = predict_proba_batch(w, engine.ledger.X)
+        q_led = predict_proba_batch(star, engine.ledger.X)
         surro = surrogate_risk(
-            w, train.X, train.y, engine.ledger,
-            predict_proba_batch(star, engine.ledger.X), engine.retention.size_dt,
+            cross_entropy_rows(w, train.X, train.y), engine.ledger, p_led, q_led,
+            engine.retention.size_dt,
         )
-        true = true_risk(w, train.X[30:], train.y[30:], engine.ledger, star)
+        true = true_risk(cross_entropy_rows(w, train.X[30:], train.y[30:]),
+                         engine.ledger, p_led, q_led)
         assert surro == pytest.approx(true, abs=1e-12)
 
     def test_one_forward_pass_over_the_ledger(self, small_task, monkeypatch):
-        # the ledger losses and the KL term read the same probabilities, so
-        # the risk keeps the bits of the two-pass formula
+        # the one pass over the training rows gives R_0, the ledger losses
+        # and the KL term's probabilities, so surrogate_risk runs no pass of
+        # its own and matches the formula's separate passes to round-off
         train, _, arch = small_task
         params0 = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
         engine = build_engine(train, params0, SafeConfig(T=5, lam=7.0))
@@ -276,9 +286,11 @@ class TestSurrogateRisk:
             return exact(params, X)
 
         monkeypatch.setattr(safestream.model, "_forward", recording)
-        got = surrogate_risk(w, train.X, train.y, ledger, targets, size_dt)
-        assert got == float(want)
-        assert sorted(forwarded) == [30, len(train.X)]
+        scores = score_rows(w, train.X, train.y)
+        got = surrogate_risk(scores.loss, ledger, scores.proba[:, idx].T, targets,
+                             size_dt)
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+        assert forwarded == [len(train.X)]
 
 
 def test_theorem_gap_bound_value():

@@ -1,20 +1,31 @@
+import copy
 import io
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safestream.engine
+import safestream.evaluation
 import safestream.gaussian
+import safestream.model
+import safestream.runner
 from safestream.cli import main
+from safestream.data import Dataset
+from safestream.engine import SafeUnlearner
 from safestream.errors import ConfigError
 from safestream.gaussian import ClassConditionalGaussians
 from safestream.runner import (
     K_SWEEP_GRID,
+    RunState,
     config_from_dict,
     config_hash,
+    initialize,
     load_config,
+    round_loop,
     run,
     sweep,
     verify,
@@ -179,6 +190,149 @@ class TestRun:
         assert big_ms < 10 * max(small_ms, 0.05)
 
 
+@pytest.fixture(scope="module")
+def loop_state():
+    """A set-up with no stream of its own: 240 training and 60 test rows."""
+    return initialize(base_config(dataset={**BASE["dataset"], "n": 300},
+                                  stream={"rounds": 0, "per_round": 0}))
+
+
+def id_pool(state):
+    # training ids, test ids and ids of no row at all, few enough that
+    # requests repeat them within a round and across rounds
+    return (state.train.ids[:12].tolist() + state.test.ids[:3].tolist()
+            + [-1, 10**6])
+
+
+REQUEST_STREAMS = st.lists(st.lists(st.integers(0, 16), max_size=8), max_size=6)
+
+
+@given(streams=REQUEST_STREAMS)
+@settings(max_examples=60, deadline=None)
+def test_round_loop_matches_id_lookups(loop_state, streams):
+    # duplicates, foreign ids, re-requested forgotten ids and empty rounds:
+    # the survivor mask and each request must be what the id lookups give
+    train, pool = loop_state.train, id_pool(loop_state)
+    requests = [np.array([pool[k] for k in req], dtype=np.int64) for req in streams]
+    state = RunState(train, loop_state.test, loop_state.params0,
+                     copy.deepcopy(loop_state.engine), requests)
+    requested = np.empty(0, dtype=np.int64)
+    rounds = 0
+    for t, request, result, _, survivors in round_loop(state):
+        ids = requests[t - 1]
+        requested = np.concatenate([requested, ids])
+        want = train.select_ids(ids)
+        for got_rows, want_rows in ((request, want),
+                                    (survivors.remaining(), train.without_ids(requested))):
+            assert np.array_equal(got_rows.X, want_rows.X)
+            assert np.array_equal(got_rows.y, want_rows.y)
+            assert np.array_equal(got_rows.ids, want_rows.ids)
+        assert np.array_equal(survivors.alive, ~np.isin(train.ids, requested))
+        # the forgotten rows are the engine's ledger, in its order
+        ledger = state.engine.ledger
+        assert len(survivors.forgotten) == ledger.count
+        if ledger.count:
+            assert np.array_equal(train.X[survivors.forgotten], ledger.X)
+        assert result.accepted + result.dropped == want.n
+        rounds += 1
+    assert rounds == len(requests)
+
+
+def test_round_copies_no_surviving_rows(monkeypatch):
+    # with the oracle and MIA off, a round scores w_t in one forward pass per
+    # split and copies only the request's rows
+    cfg = base_config(measure_time=False)
+    state = initialize(cfg)  # before the hooks: w_0's fit is not a round's work
+    monkeypatch.setattr(safestream.runner, "initialize", lambda _: state)
+    passes, copies = [], []
+    exact_forward = safestream.model._forward
+
+    def forward(params, X):
+        passes.append(len(X))
+        return exact_forward(params, X)
+
+    monkeypatch.setattr(safestream.model, "_forward", forward)
+    for name in ("subset", "take"):
+        exact = getattr(Dataset, name)
+
+        def recording(self, rows, _exact=exact):
+            sub = _exact(self, rows)
+            copies.append(sub.n)
+            return sub
+
+        monkeypatch.setattr(Dataset, name, recording)
+    run(cfg, io.StringIO())
+    per_round, rounds = cfg.stream.per_round, cfg.stream.rounds
+    # the engine's own passes cover the request's rows alone
+    assert [n for n in passes if n > per_round] == [state.train.n, state.test.n] * rounds
+    assert len(copies) == rounds and max(copies) <= per_round
+
+
+def textbook_proba(arch, theta, X):
+    """Row-major (n, C) probabilities, the layers written out."""
+    d, c, h = arch.input_dim, arch.n_classes, arch.hidden_dim
+    H = X
+    if h is not None:
+        W1, b1 = theta[: h * d].reshape(h, d), theta[h * d: h * d + h]
+        H = np.tanh(X @ W1.T + b1)
+        theta, d = theta[h * d + h:], h
+    z = H @ theta[: c * d].reshape(c, d).T + theta[c * d:]
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("hidden", [None, 6])
+def test_round_metrics_match_numpy_recompute(monkeypatch, hidden):
+    # every round metric recomputed from the rows without_ids and select_ids
+    # give, with the models the run scored captured on the way
+    cfg = base_config(arch="mlp" if hidden else "softmax", hidden_dim=hidden or 32,
+                      oracle=True, evaluate_mia=True, measure_time=False)
+    emitted, stars = [], []
+    exact_request = SafeUnlearner.process_request
+    exact_retrain = safestream.runner.retrain
+
+    def request(self, *args):
+        result = exact_request(self, *args)
+        emitted.append(result.params)
+        return result
+
+    def retrain(*args):
+        stars.append(exact_retrain(*args))
+        return stars[-1]
+
+    monkeypatch.setattr(SafeUnlearner, "process_request", request)
+    monkeypatch.setattr(safestream.runner, "retrain", retrain)
+    rounds = [r for r in run_to_records(cfg) if r["type"] == "round"]
+    monkeypatch.undo()
+    state = initialize(cfg)
+    train, test, arch = state.train, state.test, state.params0.arch
+    assert len(rounds) == len(emitted) == len(stars) - 1 == cfg.stream.rounds
+
+    def scores(params, rows):
+        p = textbook_proba(arch, params.theta, rows.X)
+        loss = -np.log(np.maximum(p[np.arange(rows.n), rows.y], 1e-12))
+        return p, float((p.argmax(axis=1) == rows.y).mean()), loss
+
+    requested = np.empty(0, dtype=np.int64)
+    for rec, ids, w, star in zip(rounds, state.requests, emitted, stars[1:]):
+        requested = np.concatenate([requested, ids])
+        keep, gone = train.without_ids(requested), train.select_ids(requested)
+        _, ra, keep_loss = scores(w, keep)
+        p_gone, fa, gone_loss = scores(w, gone)
+        _, ta, test_loss = scores(w, test)
+        _, _, keep_loss_star = scores(star, keep)
+        q_gone = scores(star, gone)[0]
+        threshold = keep_loss.mean()
+        kl = (p_gone * np.log(p_gone / q_gone)).sum()
+        assert (rec["ra"], rec["fa"], rec["ta"]) == (ra, fa, ta)
+        assert rec["mia"] == float((gone_loss <= threshold).mean())
+        assert rec["mia_test"] == float((test_loss <= threshold).mean())
+        risk_w = keep_loss.mean() + cfg.safe.lam / gone.n * kl
+        assert rec["oracle"]["risk_w"] == pytest.approx(risk_w, rel=1e-12)
+        assert rec["oracle"]["risk_star"] == pytest.approx(keep_loss_star.mean(),
+                                                           rel=1e-12)
+
+
 class TestVerify:
     def test_verify_passes_on_preset(self, capsys):
         buf = io.StringIO()
@@ -332,10 +486,17 @@ class TestCli:
         ({"dataset": {**BASE["dataset"], "test_fraction": 1.0}}, "test_fraction"),
         ({"retrain": {"batch_size": 64}}, "unknown retrain keys"),
         ({"retrain": {"grad_tol": 0.0}}, "unknown retrain keys"),
+        ({"seed": -1}, "config seed must be a non-negative"),
+        ({"safe": {"seed": -1}}, "safe seed must be a non-negative"),
+        ({"retrain": {"seed": -2}}, "retrain seed must be a non-negative"),
+        ({"stream": {**BASE["stream"], "seed": -1}},
+         "stream seed must be a non-negative"),
     ], ids=["seed-str", "seed-float", "safe-K-str", "dataset-n-str",
             "stream-rounds-float", "safe-not-object", "checkpoint_in",
             "safe-K-nan", "retrain-lr-inf", "test-fraction-negative",
-            "test-fraction-one", "retrain-batch-size", "retrain-grad-tol"])
+            "test-fraction-one", "retrain-batch-size", "retrain-grad-tol",
+            "seed-negative", "safe-seed-negative", "retrain-seed-negative",
+            "stream-seed-negative"])
     def test_malformed_config_exit_code(self, tmp_path, overrides, names):
         cfg = self.write_cfg(tmp_path, **overrides)
         out = tmp_path / "err.jsonl"
@@ -344,6 +505,34 @@ class TestCli:
         assert rec["type"] == "error" and rec["error"] == "ConfigError"
         # the message names what was wrong, not a later symptom of it
         assert names in rec["message"]
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg = self.write_cfg(tmp_path)
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == 1
+        rec = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rec["error"] == "ConfigError"
+        assert "config seed must be a non-negative" in rec["message"]
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b'{"seed": 1, "output": "caf\xe9.jsonl"}')
+        assert main(["run", "--config", str(path)]) == 1
+        rec = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rec["type"] == "error" and rec["error"] == "ConfigError"
+        assert rec["exit_code"] == 1 and str(path) in rec["message"]
+
+    @pytest.mark.parametrize("command", ["run", "verify", "sweep"])
+    def test_unopenable_output_exit_code(self, tmp_path, capsys, command):
+        cfg = self.write_cfg(tmp_path, stream={"rounds": 1, "per_round": 5})
+        out = tmp_path / "no-such-dir" / "o.jsonl"
+        assert main([command, "--config", cfg, "--output", str(out)]) == 1
+        rec = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rec["type"] == "error" and rec["error"] == "ConfigError"
+        assert str(out) in rec["message"]
 
     def test_oracle_flags(self, tmp_path):
         cfg = self.write_cfg(tmp_path, stream={"rounds": 2, "per_round": 5})

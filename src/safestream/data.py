@@ -132,22 +132,6 @@ def load_idx(images_path: str, labels_path: str) -> Dataset:
     return Dataset(X, y, np.arange(count))
 
 
-def write_idx_images(path: str, images: np.ndarray) -> None:
-    """Write a (count, rows, cols) uint8 tensor in IDX image format."""
-    images = np.asarray(images, dtype=np.uint8)
-    count, rows, cols = images.shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
-        f.write(images.tobytes())
-
-
-def write_idx_labels(path: str, labels: np.ndarray) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
-    with open(path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
-        f.write(labels.tobytes())
-
-
 def load_csv(path: str, label_column: str) -> Dataset:
     """Load a headered CSV with numeric features and integer/string labels.
 

@@ -10,10 +10,11 @@ assembles the total gradient and emits
     w_t = w_0 - gamma * g_t / ||g_t||_2 - b_t,
 
 with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine reads the
-training set once, in its constructor; it keeps only the surviving id set, the
-forgotten points with what about them is frozen at w_0 and t=0 (per-class
-standardized projections and their squared norms, w_0 class probabilities
-and, for the MLP, w_0 hidden activations), and O(1)-per-class statistics.
+training set once, in its constructor; it keeps only an index of the training
+ids and a mask of the rows still alive, the forgotten points with what about
+them is frozen at w_0 and t=0 (per-class standardized projections and their
+squared norms, w_0 class probabilities and, for the MLP, w_0 hidden
+activations), and O(1)-per-class statistics.
 Each of those is computed once, when its row enters the ledger, so a round
 runs no forward pass over the ledger.
 """
@@ -118,9 +119,9 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
     return RetentionGradState(grad, size_new)
 
 
-# the axis along which each ledger column stacks its rows: X and y are
+# the axis along which each ledger column stacks its rows: X, y and rows are
 # row-major, the frozen columns are per class (or per hidden unit) first
-_ROW_AXIS = {"X": 0, "y": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
+_ROW_AXIS = {"X": 0, "y": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
 
 
 def _along(axis: int, lo: int, hi: int) -> tuple:
@@ -128,9 +129,10 @@ def _along(axis: int, lo: int, hi: int) -> tuple:
 
 
 class ForgettingLedger:
-    """All points forgotten so far, as raw features X and labels y, plus the
-    trade-off weight lambda. Membership lives in the engine's surviving id
-    set, so each point enters at most once.
+    """All points forgotten so far, as raw features X, labels y and their
+    training row indices ``rows``, plus the trade-off weight lambda.
+    Membership lives in the engine's id index and alive mask, so each point
+    enters at most once.
 
     Beside each row it keeps what the forgetting gradient needs of it that is
     frozen once the row is appended (``frozen_columns``), with its cost per
@@ -150,12 +152,14 @@ class ForgettingLedger:
 
     Rows live in buffers whose capacity doubles when full, so an append
     copies only its own rows (amortized); each column is a view of the
-    filled prefix, None while the ledger is empty (y is then empty)."""
+    filled prefix, None while the ledger is empty (y and rows are then
+    empty). Each buffer takes the dtype of its column."""
 
     def __init__(self, lam: float):
         self.lam = lam
         self.count = 0
-        self._buf: dict[str, np.ndarray] = {"y": np.empty(0, dtype=np.int64)}
+        self._buf: dict[str, np.ndarray] = {"y": np.empty(0, dtype=np.int64),
+                                            "rows": np.empty(0, dtype=np.intp)}
 
     def _rows(self, name: str) -> np.ndarray | None:
         buf = self._buf.get(name)
@@ -163,32 +167,34 @@ class ForgettingLedger:
 
     X = property(lambda self: self._rows("X"))
     y = property(lambda self: self._rows("y"))
+    rows = property(lambda self: self._rows("rows"))
     Z = property(lambda self: self._rows("Z"))
     zz = property(lambda self: self._rows("zz"))
     P0 = property(lambda self: self._rows("P0"))
     H = property(lambda self: self._rows("H"))
 
-    def append(self, X: np.ndarray, y: np.ndarray, **frozen) -> None:
-        """Append rows X, labels y and, by name, their frozen columns (see
-        ``frozen_columns``; a column given as None is not kept); a call with
-        no labels changes nothing."""
+    def append(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray,
+               **frozen) -> None:
+        """Append features X, labels y, training row indices ``rows`` and, by
+        name, their frozen columns (see ``frozen_columns``; a column given as
+        None is not kept); a call with no labels changes nothing."""
         m = len(y)
         if m == 0:
             return
-        cols = {"X": np.atleast_2d(X), "y": y,
+        cols = {"X": np.atleast_2d(X), "y": y, "rows": rows,
                 **{name: v for name, v in frozen.items() if v is not None}}
         lo, hi = self.count, self.count + m
         if hi > len(self._buf["y"]):
             cap = max(hi, 2 * len(self._buf["y"]))
-            for name, rows in cols.items():
+            for name, col in cols.items():
                 axis = _ROW_AXIS[name]
-                shape = rows.shape[:axis] + (cap,) + rows.shape[axis + 1:]
-                buf = np.empty(shape, dtype=np.int64 if name == "y" else np.float64)
+                shape = col.shape[:axis] + (cap,) + col.shape[axis + 1:]
+                buf = np.empty(shape, dtype=col.dtype)
                 if lo:
                     buf[_along(axis, 0, lo)] = self._rows(name)
                 self._buf[name] = buf
-        for name, rows in cols.items():
-            self._buf[name][_along(_ROW_AXIS[name], lo, hi)] = rows
+        for name, col in cols.items():
+            self._buf[name][_along(_ROW_AXIS[name], lo, hi)] = col
         self.count = hi
 
 
@@ -250,9 +256,10 @@ class SafeUnlearner:
     The constructor is given the training rows D_0 (features X, labels y,
     row ids) and reads them there and never again. From them it derives the
     whole initial state: the retention gradient at w_0, the class counts, the
-    per-class Gaussians under ``projection``, the surviving id set and the
-    shift estimator. A request that ``process_request`` rejects leaves that
-    state unchanged.
+    per-class Gaussians under ``projection``, the shift estimator, an index
+    of the row ids and ``alive``, the boolean mask of the training rows no
+    accepted request has taken yet. A request that ``process_request``
+    rejects leaves that state unchanged.
     """
 
     def __init__(self, params0: ModelParams, config: SafeConfig,
@@ -269,7 +276,10 @@ class SafeUnlearner:
         labels, counts = np.unique(y, return_counts=True)
         self.class_counts = {int(c): int(k) for c, k in zip(labels, counts)}
         self.gaussians = ClassConditionalGaussians.fit(X, y, projection)
-        self.surviving = set(int(i) for i in ids)
+        ids = np.asarray(ids)
+        self._order = np.argsort(ids)
+        self._sorted_ids = ids[self._order]
+        self.alive = np.ones(len(ids), dtype=bool)
         self.ledger = ForgettingLedger(lam=config.lam)
         self.shift = ShiftEstimator(self.gaussians, self.class_counts)
         self.gamma = learning_rate(config)
@@ -283,6 +293,19 @@ class SafeUnlearner:
             np.random.SeedSequence(entropy=self.config.seed, spawn_key=(t,))
         )
         return rng.normal(0.0, self.phi, size=self.params0.arch.n_params)
+
+    def _lookup(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each id's training row, and whether the id names one at all (the
+        row of an id that does not is meaningless)."""
+        pos = np.minimum(np.searchsorted(self._sorted_ids, ids), len(self.alive) - 1)
+        return self._order[pos], self._sorted_ids[pos] == ids
+
+    def rows_of(self, ids: np.ndarray) -> np.ndarray:
+        """The training rows ``ids`` names, each once and in ascending order:
+        repeated ids give one row, ids of no training row none, and ids
+        already forgotten their rows again."""
+        rows, hit = self._lookup(np.asarray(ids))
+        return np.unique(rows[hit])
 
     def process_request(self, X: np.ndarray, y: np.ndarray,
                         ids: np.ndarray) -> RoundResult:
@@ -300,13 +323,12 @@ class SafeUnlearner:
             raise StreamError(f"request labels {sorted(unknown)} are not fitted classes")
 
         # containment rule: keep the first occurrence of each id in D_{t-1}
+        rows, hit = self._lookup(ids)
         keep = np.zeros(len(ids), dtype=bool)
         keep[np.unique(ids, return_index=True)[1]] = True
-        keep &= np.fromiter(
-            (i in self.surviving for i in ids.tolist()), dtype=bool, count=len(ids)
-        )
+        keep &= hit & self.alive[rows]
         dropped = int((~keep).sum())
-        X, y, ids = X[keep], y[keep], ids[keep]
+        X, y, rows = X[keep], y[keep], rows[keep]
         m = len(y)
 
         if m:
@@ -322,8 +344,8 @@ class SafeUnlearner:
 
         for label in y:
             self.class_counts[int(label)] -= 1
-        self.surviving.difference_update(int(i) for i in ids)
-        self.ledger.append(X, y, **frozen)
+        self.alive[rows] = False
+        self.ledger.append(X, y, rows, **frozen)
 
         g_forget, targets = forgetting_gradient(
             self.params0, self.ledger, self.shift,

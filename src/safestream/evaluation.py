@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import ModelParams, forward_proba, neg_log_prob
 
 # the attack trains nothing; retrain stays importable here because the
@@ -36,18 +35,14 @@ class RowScores:
     ``proba``, the class-major (C, n) probabilities; ``correct``, whether the
     argmax prediction (ties broken toward the lowest class, as ``np.argmax``
     breaks them) is the label; and ``loss``, -log p_y, computed on first
-    use. A label outside [0, C), which only a test row can carry, is never
-    correct and has no loss."""
+    use."""
 
     proba: np.ndarray
     correct: np.ndarray
     p_y: np.ndarray
-    known: np.ndarray
 
     @functools.cached_property
     def loss(self) -> np.ndarray:
-        if not self.known.all():
-            raise ConfigError(f"labels outside [0, {len(self.proba)})")
         return neg_log_prob(self.p_y)
 
 
@@ -56,17 +51,16 @@ def score_rows(params: ModelParams, X: np.ndarray, y: np.ndarray) -> RowScores:
     y = np.asarray(y, dtype=np.int64)
     p = forward_proba(params, X)[0]
     C, n = p.shape
-    known = y < C
     # p_y read from the flat class-major buffer: a gather of one value per
     # row, where p[y, arange(n)] costs three times as much
-    p_y = p.ravel().take(np.where(known, y, 0) * n + np.arange(n))
+    p_y = p.ravel().take(y * n + np.arange(n))
     top = p.max(axis=0)
-    correct = (p_y == top) & known
+    correct = p_y == top
     # a lower class that reaches the top takes the argmax from y; these
     # passes cost about a quarter of the strided argmax over the (n, C) view
     for c in range(C - 1):
         correct &= (p[c] != top) | (y <= c)
-    return RowScores(p, correct, p_y, known)
+    return RowScores(p, correct, p_y)
 
 
 def accuracy(correct: np.ndarray) -> float | None:

@@ -8,13 +8,14 @@ oracle is on), then a final summary record carrying means over rounds,
 final-round values, and the full config echo. Identical configs (with timing
 capture disabled) produce byte-identical files.
 
-Where each round's metrics read their rows: the round loop keeps a mask of
-the training rows no request has named yet (the remaining rows D_t) and the
-list of the rows requests took out of it (the forgotten rows, the same set
-as the engine's ledger, in its order). Each model, w_t and, with the oracle
-on, w*, is scored in one forward pass over all training rows and one over
-the test rows (``evaluation.score_rows``); every metric is a reduction of
-those passes over a subset of their rows:
+Where each round's metrics read their rows: the engine, not the round loop,
+keeps the mask of the training rows no request has taken yet
+(``engine.alive``, the remaining rows D_t) and, in its ledger, the rows
+requests took out of it, in ledger order (``engine.ledger.rows``, the
+forgotten rows). Each model, w_t and, with the oracle on, w*, is scored in
+one forward pass over all training rows and one over the test rows
+(``evaluation.score_rows``); every metric is a reduction of those passes
+over a subset of their rows:
 
 - ``ra`` / ``ra_star``: the remaining rows; ``fa`` / ``fa_star``: the
   forgotten rows, null while there are none; ``ta`` / ``ta_star``: the test
@@ -61,7 +62,7 @@ from .engine import (
     SafeUnlearner,
     forgetting_gradient,
 )
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .evaluation import accuracy, mia_attack, score_rows
 from .gaussian import (
     ClassConditionalGaussians,
@@ -260,8 +261,11 @@ def config_hash(cfg: RunConfig) -> str:
 
 
 def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The training and test splits; a DataError if a test row carries a
+    class the training split lacks, which no model fitted to it can score."""
     spec = cfg.dataset
     if spec.kind == "synthetic":
+        # stratified: every class lands in the training split
         return make_synthetic(
             spec.n, spec.dim, spec.classes, spec.separation,
             derive_seed(cfg.seed, _SEED_DATA), spec.test_fraction,
@@ -273,13 +277,17 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
             test = Dataset(test.X, test.y, test.ids + train.n)
         else:
             test = Dataset(np.empty((0, train.dim)), [], [])
-        return train, test
-    full = load_csv(spec.path, spec.label_column)
-    rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_DATA))
-    perm = rng.permutation(full.n)
-    n_test = int(round(spec.test_fraction * full.n))
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return full.take(train_idx), full.take(test_idx)
+    else:
+        full = load_csv(spec.path, spec.label_column)
+        rng = np.random.default_rng(derive_seed(cfg.seed, _SEED_DATA))
+        perm = rng.permutation(full.n)
+        n_test = int(round(spec.test_fraction * full.n))
+        train, test = full.take(perm[n_test:]), full.take(perm[:n_test])
+    missing = np.setdiff1d(test.y, train.y)
+    if len(missing):
+        raise DataError(f"the test split has rows of class {int(missing[0])}, "
+                        f"which the training split lacks")
+    return train, test
 
 
 def build_arch(cfg: RunConfig, input_dim: int, n_classes: int) -> Architecture:
@@ -314,67 +322,18 @@ def initialize(cfg: RunConfig) -> RunState:
     return RunState(train, test, params0, engine, requests)
 
 
-class Survivors:
-    """The rows of ``train`` that no request has named yet, as the boolean
-    mask ``alive``, and the rows that requests have taken out of it,
-    ``forgotten``, in the order the engine's ledger holds them.
-
-    A round costs O(request): the request's ids are looked up in an index of
-    ``train``'s ids built once, and only their rows are touched. The
-    remaining rows are copied only on ``remaining()``."""
-
-    def __init__(self, train: Dataset):
-        self.train = train
-        self.alive = np.ones(train.n, dtype=bool)
-        self._order = np.argsort(train.ids)
-        self._sorted_ids = train.ids[self._order]
-        self._forgotten = np.empty(train.n, dtype=np.intp)
-        self._count = 0
-
-    def rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """The rows of ``train`` that ``ids`` names, each once and in
-        ascending order, the rows ``train.select_ids(ids)`` holds: repeated
-        ids give one row, ids of no training row none, and ids already
-        forgotten their rows again."""
-        ids = np.asarray(ids)
-        pos = np.minimum(np.searchsorted(self._sorted_ids, ids), self.train.n - 1)
-        hit = self._sorted_ids[pos] == ids
-        return np.unique(self._order[pos[hit]])
-
-    def forget(self, rows: np.ndarray) -> None:
-        """Take ``rows`` out of ``alive``. Those still in it join
-        ``forgotten`` in their ascending order, as the engine appends the
-        rows of a request it accepts."""
-        new = rows[self.alive[rows]]
-        self._forgotten[self._count:self._count + len(new)] = new
-        self._count += len(new)
-        self.alive[new] = False
-
-    @property
-    def forgotten(self) -> np.ndarray:
-        return self._forgotten[:self._count]
-
-    def remaining(self) -> Dataset:
-        """A copy of the rows still alive."""
-        return self.train.subset(self.alive)
-
-
 def round_loop(state: RunState):
     """Send each request of the stream through the engine, yielding
-    ``(t, request, result, wall_ms, survivors)`` per round: ``request`` is
-    ``train.select_ids`` of the round's ids, ``wall_ms`` times
-    ``process_request`` alone, and ``survivors`` is the run's one
-    ``Survivors``, which no longer holds any id requested so far."""
+    ``(t, request, result, wall_ms)`` per round: ``request`` is the rows
+    ``train.select_ids`` gives for the round's ids, copied from the engine's
+    ``rows_of`` alone, and ``wall_ms`` times ``process_request`` alone."""
     train, engine = state.train, state.engine
-    survivors = Survivors(train)
     for t, ids in enumerate(state.requests, start=1):
-        rows = survivors.rows_of(ids)
-        request = train.take(rows)
+        request = train.take(engine.rows_of(ids))
         t0 = time.perf_counter()
         result = engine.process_request(request.X, request.y, request.ids)
         wall_ms = (time.perf_counter() - t0) * 1e3
-        survivors.forget(rows)
-        yield t, request, result, wall_ms, survivors
+        yield t, request, result, wall_ms
 
 
 def _mean(values: list) -> float | None:
@@ -398,8 +357,8 @@ def run(cfg: RunConfig, out) -> dict:
         account.start(state.params0)
 
     records: list[dict] = []
-    for t, _, result, wall_ms, survivors in round_loop(state):
-        alive, forgotten = survivors.alive, survivors.forgotten
+    for t, _, result, wall_ms in round_loop(state):
+        alive, forgotten = engine.alive, led.rows
         w, w_test = (score_rows(result.params, split.X, split.y)
                      for split in (train, test))
         rec = {
@@ -424,7 +383,7 @@ def run(cfg: RunConfig, out) -> dict:
 
         if cfg.oracle:
             o0 = time.perf_counter()
-            remaining = survivors.remaining()
+            remaining = train.subset(alive)
             star = retrain(
                 remaining.X, remaining.y, state.params0.arch,
                 replace(cfg.retrain, seed=derive_seed(cfg.seed, _SEED_RETRAIN, t)),
@@ -549,9 +508,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     twin = initialize(cfg).engine  # independently initialized replay twin
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
-    remaining = state.train  # the density-ratio probe needs it for zero rounds too
-    for _, request, result, _, survivors in round_loop(state):
-        remaining = survivors.remaining()
+    for _, request, result, _ in round_loop(state):
+        remaining = state.train.subset(engine.alive)
         twin_result = twin.process_request(request.X, request.y, request.ids)
 
         # downdate vs fresh two-pass statistics over survivors
@@ -599,6 +557,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             )
 
     # density ratio vs scipy's two Gaussian densities on surviving points
+    remaining = state.train.subset(engine.alive)
     rng = np.random.default_rng(derive_seed(cfg.seed, 99))
     probe = remaining.take(rng.choice(remaining.n, min(50, remaining.n), replace=False))
     for label, st in engine.gaussians.stats.items():

@@ -1,7 +1,9 @@
+import struct
+
 import numpy as np
 import pytest
 
-from safestream.data import make_synthetic
+from safestream.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
 from safestream.gaussian import make_projection
 from safestream.model import Architecture
@@ -47,6 +49,22 @@ def central_difference(f, theta: np.ndarray, eps: float = 1e-5) -> np.ndarray:
 def relative_error(got: np.ndarray, want: np.ndarray) -> float:
     denom = max(float(np.linalg.norm(want)), 1e-30)
     return float(np.linalg.norm(got - want)) / denom
+
+
+def write_idx_images(path, images: np.ndarray) -> None:
+    """Write a (count, rows, cols) uint8 tensor in IDX image format."""
+    images = np.asarray(images, dtype=np.uint8)
+    count, rows, cols = images.shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, rows, cols))
+        f.write(images.tobytes())
+
+
+def write_idx_labels(path, labels: np.ndarray) -> None:
+    labels = np.asarray(labels, dtype=np.uint8)
+    with open(path, "wb") as f:
+        f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
+        f.write(labels.tobytes())
 
 
 def build_engine(train, params0, safe: SafeConfig, proj_seed: int = 11):

@@ -15,7 +15,7 @@ from scipy import stats as spstats
 from scipy.special import rel_entr
 
 from safestream.cli import main
-from safestream.data import make_synthetic, write_idx_images, write_idx_labels, load_idx
+from safestream.data import make_synthetic, load_idx
 from safestream.engine import SafeConfig, SafeUnlearner, learning_rate, perturbation_scale
 from safestream.errors import DataError
 from safestream.gaussian import (
@@ -34,7 +34,13 @@ from safestream.model import (
 from safestream.oracle import RetrainConfig, retrain
 from safestream.runner import config_from_dict, run
 
-from conftest import build_engine, central_difference, relative_error
+from conftest import (
+    build_engine,
+    central_difference,
+    relative_error,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 def report(cid: str, name: str, ok: bool, detail: str) -> None:

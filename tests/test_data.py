@@ -3,18 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from safestream.data import (
-    Dataset,
-    load_csv,
-    load_idx,
-    make_synthetic,
-    write_idx_images,
-    write_idx_labels,
-)
+from safestream.data import Dataset, load_csv, load_idx, make_synthetic
 from safestream.errors import ConfigError, DataError
 from safestream.evaluation import accuracy, score_rows
 from safestream.model import Architecture
 from safestream.oracle import RetrainConfig, retrain
+from safestream.runner import build_dataset, config_from_dict
+
+from conftest import write_idx_images, write_idx_labels
 
 
 class TestIdx:
@@ -77,6 +73,19 @@ class TestIdx:
         write_idx_labels(lp2, np.zeros(5, dtype=np.uint8))
         with pytest.raises(DataError, match="mismatch"):
             load_idx(ip, str(lp2))
+
+    def test_test_label_outside_training_classes_rejected(self, tmp_path):
+        # the test labels carry class 3, which the training labels lack
+        images = np.zeros((6, 2, 2), dtype=np.uint8)
+        ip, lp = self.write_pair(tmp_path, images, np.array([0, 1, 2, 0, 1, 2]))
+        tip, tlp = tmp_path / "t_images.idx", tmp_path / "t_labels.idx"
+        write_idx_images(tip, images[:3])
+        write_idx_labels(tlp, np.array([0, 3, 1]))
+        cfg = config_from_dict({"dataset": {
+            "kind": "idx", "images": ip, "labels": lp,
+            "test_images": str(tip), "test_labels": str(tlp)}})
+        with pytest.raises(DataError, match="test split has rows of class 3"):
+            build_dataset(cfg)
 
 
 class TestCsv:

@@ -134,7 +134,7 @@ class TestForgettingGradient:
                 return predict_proba_batch(params0, train.X[:1])
 
         ledger = ForgettingLedger(lam=10.0)
-        ledger.append(train.X[:1], train.y[:1],
+        ledger.append(train.X[:1], train.y[:1], np.arange(1),
                       **frozen_columns(params0, engine.gaussians, train.X[:1]))
         g, _ = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
@@ -173,9 +173,9 @@ def engine_state(eng):
         "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": eng.gaussians.snapshot(),
-        "ledger": (led.y.tolist(),
+        "ledger": (led.y.tolist(), led.rows.tolist(),
                    *(None if c is None else c.tolist() for c in columns)),
-        "surviving": set(eng.surviving),
+        "alive": eng.alive.tolist(),
         "round": eng.round,
     }
 
@@ -511,9 +511,11 @@ def build_request(train, req):
 
 def check_stream_invariants(engine, train, params0, alive, counts0):
     size = int(alive.sum())
-    assert engine.retention.size_dt == len(engine.surviving) == size
+    assert engine.retention.size_dt == engine.alive.sum() == size
     assert sum(engine.class_counts.values()) == size
-    assert engine.surviving == set(train.ids[alive].tolist())
+    assert np.array_equal(engine.alive, alive)
+    if engine.ledger.count:
+        assert np.array_equal(train.X[engine.ledger.rows], engine.ledger.X)
     spent = np.bincount(engine.ledger.y, minlength=len(counts0))
     assert engine.class_counts == {c: n - int(spent[c]) for c, n in counts0.items()}
     gaussians = engine.gaussians
@@ -568,13 +570,17 @@ def test_request_stream_invariants(small_task, requests):
 def test_ledger_counts_and_rounds():
     ledger = ForgettingLedger(lam=1.0)
     assert ledger.count == 0
-    ledger.append(np.ones((2, 3)), np.array([0, 1]), Z=np.ones((2, 2, 1)))
+    assert ledger.y.tolist() == ledger.rows.tolist() == []
+    ledger.append(np.ones((2, 3)), np.array([0, 1]), np.array([4, 2]),
+                  Z=np.ones((2, 2, 1)))
     ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64),
-                  Z=np.zeros((2, 0, 1)))
-    ledger.append(np.zeros((1, 3)), np.array([1]), Z=np.zeros((2, 1, 1)))
+                  np.array([], dtype=np.intp), Z=np.zeros((2, 0, 1)))
+    ledger.append(np.zeros((1, 3)), np.array([1]), np.array([3]),
+                  Z=np.zeros((2, 1, 1)))
     assert ledger.count == 3
     # rows stay in the order of the rounds that forgot them
     assert ledger.y.tolist() == [0, 1, 1]
+    assert ledger.rows.tolist() == [4, 2, 3]
     assert ledger.X.tolist() == [[1.0] * 3, [1.0] * 3, [0.0] * 3]
     # the projection cache grows along its row axis, one slab per class
     assert ledger.Z.tolist() == [[[1.0], [1.0], [0.0]]] * 2
@@ -586,17 +592,19 @@ def test_ledger_appends_match_concatenation():
     # given as None is not kept
     rng = np.random.default_rng(0)
     ledger = ForgettingLedger(lam=1.0)
-    Xs, ys, Zs, P0s = [], [], [], []
+    Xs, ys, rows_s, Zs, P0s = [], [], [], [], []
     for m in (3, 0, 1, 5, 2, 9, 1, 16):
         X, y = rng.standard_normal((m, 4)), rng.integers(0, 3, m)
+        rows = rng.integers(0, 100, m)
         Z, P0 = rng.standard_normal((3, m, 2)), rng.standard_normal((5, m))
-        ledger.append(X, y, Z=Z, P0=P0, H=None)
-        Xs.append(X.copy()), ys.append(y.copy()), Zs.append(Z.copy())
-        P0s.append(P0.copy())
-        X[:], y[:], Z[:], P0[:] = 0.0, 7, 0.0, 0.0
+        ledger.append(X, y, rows, Z=Z, P0=P0, H=None)
+        Xs.append(X.copy()), ys.append(y.copy()), rows_s.append(rows.copy())
+        Zs.append(Z.copy()), P0s.append(P0.copy())
+        X[:], y[:], rows[:], Z[:], P0[:] = 0.0, 7, 7, 0.0, 0.0
         assert ledger.count == sum(len(v) for v in ys)
         assert np.array_equal(ledger.X, np.concatenate(Xs))
         assert np.array_equal(ledger.y, np.concatenate(ys))
+        assert np.array_equal(ledger.rows, np.concatenate(rows_s))
         assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))
         assert np.array_equal(ledger.P0, np.concatenate(P0s, axis=1))
         assert ledger.H is None and ledger.zz is None

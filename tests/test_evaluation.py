@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from safestream.evaluation import accuracy, mia_attack, score_rows
-from safestream.errors import ConfigError
 from safestream.model import (
     Architecture,
     ModelParams,
@@ -85,15 +84,6 @@ def test_scores_match_argmax_and_loss_with_ties(seed, hidden):
     if len(X):
         assert np.array_equal(scores.loss, cross_entropy_rows(params, X, y))
         assert np.array_equal(scores.proba, p.T)
-
-
-def test_unknown_label_is_never_correct_and_has_no_loss():
-    # a test row of a class the training rows lack has no output to match
-    params = uniform_model(d=2, c=3)
-    scores = score_rows(params, np.zeros((4, 2)), np.array([0, 3, 0, 5]))
-    assert scores.correct.tolist() == [True, False, True, False]
-    with pytest.raises(ConfigError, match="labels outside"):
-        scores.loss
 
 
 def reference_losses(params, X, y):

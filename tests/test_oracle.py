@@ -40,7 +40,7 @@ def forgotten(train, rows, lam):
     their features and labels, so none of the engine's frozen columns are
     appended."""
     ledger = ForgettingLedger(lam=lam)
-    ledger.append(train.X[rows], train.y[rows])
+    ledger.append(train.X[rows], train.y[rows], rows)
     return ledger
 
 

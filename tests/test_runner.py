@@ -211,28 +211,31 @@ REQUEST_STREAMS = st.lists(st.lists(st.integers(0, 16), max_size=8), max_size=6)
 @settings(max_examples=60, deadline=None)
 def test_round_loop_matches_id_lookups(loop_state, streams):
     # duplicates, foreign ids, re-requested forgotten ids and empty rounds:
-    # the survivor mask and each request must be what the id lookups give
+    # the engine's alive mask and each request must be what the id lookups
+    # give
     train, pool = loop_state.train, id_pool(loop_state)
     requests = [np.array([pool[k] for k in req], dtype=np.int64) for req in streams]
-    state = RunState(train, loop_state.test, loop_state.params0,
-                     copy.deepcopy(loop_state.engine), requests)
+    engine = copy.deepcopy(loop_state.engine)
+    state = RunState(train, loop_state.test, loop_state.params0, engine, requests)
     requested = np.empty(0, dtype=np.int64)
     rounds = 0
-    for t, request, result, _, survivors in round_loop(state):
+    for t, request, result, _ in round_loop(state):
         ids = requests[t - 1]
         requested = np.concatenate([requested, ids])
         want = train.select_ids(ids)
+        assert np.array_equal(train.take(engine.rows_of(ids)).ids, want.ids)
         for got_rows, want_rows in ((request, want),
-                                    (survivors.remaining(), train.without_ids(requested))):
+                                    (train.subset(engine.alive),
+                                     train.without_ids(requested))):
             assert np.array_equal(got_rows.X, want_rows.X)
             assert np.array_equal(got_rows.y, want_rows.y)
             assert np.array_equal(got_rows.ids, want_rows.ids)
-        assert np.array_equal(survivors.alive, ~np.isin(train.ids, requested))
+        assert np.array_equal(engine.alive, ~np.isin(train.ids, requested))
         # the forgotten rows are the engine's ledger, in its order
-        ledger = state.engine.ledger
-        assert len(survivors.forgotten) == ledger.count
+        ledger = engine.ledger
+        assert len(ledger.rows) == ledger.count
         if ledger.count:
-            assert np.array_equal(train.X[survivors.forgotten], ledger.X)
+            assert np.array_equal(train.X[ledger.rows], ledger.X)
         assert result.accepted + result.dropped == want.n
         rounds += 1
     assert rounds == len(requests)
@@ -437,6 +440,33 @@ class TestCli:
         assert main(["run", "--config", cfg, "--output", str(out)]) == 2
         rec = json.loads(out.read_text().splitlines()[-1])
         assert rec["error"] == "DataError" and "row 8, column 'a'" in rec["message"]
+
+    @pytest.mark.parametrize("evaluate_mia", [True, False])
+    def test_class_only_in_test_split_exit_code(self, tmp_path, monkeypatch,
+                                                evaluate_mia):
+        # the one row of class c lands in the test split: no model fitted to
+        # the training split can score it, so the data is rejected before w_0
+        # is trained, with or without the MIA
+        rng = np.random.default_rng(3)
+        labels = ["a"] * 60 + ["b"] * 60 + ["c"]
+        lines = ["u,v,label"] + [f"{u:.6f},{v:.6f},{lab}" for (u, v), lab
+                                 in zip(rng.uniform(0, 1, (121, 2)), labels)]
+        data = tmp_path / "d.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = self.write_cfg(
+            tmp_path, seed=0, evaluate_mia=evaluate_mia,
+            dataset={"kind": "csv", "path": str(data), "label_column": "label",
+                     "test_fraction": 0.5},
+            safe={"proj_dim": 1}, stream={"rounds": 1, "per_round": 2},
+        )
+        fits = []
+        monkeypatch.setattr(safestream.runner, "retrain", lambda *a: fits.append(a))
+        out = tmp_path / "o.jsonl"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 2
+        rec = json.loads(out.read_text().splitlines()[-1])
+        assert rec["error"] == "DataError"
+        assert "test split" in rec["message"] and "class 2" in rec["message"]
+        assert fits == []
 
     def test_error_record_written(self, tmp_path, capsys):
         cfg = self.write_cfg(tmp_path, stream={"rounds": 100, "per_round": 100})

@@ -11,12 +11,13 @@ assembles the total gradient and emits
 
 with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine reads the
 training set once, in its constructor; it keeps only an index of the training
-ids and a mask of the rows still alive, the forgotten points with what about
-them is frozen at w_0 and t=0 (per-class standardized projections and their
-squared norms, w_0 class probabilities and, for the MLP, w_0 hidden
-activations), and O(1)-per-class statistics.
+ids, a mask of the rows still alive, O(1)-per-class statistics and the ledger:
+of each forgotten point its features, training row and what is frozen at w_0
+and t=0 (per-class standardized projections and their squared norms, w_0
+class probabilities and, for the MLP, w_0 hidden activations), but no label.
 Each of those is computed once, when its row enters the ledger, so a round
-runs no forward pass over the ledger.
+runs no forward pass over the ledger. A request that keeps no row changes no
+state.
 """
 
 from __future__ import annotations
@@ -107,8 +108,6 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
     ``grad_sum_ft`` is the *sum* (not mean) of per-sample gradients at w_0.
     """
-    if m == 0:
-        return RetentionGradState(state.grad.copy(), state.size_dt)
     size_new = state.size_dt - m
     if size_new <= 0:
         raise StreamError(
@@ -119,9 +118,9 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
     return RetentionGradState(grad, size_new)
 
 
-# the axis along which each ledger column stacks its rows: X, y and rows are
+# the axis along which each ledger column stacks its rows: X and rows are
 # row-major, the frozen columns are per class (or per hidden unit) first
-_ROW_AXIS = {"X": 0, "y": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
+_ROW_AXIS = {"X": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
 
 
 def _along(axis: int, lo: int, hi: int) -> tuple:
@@ -129,8 +128,8 @@ def _along(axis: int, lo: int, hi: int) -> tuple:
 
 
 class ForgettingLedger:
-    """All points forgotten so far, as raw features X, labels y and their
-    training row indices ``rows``, plus the trade-off weight lambda.
+    """All points forgotten so far, as raw features X and their training row
+    indices ``rows``, plus the trade-off weight lambda.
     Membership lives in the engine's id index and alive mask, so each point
     enters at most once.
 
@@ -152,40 +151,34 @@ class ForgettingLedger:
 
     Rows live in buffers whose capacity doubles when full, so an append
     copies only its own rows (amortized); each column is a view of the
-    filled prefix, None while the ledger is empty (y and rows are then
-    empty). Each buffer takes the dtype of its column."""
+    filled prefix, None while the ledger is empty (rows is then empty). Each
+    buffer takes the dtype of its column."""
 
     def __init__(self, lam: float):
         self.lam = lam
         self.count = 0
-        self._buf: dict[str, np.ndarray] = {"y": np.empty(0, dtype=np.int64),
-                                            "rows": np.empty(0, dtype=np.intp)}
+        self._buf: dict[str, np.ndarray] = {"rows": np.empty(0, dtype=np.intp)}
 
     def _rows(self, name: str) -> np.ndarray | None:
         buf = self._buf.get(name)
         return None if buf is None else buf[_along(_ROW_AXIS[name], 0, self.count)]
 
     X = property(lambda self: self._rows("X"))
-    y = property(lambda self: self._rows("y"))
     rows = property(lambda self: self._rows("rows"))
     Z = property(lambda self: self._rows("Z"))
     zz = property(lambda self: self._rows("zz"))
     P0 = property(lambda self: self._rows("P0"))
     H = property(lambda self: self._rows("H"))
 
-    def append(self, X: np.ndarray, y: np.ndarray, rows: np.ndarray,
-               **frozen) -> None:
-        """Append features X, labels y, training row indices ``rows`` and, by
-        name, their frozen columns (see ``frozen_columns``; a column given as
-        None is not kept); a call with no labels changes nothing."""
-        m = len(y)
-        if m == 0:
-            return
-        cols = {"X": np.atleast_2d(X), "y": y, "rows": rows,
+    def append(self, X: np.ndarray, rows: np.ndarray, **frozen) -> None:
+        """Append m >= 1 rows: features X, training row indices ``rows`` and,
+        by name, their frozen columns (see ``frozen_columns``; a column given
+        as None is not kept)."""
+        cols = {"X": X, "rows": rows,
                 **{name: v for name, v in frozen.items() if v is not None}}
-        lo, hi = self.count, self.count + m
-        if hi > len(self._buf["y"]):
-            cap = max(hi, 2 * len(self._buf["y"]))
+        lo, hi = self.count, self.count + len(rows)
+        if hi > len(self._buf["rows"]):
+            cap = max(hi, 2 * len(self._buf["rows"]))
             for name, col in cols.items():
                 axis = _ROW_AXIS[name]
                 shape = col.shape[:axis] + (cap,) + col.shape[axis + 1:]
@@ -316,6 +309,10 @@ class SafeUnlearner:
         ids = _index_column(ids, "ids")
         if not (len(X) == len(y) == len(ids)):
             raise StreamError("request features, labels, and ids disagree in length")
+        d = self.params0.arch.input_dim
+        if X.ndim != 2 or X.shape[1] != d:
+            raise StreamError(f"request features have shape {X.shape}, "
+                              f"expected (*, {d})")
         if not np.all(np.isfinite(X)):
             raise StreamError("request features contain non-finite values")
         unknown = set(y.tolist()) - self.shift.counts0.keys()
@@ -331,21 +328,19 @@ class SafeUnlearner:
         X, y, rows = X[keep], y[keep], rows[keep]
         m = len(y)
 
+        # an empty round changes no state: the step below reads it as it is
+        exhausted = []
         if m:
-            grad_sum = grad_cross_entropy(self.params0, X, y) * m
-        else:
-            grad_sum = np.zeros(self.params0.arch.n_params)
-        retention = update_retention_grad(self.retention, grad_sum, m)
-        frozen = frozen_columns(self.params0, self.gaussians, X) if m else {}
-
-        # remove commits all of its class statistics or none of them
-        exhausted = self.gaussians.remove(X, y) if m else []
-        self.retention = retention
-
-        for label in y:
-            self.class_counts[int(label)] -= 1
-        self.alive[rows] = False
-        self.ledger.append(X, y, rows, **frozen)
+            retention = update_retention_grad(
+                self.retention, grad_cross_entropy(self.params0, X, y) * m, m)
+            frozen = frozen_columns(self.params0, self.gaussians, X)
+            # remove commits all of its class statistics or none of them
+            exhausted = self.gaussians.remove(X, y)
+            self.retention = retention
+            for label in y:
+                self.class_counts[int(label)] -= 1
+            self.alive[rows] = False
+            self.ledger.append(X, rows, **frozen)
 
         g_forget, targets = forgetting_gradient(
             self.params0, self.ledger, self.shift,

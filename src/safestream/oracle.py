@@ -2,7 +2,8 @@
 evaluation, and dynamic-regret / path-length accounting.
 
 The streaming engine never touches the training data after initialization;
-everything here runs on retained data and exists to measure the engine.
+everything here runs on retained data and exists to measure the engine, whose
+losses, predictions and targets it reads only from the arrays it is passed.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ForgettingLedger
 from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
@@ -20,7 +20,6 @@ from .model import (
     init_params,
     kl_rows,
     mean_cross_entropy,
-    neg_log_prob,
     prepare_rows,
 )
 
@@ -65,38 +64,37 @@ def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
     return params
 
 
-def true_risk(retained_loss: np.ndarray, ledger: ForgettingLedger,
-              p_led: np.ndarray, q_led: np.ndarray) -> float:
+def true_risk(retained_loss: np.ndarray, p_led: np.ndarray, q_led: np.ndarray,
+              lam: float) -> float:
     """The mean of ``retained_loss``, the model's per-row losses on the
-    remaining data, plus the mean KL, weighted by ``ledger.lam``, from the
-    model's predictions ``p_led`` to the retrained model's ``q_led`` over
-    all forgotten points, both (count, C) in ledger order. Empty ledger ->
+    remaining data, plus the mean KL, weighted by ``lam``, from the model's
+    predictions ``p_led`` to the retrained model's ``q_led`` over all
+    forgotten points, both (count, C) in ledger order. No forgotten points ->
     retention-only risk."""
     risk = float(retained_loss.mean())
-    if ledger.count:
-        risk += (ledger.lam / ledger.count) * kl_rows(p_led, q_led).sum()
+    if len(p_led):
+        risk += (lam / len(p_led)) * kl_rows(p_led, q_led).sum()
     return float(risk)
 
 
-def surrogate_risk(loss0: np.ndarray, ledger: ForgettingLedger, p_led: np.ndarray,
-                   targets: np.ndarray | None, size_dt: int) -> float:
+def surrogate_risk(loss0: np.ndarray, loss_led: np.ndarray, p_led: np.ndarray,
+                   targets: np.ndarray | None, size_dt: int, lam: float) -> float:
     """The engine-side risk estimate: the retention decomposition
 
         (|D_0|/|D_t|) R_0(w) - (1/|D_t|) sum_forgotten loss(w)
 
-    plus the forgetting term toward ``targets``, the shift targets the
-    engine built this round (``RoundResult.targets``), in place of the
-    retrained model. R_0 is the mean of ``loss0``, the model's per-row
-    losses on the initial data D_0, and ``p_led`` its (count, C) predictions
-    on the forgotten points in ledger order. Requires the retained initial
-    data, so only ``run`` in oracle mode calls it."""
+    plus the forgetting term, weighted by ``lam``, toward ``targets``, the
+    shift targets the engine built this round (``RoundResult.targets``), in
+    place of the retrained model. R_0 is the mean of ``loss0``, the model's
+    per-row losses on the initial data D_0; ``loss_led`` and ``p_led`` are
+    its losses and (count, C) predictions on the forgotten points in ledger
+    order. Requires the retained initial data, so only ``run`` in oracle mode
+    calls it."""
     r0 = float(loss0.mean())
     risk = (len(loss0) / size_dt) * r0
-    if ledger.count:
-        # the ledger losses read p_y from the same predictions as the KL term
-        p_y = p_led[np.arange(ledger.count), ledger.y]
-        risk -= neg_log_prob(p_y).sum() / size_dt
-        risk += (ledger.lam / ledger.count) * kl_rows(p_led, targets).sum()
+    if len(p_led):
+        risk -= loss_led.sum() / size_dt
+        risk += (lam / len(p_led)) * kl_rows(p_led, targets).sum()
     return float(risk)
 
 

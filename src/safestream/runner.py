@@ -393,12 +393,13 @@ def run(cfg: RunConfig, out) -> dict:
                            for split in (train, test))
             # both models' predictions on the forgotten rows, in ledger order
             p_led, q_led = w.proba[:, forgotten].T, ws.proba[:, forgotten].T
-            risk_w = true_risk(w.loss[alive], led, p_led, q_led)
+            risk_w = true_risk(w.loss[alive], p_led, q_led, led.lam)
             # true_risk of w* itself: its KL term against itself is 0
             risk_star = float(ws.loss[alive].mean())
             account.update(risk_w, risk_star, star)
-            surrogate = surrogate_risk(w.loss, led, p_led, result.targets,
-                                       engine.retention.size_dt)
+            surrogate = surrogate_risk(w.loss, w.loss[forgotten], p_led,
+                                       result.targets, engine.retention.size_dt,
+                                       led.lam)
             oracle_ms = (time.perf_counter() - o0) * 1e3
             rec["oracle"] = {
                 "risk_w": risk_w,
@@ -582,10 +583,10 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     return all_ok
 
 
-def sweep(cfg: RunConfig, out_path: str, ks=K_SWEEP_GRID, report=print) -> list[dict]:
-    """Run once per K value, writing one JSONL file per grid point."""
+def sweep(cfg: RunConfig, out_path: str, report=print) -> list[dict]:
+    """Run once per K of ``K_SWEEP_GRID``, writing one JSONL file per K."""
     summaries = []
-    for k in ks:
+    for k in K_SWEEP_GRID:
         k_cfg = replace(cfg, safe=replace(cfg.safe, K=float(k)))
         path = f"{out_path}.K{k:g}.jsonl"
         with open_output(path) as f:

@@ -29,7 +29,6 @@ from safestream.model import (
     predict_proba_batch,
 )
 from safestream.oracle import RetrainConfig, retrain
-from safestream.shift import ShiftEstimator
 
 from conftest import build_engine, central_difference, relative_error
 
@@ -134,7 +133,7 @@ class TestForgettingGradient:
                 return predict_proba_batch(params0, train.X[:1])
 
         ledger = ForgettingLedger(lam=10.0)
-        ledger.append(train.X[:1], train.y[:1], np.arange(1),
+        ledger.append(train.X[:1], np.arange(1),
                       **frozen_columns(params0, engine.gaussians, train.X[:1]))
         g, _ = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
@@ -173,7 +172,7 @@ def engine_state(eng):
         "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": eng.gaussians.snapshot(),
-        "ledger": (led.y.tolist(), led.rows.tolist(),
+        "ledger": (led.rows.tolist(),
                    *(None if c is None else c.tolist() for c in columns)),
         "alive": eng.alive.tolist(),
         "round": eng.round,
@@ -297,9 +296,14 @@ class TestProcessRequest:
         X = np.vstack([train.X[idx], np.zeros((1, train.dim))])
         y = np.concatenate([train.y[idx], [0]])
         ids = np.concatenate([train.ids[idx], [10_000_000]])
+        before = engine_state(engine)
         r2 = engine.process_request(X, y, ids)
         assert r2.accepted == 0 and r2.dropped == 11
         assert engine.ledger.count == 10
+        # a round that keeps no row only advances the round counter
+        after = engine_state(engine)
+        assert after.pop("round") == before.pop("round") + 1
+        assert after == before
 
     def test_repeated_id_counted_once(self, engine, blob_task):
         train, _, params0 = blob_task
@@ -318,6 +322,19 @@ class TestProcessRequest:
         X = train.X[4:8].copy()
         X[2, 1] = np.nan
         with pytest.raises(StreamError, match="non-finite"):
+            engine.process_request(X, train.y[4:8], train.ids[4:8])
+        assert engine_state(engine) == before
+
+    @pytest.mark.parametrize("shape", [lambda d: (4, d - 1), lambda d: (4, d + 1),
+                                       lambda d: (4, 1, d)],
+                             ids=["narrow", "wide", "3-d"])
+    def test_wrong_feature_shape_rejected_before_any_change(self, engine, blob_task,
+                                                            shape):
+        train, _, _ = blob_task
+        engine.process_request(train.X[:4], train.y[:4], train.ids[:4])
+        before = engine_state(engine)
+        X = np.ones(shape(train.dim))
+        with pytest.raises(StreamError, match="request features have shape"):
             engine.process_request(X, train.y[4:8], train.ids[4:8])
         assert engine_state(engine) == before
 
@@ -516,7 +533,7 @@ def check_stream_invariants(engine, train, params0, alive, counts0):
     assert np.array_equal(engine.alive, alive)
     if engine.ledger.count:
         assert np.array_equal(train.X[engine.ledger.rows], engine.ledger.X)
-    spent = np.bincount(engine.ledger.y, minlength=len(counts0))
+    spent = np.bincount(train.y[engine.ledger.rows], minlength=len(counts0))
     assert engine.class_counts == {c: n - int(spent[c]) for c, n in counts0.items()}
     gaussians = engine.gaussians
     for label, stats in gaussians.stats.items():
@@ -570,16 +587,11 @@ def test_request_stream_invariants(small_task, requests):
 def test_ledger_counts_and_rounds():
     ledger = ForgettingLedger(lam=1.0)
     assert ledger.count == 0
-    assert ledger.y.tolist() == ledger.rows.tolist() == []
-    ledger.append(np.ones((2, 3)), np.array([0, 1]), np.array([4, 2]),
-                  Z=np.ones((2, 2, 1)))
-    ledger.append(np.zeros((0, 3)), np.array([], dtype=np.int64),
-                  np.array([], dtype=np.intp), Z=np.zeros((2, 0, 1)))
-    ledger.append(np.zeros((1, 3)), np.array([1]), np.array([3]),
-                  Z=np.zeros((2, 1, 1)))
+    assert ledger.rows.tolist() == []
+    ledger.append(np.ones((2, 3)), np.array([4, 2]), Z=np.ones((2, 2, 1)))
+    ledger.append(np.zeros((1, 3)), np.array([3]), Z=np.zeros((2, 1, 1)))
     assert ledger.count == 3
     # rows stay in the order of the rounds that forgot them
-    assert ledger.y.tolist() == [0, 1, 1]
     assert ledger.rows.tolist() == [4, 2, 3]
     assert ledger.X.tolist() == [[1.0] * 3, [1.0] * 3, [0.0] * 3]
     # the projection cache grows along its row axis, one slab per class
@@ -592,18 +604,16 @@ def test_ledger_appends_match_concatenation():
     # given as None is not kept
     rng = np.random.default_rng(0)
     ledger = ForgettingLedger(lam=1.0)
-    Xs, ys, rows_s, Zs, P0s = [], [], [], [], []
-    for m in (3, 0, 1, 5, 2, 9, 1, 16):
-        X, y = rng.standard_normal((m, 4)), rng.integers(0, 3, m)
-        rows = rng.integers(0, 100, m)
+    Xs, rows_s, Zs, P0s = [], [], [], []
+    for m in (3, 1, 5, 2, 9, 1, 16):
+        X, rows = rng.standard_normal((m, 4)), rng.integers(0, 100, m)
         Z, P0 = rng.standard_normal((3, m, 2)), rng.standard_normal((5, m))
-        ledger.append(X, y, rows, Z=Z, P0=P0, H=None)
-        Xs.append(X.copy()), ys.append(y.copy()), rows_s.append(rows.copy())
+        ledger.append(X, rows, Z=Z, P0=P0, H=None)
+        Xs.append(X.copy()), rows_s.append(rows.copy())
         Zs.append(Z.copy()), P0s.append(P0.copy())
-        X[:], y[:], rows[:], Z[:], P0[:] = 0.0, 7, 7, 0.0, 0.0
-        assert ledger.count == sum(len(v) for v in ys)
+        X[:], rows[:], Z[:], P0[:] = 0.0, 7, 0.0, 0.0
+        assert ledger.count == sum(len(v) for v in rows_s)
         assert np.array_equal(ledger.X, np.concatenate(Xs))
-        assert np.array_equal(ledger.y, np.concatenate(ys))
         assert np.array_equal(ledger.rows, np.concatenate(rows_s))
         assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))
         assert np.array_equal(ledger.P0, np.concatenate(P0s, axis=1))

@@ -1,4 +1,4 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package and of its tests uses each name it imports.
 
 This is pyflakes' unused-import rule (F401) as a test, on the standard
 library's ``ast`` alone. An import whose line carries ``# noqa: F401`` is
@@ -11,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "safestream"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = {p.name: p for p in sorted((ROOT / "src" / "safestream").glob("*.py"))
+           if p.name != "__init__.py"}
+MODULES.update({p.name: p for p in sorted((ROOT / "tests").glob("*.py"))})
 NOQA = "# noqa: F401"
 
 
@@ -35,10 +38,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
-                                        if p.name != "__init__.py"))
-def test_module_has_no_unused_import(path):
-    assert unused_imports((PACKAGE / path).read_text()) == []
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_module_has_no_unused_import(name):
+    assert unused_imports(MODULES[name].read_text()) == []
 
 
 def test_rule_flags_unused_and_honours_noqa():

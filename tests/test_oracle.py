@@ -5,7 +5,7 @@ from scipy.special import rel_entr
 import safestream.model
 import safestream.oracle
 from safestream.data import make_synthetic
-from safestream.engine import ForgettingLedger, SafeConfig
+from safestream.engine import SafeConfig
 from safestream.errors import ConfigError, NumericalError
 from safestream.evaluation import accuracy, score_rows
 from safestream.model import (
@@ -33,15 +33,6 @@ def small_task():
     train, test = make_synthetic(600, 8, 2, 10.0, seed=3)
     arch = Architecture(train.dim, train.n_classes)
     return train, test, arch
-
-
-def forgotten(train, rows, lam):
-    """Ledger holding the given training rows. The oracle's risks read only
-    their features and labels, so none of the engine's frozen columns are
-    appended."""
-    ledger = ForgettingLedger(lam=lam)
-    ledger.append(train.X[rows], train.y[rows], rows)
-    return ledger
 
 
 def textbook_init(arch, seed):
@@ -197,18 +188,16 @@ class TestTrueRisk:
     def test_self_evaluation_with_empty_ledger(self, small_task):
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
-        ledger = ForgettingLedger(lam=100.0)
         none = np.empty((0, arch.n_classes))
-        risk = true_risk(cross_entropy_rows(star, train.X, train.y), ledger, none, none)
+        risk = true_risk(cross_entropy_rows(star, train.X, train.y), none, none, 100.0)
         assert risk == pytest.approx(mean_cross_entropy(star, train.X, train.y))
 
     def test_forgetting_term_vanishes_at_star(self, small_task):
         train, _, arch = small_task
         star = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
-        ledger = forgotten(train, np.arange(20), 100.0)
-        p_led = predict_proba_batch(star, ledger.X)
+        p_led = predict_proba_batch(star, train.X[:20])
         risk = true_risk(cross_entropy_rows(star, train.X[20:], train.y[20:]),
-                         ledger, p_led, p_led)
+                         p_led, p_led, 100.0)
         assert risk == pytest.approx(
             mean_cross_entropy(star, train.X[20:], train.y[20:]), abs=1e-12
         )
@@ -219,10 +208,9 @@ class TestTrueRisk:
         w = ModelParams(arch, rng.standard_normal(arch.n_params))
         star = ModelParams(arch, rng.standard_normal(arch.n_params))
         keep, forget = train.take(np.arange(200)), train.take(np.arange(200, 240))
-        ledger = forgotten(train, np.arange(200, 240), 5.0)
-        got = true_risk(cross_entropy_rows(w, keep.X, keep.y), ledger,
+        got = true_risk(cross_entropy_rows(w, keep.X, keep.y),
                         predict_proba_batch(w, forget.X),
-                        predict_proba_batch(star, forget.X))
+                        predict_proba_batch(star, forget.X), 5.0)
 
         p_keep = predict_proba_batch(w, keep.X)
         retention = -np.log(p_keep[np.arange(keep.n), keep.y]).mean()
@@ -234,12 +222,10 @@ class TestTrueRisk:
 class TestSurrogateRisk:
     def test_equals_initial_risk_before_deletions(self, small_task):
         train, _, arch = small_task
-        params0 = retrain(train.X, train.y, arch, RetrainConfig(epochs=80, seed=0))
-        engine = build_engine(train, params0, SafeConfig(T=5, lam=7.0))
         rng = np.random.default_rng(2)
         w = ModelParams(arch, rng.standard_normal(arch.n_params))
-        got = surrogate_risk(cross_entropy_rows(w, train.X, train.y), engine.ledger,
-                             np.empty((0, arch.n_classes)), None, train.n)
+        got = surrogate_risk(cross_entropy_rows(w, train.X, train.y), np.empty(0),
+                             np.empty((0, arch.n_classes)), None, train.n, 7.0)
         assert got == pytest.approx(mean_cross_entropy(w, train.X, train.y))
 
     def test_collapses_to_true_risk_with_forced_targets(self, small_task):
@@ -252,14 +238,14 @@ class TestSurrogateRisk:
             train.X[30:], train.y[30:], arch, RetrainConfig(epochs=80, seed=0)
         )
         w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
-        p_led = predict_proba_batch(w, engine.ledger.X)
-        q_led = predict_proba_batch(star, engine.ledger.X)
-        surro = surrogate_risk(
-            cross_entropy_rows(w, train.X, train.y), engine.ledger, p_led, q_led,
-            engine.retention.size_dt,
-        )
+        led = engine.ledger
+        loss = cross_entropy_rows(w, train.X, train.y)
+        p_led = predict_proba_batch(w, led.X)
+        q_led = predict_proba_batch(star, led.X)
+        surro = surrogate_risk(loss, loss[led.rows], p_led, q_led,
+                               engine.retention.size_dt, led.lam)
         true = true_risk(cross_entropy_rows(w, train.X[30:], train.y[30:]),
-                         engine.ledger, p_led, q_led)
+                         p_led, q_led, led.lam)
         assert surro == pytest.approx(true, abs=1e-12)
 
     def test_one_forward_pass_over_the_ledger(self, small_task, monkeypatch):
@@ -275,7 +261,7 @@ class TestSurrogateRisk:
         w = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
         targets = np.full((30, arch.n_classes), 1.0 / arch.n_classes)
         want = (len(train.X) / size_dt) * mean_cross_entropy(w, train.X, train.y)
-        want -= cross_entropy_rows(w, ledger.X, ledger.y).sum() / size_dt
+        want -= cross_entropy_rows(w, ledger.X, train.y[ledger.rows]).sum() / size_dt
         want += (ledger.lam / 30) * kl_rows(predict_proba_batch(w, ledger.X),
                                             targets).sum()
         forwarded = []
@@ -287,8 +273,8 @@ class TestSurrogateRisk:
 
         monkeypatch.setattr(safestream.model, "_forward", recording)
         scores = score_rows(w, train.X, train.y)
-        got = surrogate_risk(scores.loss, ledger, scores.proba[:, idx].T, targets,
-                             size_dt)
+        got = surrogate_risk(scores.loss, scores.loss[idx], scores.proba[:, idx].T,
+                             targets, size_dt, ledger.lam)
         assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
         assert forwarded == [len(train.X)]
 

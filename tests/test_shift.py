@@ -8,7 +8,6 @@ from safestream.errors import ConfigError
 from safestream.gaussian import (
     ClassConditionalGaussians,
     ClassStats,
-    cholesky_with_jitter,
     make_projection,
     sq_norms,
 )

@@ -42,11 +42,12 @@ ZERO_GRAD_TOL = 1e-12
 
 @dataclass(frozen=True)
 class SafeConfig:
-    """Schedule and budget knobs for the streaming unlearner.
+    """Schedule and budget knobs for the streaming unlearner, checked when built.
 
     ``W`` is the parameter-norm bound; when None it resolves to ||w_0||_2 at
-    engine construction. ``lam`` weights the forgetting term against
-    retention. ``proj_dim`` of None means min(input_dim, 32).
+    engine construction, by a ``replace`` that checks it again. ``lam``
+    weights the forgetting term against retention. ``proj_dim`` of None
+    means min(input_dim, 32).
     """
 
     K: float = 2.5
@@ -58,26 +59,27 @@ class SafeConfig:
     proj_dim: int | None = None
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.K <= 0:
+    def __post_init__(self) -> None:
+        if not self.K > 0:
             raise ConfigError(f"K must be positive, got {self.K}")
-        if self.T < 1:
+        if not self.T >= 1:
             raise ConfigError(f"T must be >= 1, got {self.T}")
-        if self.W is not None and self.W <= 0:
+        if self.W is not None and not self.W > 0:
             raise ConfigError(f"W must be positive, got {self.W}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise ConfigError(f"lambda weight must be >= 0, got {self.lam}")
-        if self.proj_dim is not None and self.proj_dim < 1:
+        if self.proj_dim is not None and not self.proj_dim >= 1:
             raise ConfigError(f"proj_dim must be >= 1, got {self.proj_dim}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def learning_rate(config: SafeConfig) -> float:
     """gamma = sqrt(W) / (K sqrt(T)); requires a resolved W."""
-    config.validate()
     if config.W is None:
         raise ConfigError("learning_rate needs a resolved W")
     return math.sqrt(config.W) / (config.K * math.sqrt(config.T))
@@ -86,7 +88,6 @@ def learning_rate(config: SafeConfig) -> float:
 def perturbation_scale(config: SafeConfig) -> float:
     """phi = W sqrt(2 ln(1.25/delta)) / epsilon, used as the per-coordinate
     standard deviation of the Gaussian perturbation."""
-    config.validate()
     if config.W is None:
         raise ConfigError("perturbation_scale needs a resolved W")
     return config.W * math.sqrt(2.0 * math.log(1.25 / config.delta)) / config.epsilon
@@ -258,11 +259,11 @@ class SafeUnlearner:
     def __init__(self, params0: ModelParams, config: SafeConfig,
                  projection: np.ndarray, X: np.ndarray, y: np.ndarray,
                  ids: np.ndarray):
-        config.validate()
         if config.W is None:
-            config = replace(config, W=float(np.linalg.norm(params0.theta)))
-            if config.W <= 0:
+            w0_norm = float(np.linalg.norm(params0.theta))
+            if not w0_norm > 0:
                 raise ConfigError("cannot resolve W from zero initial parameters")
+            config = replace(config, W=w0_norm)
         self.config = config
         self.params0 = params0.copy()
         self.retention = RetentionGradState(grad_cross_entropy(params0, X, y), len(y))

@@ -112,21 +112,21 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ClassStats:
     """Per-class running statistics in the standardized space.
 
-    The inverse of ``chol`` (``inv_chol``) and the log-determinant of sigma
-    are computed once, on construction, so the density ratios of every round
-    reuse them; a downdate builds new statistics rather than edit these."""
+    Construction factors sigma (``cholesky_with_jitter``) and keeps only the
+    factor's inverse, ``inv_chol``, and sigma's log-determinant, which every
+    round's density ratios reuse; a downdate builds new statistics instead."""
 
     n: int
     mu: np.ndarray
     sigma: np.ndarray
-    chol: np.ndarray
     frozen: bool = False
     inv_chol: np.ndarray = field(init=False, repr=False)
     logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.inv_chol = inverse_cholesky(self.chol)
-        self.logdet = 2.0 * float(np.log(np.diag(self.chol)).sum())
+        chol = cholesky_with_jitter(self.sigma)
+        self.inv_chol = inverse_cholesky(chol)
+        self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
 
     def snapshot(self) -> dict:
         return {
@@ -191,8 +191,7 @@ class ClassConditionalGaussians:
         for label in labels:
             Z = gaussians._whiten(U[y == label], label)
             mu, sigma = batch_mean_cov(Z)
-            gaussians.stats[label] = ClassStats(len(Z), mu, sigma,
-                                                cholesky_with_jitter(sigma))
+            gaussians.stats[label] = ClassStats(len(Z), mu, sigma)
         return gaussians
 
     def _whiten(self, U: np.ndarray, label: int) -> np.ndarray:
@@ -237,8 +236,7 @@ class ClassConditionalGaussians:
             mu_rm, sigma_rm = batch_mean_cov(Z)
             n_new, mu_new = downdate_mean(st.n, st.mu, len(Z), mu_rm)
             sigma_new = downdate_cov(st.n, st.sigma, mu_new, len(Z), mu_rm, sigma_rm)
-            updated[label] = ClassStats(n_new, mu_new, sigma_new,
-                                        cholesky_with_jitter(sigma_new))
+            updated[label] = ClassStats(n_new, mu_new, sigma_new)
         for label in exhausted:
             self.stats[label].frozen = True
         self.stats.update(updated)

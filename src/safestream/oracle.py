@@ -30,22 +30,25 @@ GRAD_TOL = 1e-7
 
 @dataclass(frozen=True)
 class RetrainConfig:
-    """Full-batch gradient descent settings for the exact-unlearning oracle."""
+    """Full-batch gradient descent settings for the oracle, checked when built."""
 
     epochs: int = 300
     lr: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
-        if self.epochs < 1 or self.lr <= 0:
-            raise ConfigError(f"invalid retrain config {self}")
+    def __post_init__(self) -> None:
+        if not self.epochs >= 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if not self.lr > 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
             config: RetrainConfig) -> ModelParams:
     """Train from a seeded fresh initialization until max epochs or the
     gradient norm drops below ``GRAD_TOL``."""
-    config.validate()
     # rows prepared once, before the first epoch; each epoch updates theta in place
     rows = prepare_rows(arch, X, y)
     params = init_params(arch, np.random.default_rng(config.seed))

@@ -100,6 +100,9 @@ _SEED_RETRAIN, _SEED_ENGINE = 6, 7
 
 
 def derive_seed(master: int, *channel: int) -> int:
+    # RunConfig.seed is read only here; SeedSequence takes no negative entropy
+    if not master >= 0:
+        raise ConfigError(f"config seed must be a non-negative integer, got {master}")
     ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(channel))
     return int(ss.generate_state(1)[0])
 
@@ -122,13 +125,16 @@ class DatasetSpec:
     label_column: str | None = None
     test_fraction: float = 0.2
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.kind not in ("synthetic", "idx", "csv"):
-            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+            raise ConfigError(f"kind {self.kind!r} is unknown")
         if self.kind == "idx" and not (self.images and self.labels):
-            raise ConfigError("idx dataset needs 'images' and 'labels' paths")
+            raise ConfigError("kind 'idx' needs 'images' and 'labels' paths")
+        if self.kind == "idx" and bool(self.test_images) != bool(self.test_labels):
+            raise ConfigError("kind 'idx' needs both 'test_images' and "
+                              "'test_labels' paths, or neither")
         if self.kind == "csv" and not (self.path and self.label_column):
-            raise ConfigError("csv dataset needs 'path' and 'label_column'")
+            raise ConfigError("kind 'csv' needs 'path' and 'label_column'")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction {self.test_fraction} not in [0, 1)")
 
@@ -147,14 +153,10 @@ class RunConfig:
     seed: int = 0
     output: str | None = None
 
-    def validate(self) -> None:
-        self.dataset.validate()
-        self.safe.validate()
-        self.retrain.validate()
-        self.stream.validate()
+    def __post_init__(self) -> None:
         if self.arch not in ("softmax", "mlp"):
             raise ConfigError(f"unknown arch {self.arch!r}")
-        if self.arch == "mlp" and self.hidden_dim < 1:
+        if self.arch == "mlp" and not self.hidden_dim >= 1:
             raise ConfigError(f"invalid hidden_dim {self.hidden_dim}")
 
     def to_dict(self) -> dict:
@@ -198,39 +200,30 @@ def _check_fields(cls, values: dict, where: str) -> None:
             raise ConfigError(f"{where} {name} must be finite, got {value!r}")
 
 
-def _check_seed(seed: int, where: str) -> None:
-    # numpy's SeedSequence, which every seed reaches, takes no negative entropy
-    if seed < 0:
-        raise ConfigError(f"{where} seed must be a non-negative integer, got {seed}")
-
-
 def config_from_dict(raw: dict) -> RunConfig:
-    """Build a validated RunConfig from parsed JSON, deriving any substream
-    seeds the file left unset from the master seed."""
+    """Build a RunConfig from parsed JSON, deriving any substream seeds the
+    file left unset from the master seed; a section's errors carry its name."""
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     top = {k: v for k, v in raw.items() if k not in _SECTIONS}
     _check_fields(RunConfig, top, "config")
     master = top.get("seed", 0)
-    _check_seed(master, "config")
 
     def section(name, cls, seed_channel):
         d = raw.get(name, {})
         if not isinstance(d, dict):
             raise ConfigError(f"{name} section must be a JSON object, got {d!r}")
         _check_fields(cls, d, name)
-        if seed_channel is not None:
-            if "seed" in d:
-                _check_seed(d["seed"], name)
-            else:
-                d = {**d, "seed": derive_seed(master, seed_channel)}
-        return cls(**d)
+        if seed_channel is not None and "seed" not in d:
+            d = {**d, "seed": derive_seed(master, seed_channel)}
+        try:
+            return cls(**d)
+        except ConfigError as e:
+            raise ConfigError(f"{name} {e}") from None
 
-    cfg = RunConfig(
+    return RunConfig(
         **{name: section(name, *spec) for name, spec in _SECTIONS.items()}, **top
     )
-    cfg.validate()
-    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -272,7 +265,7 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         )
     if spec.kind == "idx":
         train = load_idx(spec.images, spec.labels)
-        if spec.test_images and spec.test_labels:
+        if spec.test_images:
             test = load_idx(spec.test_images, spec.test_labels)
             test = Dataset(test.X, test.y, test.ids + train.n)
         else:
@@ -311,7 +304,6 @@ class RunState:
 
 
 def initialize(cfg: RunConfig) -> RunState:
-    cfg.validate()
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
     params0 = retrain(train.X, train.y, arch, cfg.retrain)
@@ -324,9 +316,9 @@ def initialize(cfg: RunConfig) -> RunState:
 
 def round_loop(state: RunState):
     """Send each request of the stream through the engine, yielding
-    ``(t, request, result, wall_ms)`` per round: ``request`` is the rows
-    ``train.select_ids`` gives for the round's ids, copied from the engine's
-    ``rows_of`` alone, and ``wall_ms`` times ``process_request`` alone."""
+    ``(t, request, result, wall_ms)`` per round: ``request`` is
+    ``train.take(engine.rows_of(ids))`` for the round's ids, and ``wall_ms``
+    times ``process_request`` alone."""
     train, engine = state.train, state.engine
     for t, ids in enumerate(state.requests, start=1):
         request = train.take(engine.rows_of(ids))

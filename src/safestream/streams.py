@@ -22,19 +22,20 @@ class StreamSpec:
     target_class: int | None = None
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in (MODE_RANDOM, MODE_CLASS):
-            raise ConfigError(f"unknown stream mode {self.mode!r}")
-        if self.rounds < 0 or self.per_round < 0:
+            raise ConfigError(f"mode {self.mode!r} is unknown")
+        if not (self.rounds >= 0 and self.per_round >= 0):
             raise ConfigError("rounds and per_round must be non-negative")
         if self.mode == MODE_CLASS and self.target_class is None:
-            raise ConfigError("class-stream mode needs a target_class")
+            raise ConfigError("mode 'class-stream' needs a target_class")
+        if not self.seed >= 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def generate_stream(train: Dataset, spec: StreamSpec,
                     min_class_count: int) -> list[np.ndarray]:
     """Ordered list of disjoint per-round id arrays drawn from the train split."""
-    spec.validate()
     total = spec.rounds * spec.per_round
 
     rng = np.random.default_rng(spec.seed)

@@ -50,20 +50,27 @@ class TestSchedules:
 
     def test_delta_boundary_rejected(self):
         with pytest.raises(ConfigError):
-            SafeConfig(delta=1.25).validate()
+            SafeConfig(delta=1.25)
         with pytest.raises(ConfigError):
-            SafeConfig(delta=1.0).validate()
+            SafeConfig(delta=1.0)
 
     def test_unresolved_w_rejected(self):
         with pytest.raises(ConfigError):
             learning_rate(SafeConfig(W=None))
+
+    def test_w_from_zero_initial_parameters_rejected(self, blob_task):
+        # the engine's own message, not SafeConfig's "W must be positive"
+        train, _, params0 = blob_task
+        zero = ModelParams(params0.arch, np.zeros_like(params0.theta))
+        with pytest.raises(ConfigError, match="zero initial parameters"):
+            build_engine(train, zero, SafeConfig(W=None, proj_dim=4))
 
     @pytest.mark.parametrize(
         "kwargs", [{"K": 0.0}, {"T": 0}, {"W": -1.0}, {"epsilon": 0.0}, {"lam": -1.0}]
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            SafeConfig(**kwargs).validate()
+            SafeConfig(**kwargs)
 
 
 class TestRetentionRecursion:

@@ -25,7 +25,7 @@ def log_ratio(Z, mu, sigma):
     """log N(z | mu, sigma) - log N(z | 0, I) per row, from a one-class model
     whose frozen transform is the identity."""
     d = len(mu)
-    st = ClassStats(50, mu, sigma, np.linalg.cholesky(sigma))
+    st = ClassStats(50, mu, sigma)
     g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st})
     Z = np.atleast_2d(Z)
     return g.log_density_vs_base_batch(Z, sq_norms(Z), 0)

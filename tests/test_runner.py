@@ -1,7 +1,8 @@
 import copy
+import functools
 import io
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,11 +16,14 @@ import safestream.model
 import safestream.runner
 from safestream.cli import main
 from safestream.data import Dataset
-from safestream.engine import SafeUnlearner
+from safestream.engine import SafeConfig, SafeUnlearner
 from safestream.errors import ConfigError
 from safestream.gaussian import ClassConditionalGaussians
+from safestream.oracle import RetrainConfig
 from safestream.runner import (
     K_SWEEP_GRID,
+    DatasetSpec,
+    RunConfig,
     RunState,
     config_from_dict,
     config_hash,
@@ -30,6 +34,7 @@ from safestream.runner import (
     sweep,
     verify,
 )
+from safestream.streams import StreamSpec
 
 BASE = {
     "dataset": {"kind": "synthetic", "n": 900, "dim": 10, "classes": 3,
@@ -58,6 +63,66 @@ ORACLE_KEYS = {"risk_w", "risk_star", "regret", "cumulative_regret", "v_t",
                "gap_bound", "retrain_ms", "oracle_ms"}
 
 
+NAN = float("nan")
+IDX = {"kind": "idx", "images": "i.idx", "labels": "l.idx"}
+# RunConfig built from default sections, so its own checks are the ones hit
+RUN_CONFIG = functools.partial(RunConfig, DatasetSpec(), SafeConfig(),
+                               RetrainConfig(), StreamSpec())
+INVALID = [
+    (SafeConfig, {"K": 0.0}), (SafeConfig, {"K": NAN}), (SafeConfig, {"T": 0}),
+    (SafeConfig, {"W": -1.0}), (SafeConfig, {"W": NAN}),
+    (SafeConfig, {"epsilon": 0.0}), (SafeConfig, {"epsilon": NAN}),
+    (SafeConfig, {"delta": 0.0}), (SafeConfig, {"delta": 1.0}),
+    (SafeConfig, {"delta": NAN}), (SafeConfig, {"lam": -1.0}),
+    (SafeConfig, {"lam": NAN}), (SafeConfig, {"proj_dim": 0}),
+    (SafeConfig, {"seed": -1}),
+    (RetrainConfig, {"epochs": 0}), (RetrainConfig, {"lr": 0.0}),
+    (RetrainConfig, {"lr": NAN}), (RetrainConfig, {"seed": -1}),
+    (StreamSpec, {"mode": "bogus"}), (StreamSpec, {"mode": "class-stream"}),
+    (StreamSpec, {"rounds": -1}), (StreamSpec, {"per_round": -1}),
+    (StreamSpec, {"seed": -1}),
+    (DatasetSpec, {"kind": "bogus"}), (DatasetSpec, {"kind": "idx"}),
+    (DatasetSpec, {**IDX, "test_images": "ti.idx"}),
+    (DatasetSpec, {**IDX, "test_labels": "tl.idx"}),
+    (DatasetSpec, {"kind": "csv"}), (DatasetSpec, {"test_fraction": -0.1}),
+    (DatasetSpec, {"test_fraction": 1.0}), (DatasetSpec, {"test_fraction": NAN}),
+    (RUN_CONFIG, {"arch": "transformer"}),
+    (RUN_CONFIG, {"arch": "mlp", "hidden_dim": 0}),
+]
+
+
+def _invalid_id(case):
+    build, kwargs = case
+    name = getattr(build, "__name__", "RunConfig")
+    return "-".join([name, *(f"{k}={v}" for k, v in kwargs.items())])
+
+
+# arbitrary JSON objects over the config's section and field names
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2**70, 2**70), st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(["synthetic", "idx", "csv", "random-subset", "class-stream",
+                     "softmax", "mlp"]),
+)
+
+
+def _json_object(names):
+    return st.dictionaries(st.sampled_from([*names, "bogus"]), _JSON_VALUES,
+                           max_size=4)
+
+
+_SECTION_TYPES = {"dataset": DatasetSpec, "safe": SafeConfig,
+                  "retrain": RetrainConfig, "stream": StreamSpec}
+_RAW_CONFIGS = st.builds(
+    lambda top, sections: {**top, **sections},
+    _json_object([f.name for f in fields(RunConfig) if f.name not in _SECTION_TYPES]),
+    st.fixed_dictionaries({}, optional={
+        name: st.one_of(_JSON_VALUES, _json_object([f.name for f in fields(cls)]))
+        for name, cls in _SECTION_TYPES.items()
+    }),
+)
+
+
 def run_to_records(cfg):
     buf = io.StringIO()
     run(cfg, buf)
@@ -83,6 +148,25 @@ class TestConfig:
                 config_from_dict({**BASE, flag: "false"})
         with pytest.raises(ConfigError, match="hidden_dim"):
             config_from_dict({**BASE, "arch": "mlp", "hidden_dim": "x"})
+
+    @pytest.mark.parametrize("case", INVALID, ids=_invalid_id)
+    def test_invalid_config_cannot_be_built(self, case):
+        # NaN fails every bound, and a negative seed is refused here rather
+        # than by numpy once the run reaches it
+        build, kwargs = case
+        with pytest.raises(ConfigError):
+            build(**kwargs)
+        with pytest.raises(ConfigError):
+            replace(build(), **kwargs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=_RAW_CONFIGS)
+    def test_json_errors_stay_in_taxonomy(self, raw):
+        try:
+            cfg = config_from_dict(raw)
+        except ConfigError:
+            return
+        assert isinstance(cfg, RunConfig)
 
     def test_substream_seeds_derived_from_master(self):
         a = config_from_dict(json.loads(json.dumps(BASE)))
@@ -521,12 +605,14 @@ class TestCli:
         ({"retrain": {"seed": -2}}, "retrain seed must be a non-negative"),
         ({"stream": {**BASE["stream"], "seed": -1}},
          "stream seed must be a non-negative"),
+        ({"dataset": {**IDX, "test_images": "ti.idx"}}, "'test_labels'"),
+        ({"dataset": {**IDX, "test_labels": "tl.idx"}}, "'test_images'"),
     ], ids=["seed-str", "seed-float", "safe-K-str", "dataset-n-str",
             "stream-rounds-float", "safe-not-object", "checkpoint_in",
             "safe-K-nan", "retrain-lr-inf", "test-fraction-negative",
             "test-fraction-one", "retrain-batch-size", "retrain-grad-tol",
             "seed-negative", "safe-seed-negative", "retrain-seed-negative",
-            "stream-seed-negative"])
+            "stream-seed-negative", "idx-test-images-only", "idx-test-labels-only"])
     def test_malformed_config_exit_code(self, tmp_path, overrides, names):
         cfg = self.write_cfg(tmp_path, **overrides)
         out = tmp_path / "err.jsonl"

@@ -70,7 +70,7 @@ def test_density_ratio_closed_form_mean_shift():
     dim = 3
     mu = np.zeros(dim)
     mu[0] = delta
-    stats = {0: ClassStats(50, mu, np.eye(dim), np.eye(dim))}
+    stats = {0: ClassStats(50, mu, np.eye(dim))}
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
     )
@@ -95,7 +95,7 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
 def test_density_ratio_clipped_positive_finite():
     dim = 2
     far_mu = np.full(dim, 80.0)
-    stats = {0: ClassStats(50, far_mu, np.eye(dim), np.eye(dim))}
+    stats = {0: ClassStats(50, far_mu, np.eye(dim))}
     g = ClassConditionalGaussians(
         np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
     )

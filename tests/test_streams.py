@@ -89,8 +89,8 @@ def test_budget_overflow_rejected():
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        StreamSpec(mode="bogus").validate()
+        StreamSpec(mode="bogus")
     with pytest.raises(ConfigError):
-        StreamSpec(mode="class-stream").validate()
+        StreamSpec(mode="class-stream")
     with pytest.raises(ConfigError):
-        StreamSpec(rounds=-1).validate()
+        StreamSpec(rounds=-1)

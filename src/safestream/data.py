@@ -208,6 +208,8 @@ def make_synthetic(
 
     Class centers sit on orthonormal directions scaled by ``separation``; the
     within-class noise is unit isotropic, so ``separation`` is in sigma units.
+    Each class puts round(test_fraction * its rows) into the test split, none
+    at 0.0; a fraction that leaves a class no training row is a ConfigError.
     """
     if n_classes < 2:
         raise ConfigError("need at least 2 classes")
@@ -229,11 +231,14 @@ def make_synthetic(
     X, y = X[perm], y[perm]
     ids = np.arange(n)
 
-    # stratified split so every class appears in the train split
+    # stratified split: every class keeps a row in the train split
     test_mask = np.zeros(n, dtype=bool)
     for c in range(n_classes):
         members = np.flatnonzero(y == c)
-        k = max(1, int(round(test_fraction * len(members))))
+        k = int(round(test_fraction * len(members)))
+        if k >= len(members):
+            raise ConfigError(f"test_fraction={test_fraction} leaves class {c} "
+                              f"none of its {len(members)} rows to train on")
         test_mask[members[:k]] = True
     train_idx = np.flatnonzero(~test_mask)
     test_idx = np.flatnonzero(test_mask)

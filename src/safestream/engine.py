@@ -3,9 +3,12 @@ per deletion round, anchored at the initially trained parameters.
 
 Per round the engine (i) updates the recursive retention gradient, (ii)
 downdates the per-class Gaussian statistics, (iii) re-evaluates the shift
-targets of every point forgotten so far against the current statistics, from
-the per-class projections cached when each point entered the ledger, (iv)
-assembles the total gradient and emits
+targets of every point forgotten so far against the current statistics: it
+refreshes the ledger's density ratio column from the per-class projections
+cached when each point entered the ledger, recomputing every row of a class
+whose statistics the round replaced and only the new rows of any other class,
+then reweights the cached w_0 probabilities by those ratios, (iv) assembles the
+total gradient and emits
 
     w_t = w_0 - gamma * g_t / ||g_t||_2 - b_t,
 
@@ -16,8 +19,9 @@ of each forgotten point its features, training row and what is frozen at w_0
 and t=0 (per-class standardized projections and their squared norms, w_0
 class probabilities and, for the MLP, w_0 hidden activations), but no label.
 Each of those is computed once, when its row enters the ledger, so a round
-runs no forward pass over the ledger. A request that keeps no row changes no
-state.
+runs no forward pass over the ledger. Beside them the ledger keeps each row's
+density ratio under every class, which a round refreshes only where the class
+statistics moved. A request that keeps no row changes no state.
 """
 
 from __future__ import annotations
@@ -28,14 +32,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StreamError
-from .gaussian import ClassConditionalGaussians, sq_norms
+from .gaussian import ClassConditionalGaussians, ClassStats, sq_norms
 from .model import (
     ModelParams,
     forward_proba,
     grad_cross_entropy,
     sum_grad_kl_to_targets,
 )
-from .shift import ShiftEstimator
+from .shift import ShiftEstimator, density_ratio
 
 ZERO_GRAD_TOL = 1e-12
 
@@ -120,8 +124,8 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
 
 # the axis along which each ledger column stacks its rows: X and rows are
-# row-major, the frozen columns are per class (or per hidden unit) first
-_ROW_AXIS = {"X": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1}
+# row-major, the other columns are per class (or per hidden unit) first
+_ROW_AXIS = {"X": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1, "R": 1}
 
 
 def _along(axis: int, lo: int, hi: int) -> tuple:
@@ -147,6 +151,16 @@ class ForgettingLedger:
     - H: the (h, count) w_0 hidden activations of the MLP, None for the
       linear head; h.
 
+    One column is not frozen: R, the (n_classes, count) clipped density
+    ratio of each row under every class's current statistics
+    (``density_ratio``); n_classes. It is appended unset (NaN) with zz and
+    set by ``refresh_ratios``, which every round's targets run first.
+    Beside it, ``ratio_stats`` records the ``ClassStats`` object each
+    class's ratios were computed under and ``ratio_rows`` how many rows
+    they cover. A class whose statistics object was replaced since gets
+    every row recomputed; any other class, a frozen one included, only the
+    rows appended since.
+
     The targets depend on the current class statistics and counts; they are
     not stored and are recomputed from these columns each round.
 
@@ -159,6 +173,8 @@ class ForgettingLedger:
         self.lam = lam
         self.count = 0
         self._buf: dict[str, np.ndarray] = {"rows": np.empty(0, dtype=np.intp)}
+        self.ratio_stats: dict[int, ClassStats] = {}
+        self.ratio_rows = 0
 
     def _rows(self, name: str) -> np.ndarray | None:
         buf = self._buf.get(name)
@@ -170,13 +186,16 @@ class ForgettingLedger:
     zz = property(lambda self: self._rows("zz"))
     P0 = property(lambda self: self._rows("P0"))
     H = property(lambda self: self._rows("H"))
+    R = property(lambda self: self._rows("R"))
 
     def append(self, X: np.ndarray, rows: np.ndarray, **frozen) -> None:
         """Append m >= 1 rows: features X, training row indices ``rows`` and,
         by name, their frozen columns (see ``frozen_columns``; a column given
-        as None is not kept)."""
+        as None is not kept). Rows appended with zz get unset ratios in R."""
         cols = {"X": X, "rows": rows,
                 **{name: v for name, v in frozen.items() if v is not None}}
+        if "zz" in cols:
+            cols["R"] = np.full_like(cols["zz"], np.nan)
         lo, hi = self.count, self.count + len(rows)
         if hi > len(self._buf["rows"]):
             cap = max(hi, 2 * len(self._buf["rows"]))
@@ -190,6 +209,25 @@ class ForgettingLedger:
         for name, col in cols.items():
             self._buf[name][_along(_ROW_AXIS[name], lo, hi)] = col
         self.count = hi
+
+    def stale_from(self, label: int, stats: ClassStats) -> int:
+        """The first row whose ratio under class ``label`` is out of date
+        with ``stats``: every row if the ratios were computed under another
+        statistics object, else only the rows appended since."""
+        return self.ratio_rows if self.ratio_stats.get(label) is stats else 0
+
+    def refresh_ratios(self, gaussians: ClassConditionalGaussians) -> np.ndarray:
+        """Bring the R column up to date with the current class statistics
+        (see the class docstring) and return it; ``gaussians`` must be the
+        model whose ``standardize_all`` stack Z holds."""
+        for Zc, zzc, Rc, label in zip(self.Z, self.zz, self.R, gaussians.classes):
+            stats = gaussians.stats[label]
+            lo = self.stale_from(label, stats)
+            if lo < self.count:
+                Rc[lo:] = density_ratio(Zc[lo:], zzc[lo:], gaussians, label)
+            self.ratio_stats[label] = stats
+        self.ratio_rows = self.count
+        return self.R
 
 
 def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
@@ -206,13 +244,12 @@ def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
                         size_dt: int) -> tuple[np.ndarray, np.ndarray | None]:
     """``(gradient, targets)``: (lam / sum |F_i|) * sum over forgotten points
     of the KL gradient toward the current shift targets, and those (n, C)
-    targets; a zero vector and None for an empty ledger. Everything it reads
-    of a ledger row was frozen when the row was appended, so it runs no
-    forward pass."""
+    targets; a zero vector and None for an empty ledger. The targets refresh
+    the ledger's density ratio column; the backward pass reuses the w_0
+    forward pass the ledger keeps, so it runs none of its own."""
     if ledger.count == 0:
         return np.zeros(params0.arch.n_params), None
-    targets = shift.target_predictions(ledger.P0, ledger.Z, ledger.zz, counts_t,
-                                       size_dt)
+    targets = shift.target_predictions(ledger, counts_t, size_dt)
     g = sum_grad_kl_to_targets(params0, ledger.X, targets,
                                forward=(ledger.P0, ledger.H))
     return (ledger.lam / ledger.count) * g, targets
@@ -336,7 +373,7 @@ class SafeUnlearner:
                 self.retention, grad_cross_entropy(self.params0, X, y) * m, m)
             frozen = frozen_columns(self.params0, self.gaussians, X)
             # remove commits all of its class statistics or none of them
-            exhausted = self.gaussians.remove(X, y)
+            exhausted = self.gaussians.remove(frozen["Z"], y)
             self.retention = retention
             for label in y:
                 self.class_counts[int(label)] -= 1

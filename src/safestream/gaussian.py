@@ -210,18 +210,24 @@ class ClassConditionalGaussians:
         U = np.atleast_2d(X) @ self.projection
         return np.stack([self._whiten(U, label) for label in self.classes])
 
-    def remove(self, X: np.ndarray, y: np.ndarray) -> list[int]:
-        """Downdate the per-class statistics for a deletion batch, all or
-        nothing.
+    def remove(self, Z: np.ndarray, y: np.ndarray) -> list[int]:
+        """Downdate the per-class statistics for a deletion batch of rows
+        labelled y, all or nothing. Z is the batch's ``standardize_all``
+        stack, (n_classes, m, k): the rows of class c are read from the
+        slab of c.
 
         A class the batch would leave with fewer than ``min_class_count``
         points freezes at its current statistics; already frozen classes are
         skipped. Every other class's count, mean, covariance and Cholesky
         factor is computed before any class changes, so a ``StatsError``
-        leaves every class as it was. Returns the labels frozen by this call.
+        leaves every class as it was. A class's statistics change only by
+        replacing its ``ClassStats`` (freezing one sets its flag, nothing
+        else): the ledger's ratio refresh relies on that. Returns the labels
+        frozen by this call.
         """
         exhausted: list[int] = []
         updated: dict[int, ClassStats] = {}
+        slab = {label: i for i, label in enumerate(self.classes)}
         for label in np.unique(y):
             label = int(label)
             st = self.stats.get(label)
@@ -229,13 +235,13 @@ class ClassConditionalGaussians:
                 raise StatsError(f"deletion names unknown class {label}")
             if st.frozen:
                 continue
-            Z = self.standardize_batch(X[y == label], label)
-            if st.n - len(Z) < self.min_class_count:
+            Zc = Z[slab[label]][y == label]
+            if st.n - len(Zc) < self.min_class_count:
                 exhausted.append(label)
                 continue
-            mu_rm, sigma_rm = batch_mean_cov(Z)
-            n_new, mu_new = downdate_mean(st.n, st.mu, len(Z), mu_rm)
-            sigma_new = downdate_cov(st.n, st.sigma, mu_new, len(Z), mu_rm, sigma_rm)
+            mu_rm, sigma_rm = batch_mean_cov(Zc)
+            n_new, mu_new = downdate_mean(st.n, st.mu, len(Zc), mu_rm)
+            sigma_new = downdate_cov(st.n, st.sigma, mu_new, len(Zc), mu_rm, sigma_rm)
             updated[label] = ClassStats(n_new, mu_new, sigma_new)
         for label in exhausted:
             self.stats[label].frozen = True

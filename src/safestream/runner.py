@@ -258,12 +258,11 @@ def build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     class the training split lacks, which no model fitted to it can score."""
     spec = cfg.dataset
     if spec.kind == "synthetic":
-        # stratified: every class lands in the training split
-        return make_synthetic(
+        train, test = make_synthetic(
             spec.n, spec.dim, spec.classes, spec.separation,
             derive_seed(cfg.seed, _SEED_DATA), spec.test_fraction,
         )
-    if spec.kind == "idx":
+    elif spec.kind == "idx":
         train = load_idx(spec.images, spec.labels)
         if spec.test_images:
             test = load_idx(spec.test_images, spec.test_labels)

@@ -52,29 +52,30 @@ class ShiftEstimator:
         self.counts0 = dict(counts0)
         self.size_d0 = sum(self.counts0.values())
 
-    def class_ratio_matrix(self, Z: np.ndarray, zz: np.ndarray,
-                           counts_t: dict[int, int], size_dt: int) -> np.ndarray:
-        """(n, C) matrix of q_t^{(c)}(x_i) over every class c, from the
-        ``standardize_all`` stack Z of the rows and its ``sq_norms`` zz; a
-        transposed view of the class-major array it fills one class row at a
-        time."""
+    def class_ratio_matrix(self, ledger, counts_t: dict[int, int],
+                           size_dt: int) -> np.ndarray:
+        """(n, C) matrix of q_t^{(c)}(x_i) over the n rows of ``ledger`` (an
+        ``engine.ForgettingLedger``) and every class c: each class's label
+        ratio times the ledger's clipped density ratios, refreshed first
+        (``refresh_ratios``); a transposed view of the class-major array it
+        fills one class row at a time."""
+        ratios = ledger.refresh_ratios(self.gaussians)
         n_classes = max(self.counts0) + 1
-        q = np.full((n_classes, Z.shape[1]), RATIO_FLOOR)
-        for Zc, zzc, label in zip(Z, zz, self.gaussians.classes):
+        q = np.full((n_classes, ledger.count), RATIO_FLOOR)
+        for ratio, label in zip(ratios, self.gaussians.classes):
             lr = label_ratio(
                 counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
             )
-            q[label] = lr * density_ratio(Zc, zzc, self.gaussians, label)
+            q[label] = lr * ratio
         return q.T
 
-    def target_predictions(self, probs0: np.ndarray, Z: np.ndarray,
-                           zz: np.ndarray, counts_t: dict[int, int],
+    def target_predictions(self, ledger, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:
         """(n, C) reweighted, renormalized stand-ins for the retrained
-        predictions at n rows, given their class-major (C, n) w_0
-        probabilities ``probs0`` (``forward_proba(params0, X)[0]``), their
-        ``standardize_all`` stack Z and its ``sq_norms`` zz."""
-        raw = probs0 * self.class_ratio_matrix(Z, zz, counts_t, size_dt).T
+        predictions at the n rows of ``ledger``, from their class-major
+        (C, n) w_0 probabilities ``ledger.P0`` and ``class_ratio_matrix``."""
+        probs0 = ledger.P0
+        raw = probs0 * self.class_ratio_matrix(ledger, counts_t, size_dt).T
         norm = raw.sum(axis=0)
         ok = np.isfinite(norm) & (norm > 0.0)
         out = np.where(ok, raw / np.where(ok, norm, 1.0), probs0)

@@ -96,7 +96,7 @@ def test_c01_downdate_oracle_equivalence():
     worst = 0.0
     for _ in range(20):
         idx = rng.choice(np.flatnonzero(alive), 40, replace=False)
-        g.remove(X[idx], y[idx])
+        g.remove(g.standardize_all(X[idx]), y[idx])
         alive[idx] = False
         for label in range(5):
             rows = X[alive & (y == label)]

@@ -167,6 +167,21 @@ class TestSynthetic:
         assert train.n + test.n == 300
         assert not set(train.ids) & set(test.ids)
 
+    def test_zero_test_fraction_holds_out_nothing(self):
+        train, test = make_synthetic(300, 6, 5, 1.0, seed=2, test_fraction=0.0)
+        assert train.n == 300 and test.n == 0
+
+    def test_default_fraction_holds_out_one_of_four_rows(self):
+        # round(0.2 * 4) = 1 row of each 4-row class
+        train, test = make_synthetic(20, 5, 5, 1.0, seed=0)
+        assert np.bincount(test.y).tolist() == [1] * 5
+        assert np.bincount(train.y).tolist() == [3] * 5
+
+    def test_fraction_leaving_a_class_no_training_row_rejected(self):
+        # round(0.9 * 4) = 4 of each class's 4 rows would go to the test split
+        with pytest.raises(ConfigError, match="test_fraction"):
+            make_synthetic(20, 5, 5, 1.0, seed=0, test_fraction=0.9)
+
     def test_infeasible_sizes_rejected(self):
         with pytest.raises(ConfigError):
             make_synthetic(10, 8, 5, 1.0, seed=0)

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,12 @@ from safestream.engine import (
     update_retention_grad,
 )
 from safestream.errors import ConfigError, StatsError, StreamError
-from safestream.gaussian import batch_mean_cov, make_projection, sq_norms
+from safestream.gaussian import (
+    ClassConditionalGaussians,
+    batch_mean_cov,
+    make_projection,
+    sq_norms,
+)
 from safestream.model import (
     Architecture,
     ModelParams,
@@ -136,7 +143,7 @@ class TestForgettingGradient:
 
         class IdentityShift:
             # a fresh prediction, so the cached P0 must match it too
-            def target_predictions(self, probs0, Z, zz, counts, size):
+            def target_predictions(self, ledger, counts, size):
                 return predict_proba_batch(params0, train.X[:1])
 
         ledger = ForgettingLedger(lam=10.0)
@@ -157,8 +164,7 @@ class TestForgettingGradient:
         ledger = engine.ledger
         counts = dict(engine.class_counts)
         size_dt = engine.retention.size_dt
-        targets = engine.shift.target_predictions(ledger.P0, ledger.Z, ledger.zz,
-                                                  counts, size_dt)
+        targets = engine.shift.target_predictions(ledger, counts, size_dt)
 
         analytic, _ = forgetting_gradient(params0, ledger, engine.shift, counts,
                                           size_dt)
@@ -174,8 +180,13 @@ class TestForgettingGradient:
 def engine_state(eng):
     """Everything process_request may change, in comparable form."""
     led = eng.ledger
-    columns = (led.X, led.Z, led.zz, led.P0, led.H)
+    columns = (led.X, led.Z, led.zz, led.P0, led.H, led.R)
     return {
+        # the statistics each class's ratios were computed under, and
+        # whether they are the class's current ones
+        "ratio_stats": (led.ratio_rows, {
+            c: (st is eng.gaussians.stats[c], st.snapshot())
+            for c, st in led.ratio_stats.items()}),
         "retention": (eng.retention.grad.tolist(), eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": eng.gaussians.snapshot(),
@@ -205,6 +216,21 @@ def any_engine(request, engine, blob_task):
     return engine if request.param == "softmax" else build_mlp_engine(blob_task)
 
 
+@pytest.fixture()
+def evaluated(monkeypatch):
+    """(label, rows) of every density ratio evaluation, in call order."""
+    calls = []
+    exact = ClassConditionalGaussians.log_density_vs_base_batch
+
+    def recording(self, Z, zz, label):
+        calls.append((label, len(Z)))
+        return exact(self, Z, zz, label)
+
+    monkeypatch.setattr(ClassConditionalGaussians, "log_density_vs_base_batch",
+                        recording)
+    return calls
+
+
 def max_rel_err(got, want):
     return float(np.abs(got - want).max() / np.abs(want).max())
 
@@ -212,9 +238,10 @@ def max_rel_err(got, want):
 def check_frozen_columns_through_requests(engine, train):
     """The ledger's frozen columns, and the shift targets each round returns,
     must equal a fresh standardization, a fresh forward pass at w_0 and a
-    fresh target build from the ledger rows through every kind of request:
-    bit for bit, except the MLP's forward pass, whose per-request GEMMs may
-    round differently from one over the whole ledger (to 1e-14 relative)."""
+    fresh target build, every class's ratios computed anew, from the ledger
+    rows through every kind of request: bit for bit, except the MLP's
+    forward pass, whose per-request GEMMs may round differently from one
+    over the whole ledger (to 1e-14 relative)."""
     params0 = engine.params0
     assert engine.shift.size_d0 == train.n
     empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
@@ -248,10 +275,10 @@ def check_frozen_columns_through_requests(engine, train):
         else:
             assert max_rel_err(led.P0, P0) <= 1e-14
             assert max_rel_err(led.H, H) <= 1e-14
+        fresh = ForgettingLedger(led.lam)
+        fresh.append(led.X, led.rows, Z=Z, zz=sq_norms(Z), P0=led.P0)
         assert np.array_equal(result.targets, engine.shift.target_predictions(
-            led.P0, Z, sq_norms(Z), engine.class_counts,
-            engine.retention.size_dt,
-        ))
+            fresh, engine.class_counts, engine.retention.size_dt))
     assert exhausted == [0] and engine.gaussians.stats[0].frozen
     rows = 2 + len(class0) - 3 + 28
     assert engine.ledger.Z.shape == (3, rows, 10)
@@ -423,6 +450,43 @@ class TestProcessRequest:
         assert result.accepted == m and engine.ledger.count == L + m
         assert sum(forwarded) <= 2 * m, forwarded
 
+    def test_class_stream_reevaluates_only_the_drained_class(
+        self, any_engine, blob_task, evaluated
+    ):
+        # draining class 0 in requests of 30 rows: while the round replaces
+        # class 0's statistics it is evaluated over the whole ledger, every
+        # other class over the request's rows; once class 0 freezes, no
+        # class is replaced and every class sees the request's rows only
+        engine, (train, _, _) = any_engine, blob_task
+        classes = engine.gaussians.classes
+        class0 = np.flatnonzero(train.y == 0)
+        after_freeze = 0
+        for lo in range(0, len(class0), 30):
+            rows = class0[lo:lo + 30]
+            evaluated.clear()
+            engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
+            want = {c: len(rows) for c in classes}
+            if engine.gaussians.stats[0].frozen:
+                after_freeze += 1
+            else:
+                want[0] = engine.ledger.count
+            assert sorted(evaluated) == sorted(want.items()), lo
+        assert after_freeze >= 2
+
+    def test_random_subset_reevaluates_every_class(self, any_engine, blob_task,
+                                                  evaluated):
+        # each request names every class, so every class's statistics are
+        # replaced and its ratios evaluated over the whole ledger
+        engine, (train, _, _) = any_engine, blob_task
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            rows = rng.choice(np.flatnonzero(engine.alive), 40, replace=False)
+            assert set(train.y[rows]) == set(engine.gaussians.classes)
+            evaluated.clear()
+            engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
+            assert sorted(evaluated) == [(c, engine.ledger.count)
+                                         for c in engine.gaussians.classes]
+
     def test_w0_never_mutated(self, engine, blob_task):
         train, _, params0 = blob_task
         before = params0.theta.copy()
@@ -557,6 +621,16 @@ def check_stream_invariants(engine, train, params0, alive, counts0):
     assert np.abs(engine.retention.grad - direct).max() < 1e-10
 
 
+def full_refresh_targets(engine):
+    """The targets of the engine's ledger with every class's ratios
+    recomputed over every row, as if every class's statistics had moved."""
+    full = copy.deepcopy(engine.ledger)
+    full.ratio_stats.clear()
+    full.ratio_rows = 0
+    return engine.shift.target_predictions(full, engine.class_counts,
+                                           engine.retention.size_dt)
+
+
 def drain(label, leave):
     return {"rows": [], "drain": (label, leave), "foreign": False, "fault": None}
 
@@ -588,6 +662,12 @@ def test_request_stream_invariants(small_task, requests):
             frozen = {c for c, s in engine.gaussians.stats.items() if s.frozen}
             assert result.exhausted_classes == sorted(frozen - frozen_before)
             alive[hit] = False
+            # the same targets as every class's ratios recomputed over the
+            # whole ledger, up to BLAS rounding a short product (a one-row
+            # gemv) differently from the same rows of a longer one
+            if engine.ledger.count:
+                want = full_refresh_targets(engine)
+                assert np.abs(result.targets - want).max() <= 1e-13
         check_stream_invariants(engine, train, params0, alive, counts0)
 
 

@@ -253,7 +253,7 @@ class TestClassGaussians:
         alive = np.ones(len(y), dtype=bool)
         for _ in range(15):
             idx = rng.choice(np.flatnonzero(alive), 8, replace=False)
-            g.remove(X[idx], y[idx])
+            g.remove(g.standardize_all(X[idx]), y[idx])
             alive[idx] = False
         for label in (0, 1):
             rows = X[alive & (y == label)]
@@ -272,14 +272,14 @@ class TestClassGaussians:
         y = np.zeros(40, dtype=int)
         g = ClassConditionalGaussians.fit(X, y, make_projection(5, 3, seed=5))
         assert g.min_class_count == 5
-        assert g.remove(X[:35], y[:35]) == []
+        assert g.remove(g.standardize_all(X[:35]), y[:35]) == []
         st = g.stats[0]
         mu, sigma = batch_mean_cov(g.standardize_batch(X[35:], 0))
         assert st.n == 5 and not st.frozen
         assert np.abs(st.mu - mu).max() < 1e-8
         assert np.abs(st.sigma - sigma).max() < 1e-8
         before = st.snapshot()
-        assert g.remove(X[35:36], y[35:36]) == [0]
+        assert g.remove(g.standardize_all(X[35:36]), y[35:36]) == [0]
         assert g.snapshot()["0"] == {**before, "frozen": True}
 
     def test_exhaustion_freezes_stats(self):
@@ -288,12 +288,13 @@ class TestClassGaussians:
         y = np.zeros(40, dtype=int)
         g = ClassConditionalGaussians.fit(X, y, make_projection(5, 3, seed=5))
         before = g.stats[0].mu.copy()
-        exhausted = g.remove(X[:38], y[:38])  # would leave 2 < proj_dim + 2
+        # would leave 2 < proj_dim + 2
+        exhausted = g.remove(g.standardize_all(X[:38]), y[:38])
         assert exhausted == [0]
         assert g.stats[0].frozen
         assert np.array_equal(g.stats[0].mu, before)
         # further removals are ignored silently
-        assert g.remove(X[38:], y[38:]) == []
+        assert g.remove(g.standardize_all(X[38:]), y[38:]) == []
 
 
 def test_mardia_positive_control_frozen_rate():

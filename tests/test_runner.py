@@ -15,9 +15,9 @@ import safestream.gaussian
 import safestream.model
 import safestream.runner
 from safestream.cli import main
-from safestream.data import Dataset
+from safestream.data import Dataset, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
-from safestream.errors import ConfigError
+from safestream.errors import ConfigError, DataError
 from safestream.gaussian import ClassConditionalGaussians
 from safestream.oracle import RetrainConfig
 from safestream.runner import (
@@ -25,6 +25,7 @@ from safestream.runner import (
     DatasetSpec,
     RunConfig,
     RunState,
+    build_dataset,
     config_from_dict,
     config_hash,
     initialize,
@@ -207,6 +208,11 @@ class TestRun:
             assert r["config_hash"] == summaries[0]["config_hash"]
         assert summaries[0]["config"]["safe"]["K"] == 2.5
         assert summaries[0]["rounds"] == 5
+
+    def test_synthetic_without_test_rows(self):
+        train, test = build_dataset(base_config(
+            dataset={**BASE["dataset"], "test_fraction": 0.0}))
+        assert train.n == BASE["dataset"]["n"] and test.n == 0
 
     def test_zero_rounds_summary_only(self):
         cfg = base_config(stream={"rounds": 0, "per_round": 0})
@@ -430,37 +436,66 @@ class TestVerify:
         assert record["type"] == "verify" and record["passed"] is True
         assert "0" in record["stats"] and "sigma" in record["stats"]["0"]
 
-    @pytest.mark.parametrize("suite, owner, name, bump", [
-        pytest.param("density_ratio", ClassConditionalGaussians,
+    @pytest.mark.parametrize("suites, owner, name, bump", [
+        pytest.param(["density_ratio"], ClassConditionalGaussians,
                      "log_density_vs_base_batch", lambda out: out + 1e-6,
                      id="density_ratio"),
-        pytest.param("retention_recursion", safestream.engine,
+        pytest.param(["retention_recursion"], safestream.engine,
                      "update_retention_grad",
                      lambda out: replace(out, grad=out.grad + 1e-6),
                      id="retention_recursion"),
-        pytest.param("downdate_two_pass", safestream.gaussian, "downdate_cov",
+        pytest.param(["downdate_two_pass"], safestream.gaussian, "downdate_cov",
                      lambda out: out + 1e-6, id="downdate_two_pass"),
-        pytest.param("downdate_two_pass", ClassConditionalGaussians,
-                     "standardize_batch", lambda out: out + 1e-6,
-                     id="downdate_two_pass-standardize_batch"),
-        pytest.param("forgetting_gradient", ClassConditionalGaussians,
-                     "standardize_all", lambda out: out + 1e-6,
-                     id="forgetting_gradient"),
+        pytest.param(["downdate_two_pass"], safestream.gaussian, "downdate_mean",
+                     lambda out: (out[0], out[1] + 1e-6),
+                     id="downdate_two_pass-downdate_mean"),
+        # a request's standardize_all stack feeds both its downdate and the
+        # ledger's cached projections
+        pytest.param(["downdate_two_pass", "forgetting_gradient"],
+                     ClassConditionalGaussians, "standardize_all",
+                     lambda out: out + 1e-6, id="forgetting_gradient"),
         # the forward pass that fills the ledger's cached w_0 probabilities
-        pytest.param("forgetting_gradient", safestream.engine, "forward_proba",
+        pytest.param(["forgetting_gradient"], safestream.engine, "forward_proba",
                      lambda out: (out[0] + 1e-6, out[1]),
                      id="forgetting_gradient-forward_proba"),
     ])
     def test_density_ratio_suite_catches_perturbed_log_ratio(
-        self, monkeypatch, suite, owner, name, bump
+        self, monkeypatch, suites, owner, name, bump
     ):
         # each suite, fed through the shared round loop, must notice a 1e-6
-        # error in the computation it checks while the other five still pass
+        # error in the computation it checks while the suites that do not
+        # read that computation still pass
         exact = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *a, **kw: bump(exact(*a, **kw)))
         lines = []
         assert verify(base_config(), io.StringIO(), report=lines.append) is False
-        assert any(l.startswith(f"VERIFY {suite}: FAIL") for l in lines)
+        for suite in suites:
+            assert any(l.startswith(f"VERIFY {suite}: FAIL") for l in lines)
+        assert sum("PASS" in l for l in lines) == 6 - len(suites)
+
+    @pytest.mark.parametrize("arch", ["softmax", "mlp"])
+    def test_forgetting_gradient_suite_catches_stale_ratio_column(
+        self, monkeypatch, arch
+    ):
+        # a class stream past the freeze: 80 training rows of class 1 in
+        # rounds of 5, frozen in round 15 below proj_dim + 2 = 6 rows. A
+        # refresh rule that never recomputes a class whose statistics moved
+        # keeps ratios under old statistics, which the suite's recompute
+        # from the raw rows with scipy's densities exposes
+        cfg = base_config(
+            dataset={**BASE["dataset"], "n": 300}, arch=arch,
+            stream={"mode": "class-stream", "target_class": 1, "rounds": 16,
+                    "per_round": 5},
+        )
+        lines, buf = [], io.StringIO()
+        assert verify(cfg, buf, report=lines.append) is True
+        assert sum("PASS" in l for l in lines) == 6
+        assert json.loads(buf.getvalue())["stats"]["1"]["frozen"] is True
+        monkeypatch.setattr(safestream.engine.ForgettingLedger, "stale_from",
+                            lambda self, label, stats: self.ratio_rows)
+        lines = []
+        assert verify(cfg, io.StringIO(), report=lines.append) is False
+        assert any(l.startswith("VERIFY forgetting_gradient: FAIL") for l in lines)
         assert sum("PASS" in l for l in lines) == 5
 
 
@@ -505,6 +540,27 @@ class TestCli:
         )
         code = main(["run", "--config", cfg, "--output", str(tmp_path / "o.jsonl")])
         assert code == 2
+
+    def test_synthetic_split_leaving_no_training_row_exit_code(self, tmp_path):
+        cfg = self.write_cfg(
+            tmp_path, dataset={"kind": "synthetic", "n": 20, "dim": 5,
+                               "classes": 5, "test_fraction": 0.9},
+        )
+        out = tmp_path / "o.jsonl"
+        assert main(["run", "--config", cfg, "--output", str(out)]) == 1
+        rec = json.loads(out.read_text().splitlines()[-1])
+        assert rec["error"] == "ConfigError" and "test_fraction" in rec["message"]
+
+    def test_synthetic_test_class_missing_from_training_rejected(self, monkeypatch):
+        # the missing-class check covers every dataset kind
+        def split_without_class_2(*args):
+            train, test = make_synthetic(*args)
+            return train.subset(train.y != 2), test
+
+        monkeypatch.setattr(safestream.runner, "make_synthetic",
+                            split_without_class_2)
+        with pytest.raises(DataError, match="class 2"):
+            build_dataset(base_config())
 
     def test_non_finite_csv_cell_exit_code(self, tmp_path):
         # a nan cell is a data error, caught on load, not a retrain that

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+from safestream.engine import ForgettingLedger, frozen_columns
 from safestream.errors import ConfigError
 from safestream.gaussian import (
     ClassConditionalGaussians,
@@ -11,7 +12,7 @@ from safestream.gaussian import (
     make_projection,
     sq_norms,
 )
-from safestream.model import Architecture, ModelParams, forward_proba
+from safestream.model import Architecture, ModelParams
 from safestream.shift import (
     RATIO_FLOOR,
     ShiftEstimator,
@@ -56,6 +57,13 @@ def gaussian_setup():
     return X, y, g
 
 
+def ledger_of(params, g, X):
+    """A ledger holding the rows X with the columns the engine gives them."""
+    ledger = ForgettingLedger(lam=1.0)
+    ledger.append(X, np.arange(len(X)), **frozen_columns(params, g, X))
+    return ledger
+
+
 def test_density_ratio_one_without_deletions(gaussian_setup):
     X, y, g = gaussian_setup
     for x, label in zip(X[:20], y[:20]):
@@ -82,7 +90,8 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
     X, y, _ = gaussian_setup
     g = ClassConditionalGaussians.fit(X, y, make_projection(8, 4, seed=6))
     rng = np.random.default_rng(7)
-    g.remove(X[rng.choice(300, 40, replace=False)], np.zeros(40, dtype=int))
+    gone = X[rng.choice(300, 40, replace=False)]
+    g.remove(g.standardize_all(gone), np.zeros(40, dtype=int))
     st = g.stats[0]
     for x in X[250:270]:
         z = g.standardize_batch(x[None, :], 0)
@@ -110,9 +119,7 @@ def test_target_identity_when_ratios_one(gaussian_setup):
     est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(1).standard_normal(arch.n_params))
-    Z = g.standardize_all(X[:10])
-    targets = est.target_predictions(forward_proba(params, X[:10])[0], Z,
-                                     sq_norms(Z), counts0, 600)
+    targets = est.target_predictions(ledger_of(params, g, X[:10]), counts0, 600)
     from safestream.model import predict_proba_batch
 
     assert np.abs(targets - predict_proba_batch(params, X[:10])).max() < 1e-6
@@ -132,8 +139,7 @@ def test_target_normalization_invariance(gaussian_setup):
     est = ShiftEstimator(g, counts0)
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(2).standard_normal(arch.n_params))
-    Z = g.standardize_all(X[:5])
-    q = est.class_ratio_matrix(Z, sq_norms(Z), counts0, 600)
+    q = est.class_ratio_matrix(ledger_of(params, g, X[:5]), counts0, 600)
     from safestream.model import predict_proba_batch
 
     probs = predict_proba_batch(params, X[:5])
@@ -167,17 +173,14 @@ def test_degenerate_row_falls_back_to_initial(gaussian_setup):
     params = ModelParams(arch, np.zeros(arch.n_params))
 
     class AllZeroRatios(ShiftEstimator):
-        def class_ratio_matrix(self, Z, zz, counts_t, size_dt):
-            return np.zeros((Z.shape[1], 2))
+        def class_ratio_matrix(self, ledger, counts_t, size_dt):
+            return np.zeros((ledger.count, 2))
 
     est2 = AllZeroRatios(g, {0: 300, 1: 300})
-    Z = g.standardize_all(X[:3])
-    targets = est2.target_predictions(forward_proba(params, X[:3])[0], Z,
-                                      sq_norms(Z), {0: 300, 1: 300}, 600)
+    targets = est2.target_predictions(ledger_of(params, g, X[:3]),
+                                      {0: 300, 1: 300}, 600)
     assert np.allclose(targets, 0.5)
-    Z = g.standardize_all(X[0])
-    one = est.target_predictions(forward_proba(params, X[0])[0], Z, sq_norms(Z),
-                                 {0: 300, 1: 300}, 600)
+    one = est.target_predictions(ledger_of(params, g, X[:1]), {0: 300, 1: 300}, 600)
     assert one.shape == (1, 2)
 
 
@@ -190,14 +193,14 @@ def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
     params = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
     Z = g.standardize_all(X[:7])
     zz = sq_norms(Z)
-    q = est.class_ratio_matrix(Z, zz, counts_t, 550)
+    ledger = ledger_of(params, g, X[:7])
+    q = est.class_ratio_matrix(ledger, counts_t, 550)
     assert q.shape == (7, 2)
     for j, label in enumerate(g.classes):
         want = (label_ratio(counts_t[label], 300, 550, 600)
                 * density_ratio(Z[j], zz[j], g, label))
         assert np.array_equal(q[:, label], want)
-    targets = est.target_predictions(forward_proba(params, X[:7])[0], Z, zz,
-                                     counts_t, 550)
+    targets = est.target_predictions(ledger, counts_t, 550)
     assert targets.shape == (7, 2)
     W, b = params.theta[:16].reshape(2, 8), params.theta[16:]
     logits = X[:7] @ W.T + b

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
-from dataclasses import replace
 
 from .errors import (
     ConfigError,
@@ -23,7 +22,7 @@ from .errors import (
 from .runner import (
     RunConfig,
     config_from_dict,
-    load_config,
+    read_config,
     open_output,
     run,
     sweep,
@@ -52,23 +51,14 @@ def _exit_code(err: Exception) -> int:
 
 
 def _load(args) -> RunConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = config_from_dict(dict(STANDARD_PRESET))
-    if args.seed is not None:
-        raw = cfg.to_dict()
-        raw["seed"] = args.seed
-        raw["output"] = cfg.output
-        # substream seeds re-derive from the new master
-        for section in ("safe", "retrain", "stream"):
-            raw[section] = {k: v for k, v in raw[section].items() if k != "seed"}
-        cfg = config_from_dict(raw)
-    if args.output:
-        cfg = replace(cfg, output=args.output)
-    if args.oracle is not None:
-        cfg = replace(cfg, oracle=args.oracle)
-    return cfg
+    """The config file (or the standard preset) with the command line's
+    overrides applied to its JSON, so a section seed the file sets stays
+    set and only the unset ones derive from ``--seed``."""
+    raw = read_config(args.config) if args.config else STANDARD_PRESET
+    overrides = {key: getattr(args, key) for key in ("seed", "output", "oracle")
+                 if getattr(args, key) is not None}
+    # a root that is not an object is left for config_from_dict to reject
+    return config_from_dict({**raw, **overrides} if isinstance(raw, dict) else raw)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,13 +1,14 @@
 """Random projection, per-class Gaussian statistics with exact downdating,
 Gaussian log-density ratios, and Mardia's multivariate normality test.
 
-Per-class feature statistics are kept in a *standardized* space frozen at
-initialization: raw inputs are projected with a fixed Gaussian matrix, then
-whitened per class with the inverse Cholesky factor of the initial projected
-covariance. In that space the initial distribution of every class is N(0, I)
-exactly, which makes the later density-ratio denominators closed-form. Each
-whitening, frozen or current, is one GEMM against the explicit k x k inverse
-of a Cholesky factor, not a triangular solve over every row.
+Every Gaussian is a ``ClassStats``, the one place a covariance is factored.
+Per class there are two: the t=0 fit of the projected training rows, and
+the current statistics in a *standardized* space frozen at initialization:
+raw inputs are projected with a fixed Gaussian matrix, then whitened by the
+class's t=0 fit. There every class's initial distribution is N(0, I)
+exactly, which makes the later density-ratio denominators closed-form.
+Every whitening is ``ClassStats.whiten``, one GEMM against the explicit
+k x k inverse of a Cholesky factor, not a triangular solve over every row.
 
 The covariance downdate uses the exact sum-of-squares group identity
 
@@ -20,7 +21,7 @@ the surviving points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats as spstats
@@ -110,49 +111,42 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ClassStats:
-    """Per-class running statistics in the standardized space.
+    """A Gaussian N(mu, sigma) over n points: a class's t=0 fit in the
+    projected space, or its running statistics in the standardized space.
 
-    Construction factors sigma (``cholesky_with_jitter``) and keeps only the
-    factor's inverse, ``inv_chol``, and sigma's log-determinant, which every
-    round's density ratios reuse; a downdate builds new statistics instead."""
+    Construction factors sigma (``cholesky_with_jitter``) and keeps the
+    factor's inverse ``inv_chol`` and sigma's log-determinant ``logdet`` as
+    plain attributes, not fields, so ``asdict`` gives n, mu, sigma and
+    frozen; a downdate builds new statistics instead."""
 
     n: int
     mu: np.ndarray
     sigma: np.ndarray
     frozen: bool = False
-    inv_chol: np.ndarray = field(init=False, repr=False)
-    logdet: float = field(init=False, repr=False)
 
     def __post_init__(self):
         chol = cholesky_with_jitter(self.sigma)
         self.inv_chol = inverse_cholesky(chol)
         self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
 
-    def snapshot(self) -> dict:
-        return {
-            "n": int(self.n),
-            "mu": self.mu.tolist(),
-            "sigma": self.sigma.tolist(),
-            "frozen": self.frozen,
-        }
+    def whiten(self, U: np.ndarray) -> np.ndarray:
+        """Rows U mapped to inv_chol (U - mu): N(mu, sigma) becomes N(0, I)."""
+        return (U - self.mu) @ self.inv_chol.T
 
 
 class ClassConditionalGaussians:
     """Projected, per-class Gaussian model of the surviving training data.
 
-    Holds the frozen initial transform (projection + per-class whitening) and
-    the per-class statistics tracked under deletion. ``remove`` alone decides
-    when a class freezes: once its count would fall below
-    ``min_class_count``, it keeps its last statistics.
+    Holds the frozen initial transform (the projection and each class's t=0
+    fit, ``base``) and the per-class statistics tracked under deletion,
+    ``stats``. ``remove`` alone decides when a class freezes: once its count
+    would fall below ``min_class_count``, it keeps its last statistics.
     """
 
-    def __init__(self, projection: np.ndarray, base_mu: dict[int, np.ndarray],
-                 base_chol: dict[int, np.ndarray], stats: dict[int, ClassStats]):
+    def __init__(self, projection: np.ndarray, base: dict[int, ClassStats],
+                 stats: dict[int, ClassStats]):
         self.projection = projection
-        self.base_mu = base_mu
-        self.base_chol = base_chol
-        self.base_inv = {label: inverse_cholesky(chol)
-                         for label, chol in base_chol.items()}
+        self.base = base
         self.stats = stats
 
     @property
@@ -175,40 +169,32 @@ class ClassConditionalGaussians:
             projection: np.ndarray) -> "ClassConditionalGaussians":
         proj_dim = projection.shape[1]
         U = X @ projection
-        labels = [int(label) for label in np.unique(y)]
-        base_mu: dict[int, np.ndarray] = {}
-        base_chol: dict[int, np.ndarray] = {}
-        for label in labels:
+        base: dict[int, ClassStats] = {}
+        stats: dict[int, ClassStats] = {}
+        for label in np.unique(y):
+            label = int(label)
             rows = U[y == label]
             if len(rows) < proj_dim + 2:
                 raise ConfigError(
                     f"class {label} has {len(rows)} samples, "
                     f"needs >= {proj_dim + 2} for a {proj_dim}-dim Gaussian"
                 )
-            base_mu[label], sigma0 = batch_mean_cov(rows)
-            base_chol[label] = cholesky_with_jitter(sigma0)
-        gaussians = cls(projection, base_mu, base_chol, {})
-        for label in labels:
-            Z = gaussians._whiten(U[y == label], label)
-            mu, sigma = batch_mean_cov(Z)
-            gaussians.stats[label] = ClassStats(len(Z), mu, sigma)
-        return gaussians
-
-    def _whiten(self, U: np.ndarray, label: int) -> np.ndarray:
-        """Frozen t=0 whitening of projected rows U under the given class."""
-        return (U - self.base_mu[label]) @ self.base_inv[label].T
+            base[label] = ClassStats(len(rows), *batch_mean_cov(rows))
+            stats[label] = ClassStats(len(rows),
+                                      *batch_mean_cov(base[label].whiten(rows)))
+        return cls(projection, base, stats)
 
     def standardize_batch(self, X: np.ndarray, label: int) -> np.ndarray:
         """Frozen t=0 transform of raw inputs under the given class."""
-        if label not in self.base_mu:
+        if label not in self.base:
             raise StatsError(f"no statistics for class {label}")
-        return self._whiten(np.atleast_2d(X) @ self.projection, label)
+        return self.base[label].whiten(np.atleast_2d(X) @ self.projection)
 
     def standardize_all(self, X: np.ndarray) -> np.ndarray:
         """(n_classes, n, k) stack of ``standardize_batch(X, c)`` over the
         fitted classes, in the order of ``classes``; X is projected once."""
         U = np.atleast_2d(X) @ self.projection
-        return np.stack([self._whiten(U, label) for label in self.classes])
+        return np.stack([self.base[label].whiten(U) for label in self.classes])
 
     def remove(self, Z: np.ndarray, y: np.ndarray) -> list[int]:
         """Downdate the per-class statistics for a deletion batch of rows
@@ -256,13 +242,9 @@ class ClassConditionalGaussians:
         them."""
         st = self.stats[label]
         d = Z.shape[1]
-        W = (Z - st.mu) @ st.inv_chol.T
-        log_num = -0.5 * (d * LOG_2PI + st.logdet + sq_norms(W))
+        log_num = -0.5 * (d * LOG_2PI + st.logdet + sq_norms(st.whiten(Z)))
         log_den = -0.5 * (d * LOG_2PI + zz)
         return log_num - log_den
-
-    def snapshot(self) -> dict:
-        return {str(label): st.snapshot() for label, st in self.stats.items()}
 
 
 def mardia_test(Z: np.ndarray) -> tuple[float, float]:

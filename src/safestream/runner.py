@@ -68,6 +68,7 @@ from .gaussian import (
     ClassConditionalGaussians,
     ClassStats,
     batch_mean_cov,
+    cholesky_with_jitter,
     make_projection,
     sq_norms,
 )
@@ -226,7 +227,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     )
 
 
-def load_config(path: str) -> RunConfig:
+def read_config(path: str) -> dict:
+    """A config file's parsed JSON; an unreadable file is a ConfigError."""
     try:
         with open(path, encoding="utf-8") as f:
             raw = json.load(f)
@@ -237,7 +239,11 @@ def load_config(path: str) -> RunConfig:
                           f"{e.start})") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON ({e})") from None
-    return config_from_dict(raw)
+    return raw
+
+
+def load_config(path: str) -> RunConfig:
+    return config_from_dict(read_config(path))
 
 
 def open_output(path: str):
@@ -449,12 +455,22 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _reference_standardize(gaussians: ClassConditionalGaussians, X: np.ndarray,
-                           label: int) -> np.ndarray:
-    """The frozen t=0 transform by a triangular solve against the base
-    Cholesky factor, independent of the engine's own whitening."""
-    U = X @ gaussians.projection - gaussians.base_mu[label]
-    return solve_triangular(gaussians.base_chol[label], U.T, lower=True).T
+def _reference_standardizer(gaussians: ClassConditionalGaussians, train: Dataset):
+    """The frozen t=0 transform, ``standardize(X, label)``, rebuilt without
+    reading the engine's fit: each class's mean and lower Cholesky factor are
+    recomputed from the projected training rows, and rows are standardized
+    by a triangular solve, not by the engine's whitening."""
+    projection = gaussians.projection
+    U = train.X @ projection
+    base = {}
+    for label in gaussians.classes:
+        mu, sigma = batch_mean_cov(U[train.y == label])
+        base[label] = mu, cholesky_with_jitter(sigma)
+
+    def standardize(X: np.ndarray, label: int) -> np.ndarray:
+        mu, chol = base[label]
+        return solve_triangular(chol, (X @ projection - mu).T, lower=True).T
+    return standardize
 
 
 def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
@@ -467,9 +483,9 @@ def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
         return np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
 
 
-def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
+def _reference_forgetting_gradient(engine: SafeUnlearner, standardize) -> np.ndarray:
     """The engine's forgetting gradient recomputed from the raw ledger rows:
-    a reference standardization per class, scipy's density ratios, the label
+    the reference ``standardize`` per class, scipy's density ratios, the label
     ratios, the renormalized targets with the w_0 fallback, one backward
     pass with its own forward pass. It reads none of the ledger's frozen
     columns (projections, their norms, w_0 probabilities and hidden
@@ -480,7 +496,7 @@ def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
     for label, st in gaussians.stats.items():
         lr = label_ratio(engine.class_counts.get(label, 0), est.counts0[label],
                          engine.retention.size_dt, est.size_d0)
-        Z = _reference_standardize(gaussians, led.X, label)
+        Z = standardize(led.X, label)
         q[:, label] = lr * _scipy_density_ratio(Z, st)
     raw = p0 * q
     norm = raw.sum(axis=1)
@@ -493,10 +509,13 @@ def _reference_forgetting_gradient(engine: SafeUnlearner) -> np.ndarray:
 
 def verify(cfg: RunConfig, out, report=print) -> bool:
     """Run the oracle-equivalence suites on the configured task, retaining the
-    initial data purely for checking. Prints one PASS/FAIL line per suite and
-    writes the final stats snapshot as JSON to ``out``."""
+    initial data purely for checking. The references standardize rows against
+    a t=0 base recomputed from the training rows, not the engine's fit.
+    Prints one PASS/FAIL line per suite and writes the final per-class
+    statistics as JSON to ``out``."""
     state = initialize(cfg)
     engine = state.engine
+    standardize = _reference_standardizer(engine.gaussians, state.train)
     twin = initialize(cfg).engine  # independently initialized replay twin
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
@@ -510,7 +529,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
             if st.frozen:
                 continue
             rows = remaining.X[remaining.y == label]
-            Z = _reference_standardize(engine.gaussians, rows, label)
+            Z = standardize(rows, label)
             mu, sigma = batch_mean_cov(Z)
             errs["downdate_two_pass"] = max(
                 errs["downdate_two_pass"],
@@ -542,7 +561,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         if engine.ledger.count:
             got, _ = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
                                          engine.class_counts, engine.retention.size_dt)
-            want = _reference_forgetting_gradient(engine)
+            want = _reference_forgetting_gradient(engine, standardize)
             errs["forgetting_gradient"] = max(
                 errs["forgetting_gradient"],
                 float(np.abs(got - want).max()) / max(1.0, float(np.abs(want).max())),
@@ -568,9 +587,9 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     out.write(json.dumps(
         {"type": "verify", "passed": all_ok,
          "errors": {k: float(v) for k, v in errs.items()},
-         "stats": engine.gaussians.snapshot(),
+         "stats": {str(c): asdict(st) for c, st in engine.gaussians.stats.items()},
          "config": cfg.to_dict()},
-        sort_keys=True) + "\n")
+        sort_keys=True, default=np.ndarray.tolist) + "\n")
     return all_ok
 
 

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,8 @@ def log_ratio(Z, mu, sigma):
     """log N(z | mu, sigma) - log N(z | 0, I) per row, from a one-class model
     whose frozen transform is the identity."""
     d = len(mu)
-    st = ClassStats(50, mu, sigma)
-    g = ClassConditionalGaussians(np.eye(d), {0: np.zeros(d)}, {0: np.eye(d)}, {0: st})
+    unit = ClassStats(50, np.zeros(d), np.eye(d))
+    g = ClassConditionalGaussians(np.eye(d), {0: unit}, {0: ClassStats(50, mu, sigma)})
     Z = np.atleast_2d(Z)
     return g.log_density_vs_base_batch(Z, sq_norms(Z), 0)
 
@@ -208,28 +210,27 @@ class TestClassGaussians:
         _, _, g = fitted
         # minimum-norm preimage x with V^T x = mu0, so standardize(x) = 0
         v = g.projection
-        x = v @ np.linalg.solve(v.T @ v, g.base_mu[0])
+        x = v @ np.linalg.solve(v.T @ v, g.base[0].mu)
         assert np.abs(g.standardize_batch(x[None, :], 0)).max() < 1e-9
 
     def test_identity_transform_when_unit_stats(self, fitted):
         X, y, g = fitted
         # with mu0 = 0 and chol0 = I the transform is V^T x
-        g2 = ClassConditionalGaussians(
-            g.projection,
-            {0: np.zeros(6)},
-            {0: np.eye(6)},
-            {0: g.stats[0]},
-        )
+        unit = ClassStats(50, np.zeros(6), np.eye(6))
+        g2 = ClassConditionalGaussians(g.projection, {0: unit}, {0: g.stats[0]})
         x = X[0]
         assert np.allclose(g2.standardize_batch(x[None, :], 0), x @ g.projection, atol=1e-12)
 
     def test_standardize_all_matches_triangular_solve(self, fitted):
-        X, _, g = fitted
+        # against each class's t=0 mean and Cholesky factor recomputed from
+        # its rows, not read from the fit
+        X, y, g = fitted
         Z = g.standardize_all(X)
         assert Z.shape == (2, len(X), 6)
         for j, label in enumerate(g.classes):
-            U = X @ g.projection - g.base_mu[label]
-            want = solve_triangular(g.base_chol[label], U.T, lower=True).T
+            mu, sigma = batch_mean_cov(X[y == label] @ g.projection)
+            U = X @ g.projection - mu
+            want = solve_triangular(np.linalg.cholesky(sigma), U.T, lower=True).T
             assert np.abs(Z[j] - want).max() < 1e-12
 
     def test_undersized_class_rejected(self):
@@ -278,9 +279,12 @@ class TestClassGaussians:
         assert st.n == 5 and not st.frozen
         assert np.abs(st.mu - mu).max() < 1e-8
         assert np.abs(st.sigma - sigma).max() < 1e-8
-        before = st.snapshot()
+        before = asdict(st)
         assert g.remove(g.standardize_all(X[35:36]), y[35:36]) == [0]
-        assert g.snapshot()["0"] == {**before, "frozen": True}
+        after = asdict(g.stats[0])
+        assert after.pop("frozen") and not before.pop("frozen")
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], before[k]) for k in before)
 
     def test_exhaustion_freezes_stats(self):
         rng = np.random.default_rng(4)

@@ -4,9 +4,14 @@ This is pyflakes' unused-import rule (F401) as a test, on the standard
 library's ``ast`` alone. An import whose line carries ``# noqa: F401`` is
 exempt, and so is the package ``__init__``, whose imports are its public
 API.
+
+Beside it, a check of the project's pytest settings: with every warning an
+error, a failing hypothesis test still reports its assertion.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,3 +56,27 @@ def test_rule_flags_unused_and_honours_noqa():
     assert unused_imports(f"import os  {NOQA}\n") == []
     assert unused_imports(f"from a import (\n    b,  {NOQA}\n    c,\n)\n") == ["line 3: c"]
     assert unused_imports("from __future__ import annotations\n") == []
+
+
+FAILING_GIVEN = """from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_always_fails(x):
+    assert x != x
+"""
+
+
+def test_failing_hypothesis_test_reports_its_assertion(tmp_path):
+    # run under pyproject.toml's warning filters, the failure must end in its
+    # assertion, not in an INTERNALERROR raised while hypothesis reports it
+    (tmp_path / "test_fails.py").write_text(FAILING_GIVEN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "assert x != x" in out
+    assert "INTERNALERROR" not in out

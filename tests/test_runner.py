@@ -18,7 +18,7 @@ from safestream.cli import main
 from safestream.data import Dataset, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
 from safestream.errors import ConfigError, DataError
-from safestream.gaussian import ClassConditionalGaussians
+from safestream.gaussian import ClassConditionalGaussians, ClassStats
 from safestream.oracle import RetrainConfig
 from safestream.runner import (
     K_SWEEP_GRID,
@@ -28,6 +28,7 @@ from safestream.runner import (
     build_dataset,
     config_from_dict,
     config_hash,
+    derive_seed,
     initialize,
     load_config,
     round_loop,
@@ -426,6 +427,17 @@ def test_round_metrics_match_numpy_recompute(monkeypatch, hidden):
                                                            rel=1e-12)
 
 
+def skew_class0_base(g):
+    """``g`` with class 0's t=0 mean off by 0.1 in every coordinate and its
+    standardized mean shifted to match, so every row still whitens to the
+    statistics the engine tracks."""
+    d = np.full(g.proj_dim, 0.1)
+    base, st = g.base[0], g.stats[0]
+    g.base[0] = ClassStats(base.n, base.mu + d, base.sigma)
+    g.stats[0] = ClassStats(st.n, st.mu - d @ base.inv_chol.T, st.sigma)
+    return g
+
+
 class TestVerify:
     def test_verify_passes_on_preset(self, capsys):
         buf = io.StringIO()
@@ -434,7 +446,9 @@ class TestVerify:
         assert sum("PASS" in l for l in lines) == 6
         record = json.loads(buf.getvalue())
         assert record["type"] == "verify" and record["passed"] is True
-        assert "0" in record["stats"] and "sigma" in record["stats"]["0"]
+        # exactly the statistics' dataclass fields: the cached factor
+        # inverse and log-determinant are not fields
+        assert set(record["stats"]["0"]) == {"frozen", "mu", "n", "sigma"}
 
     @pytest.mark.parametrize("suites, owner, name, bump", [
         pytest.param(["density_ratio"], ClassConditionalGaussians,
@@ -458,6 +472,10 @@ class TestVerify:
         pytest.param(["forgetting_gradient"], safestream.engine, "forward_proba",
                      lambda out: (out[0] + 1e-6, out[1]),
                      id="forgetting_gradient-forward_proba"),
+        # a t=0 fit the engine stays consistent with: only the suites whose
+        # references refit the base from the training rows can notice
+        pytest.param(["downdate_two_pass", "forgetting_gradient"],
+                     ClassConditionalGaussians, "fit", skew_class0_base, id="t0-fit"),
     ])
     def test_density_ratio_suite_catches_perturbed_log_ratio(
         self, monkeypatch, suites, owner, name, bump
@@ -637,6 +655,17 @@ class TestCli:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes() != c.read_bytes()
 
+    def test_seed_flag_keeps_explicit_section_seed(self, tmp_path):
+        # --seed re-derives only the section seeds the file leaves unset
+        cfg = self.write_cfg(tmp_path, stream={"rounds": 1, "per_round": 5, "seed": 7})
+        out = tmp_path / "o.jsonl"
+        assert main(["run", "--config", cfg, "--output", str(out), "--seed", "3"]) == 0
+        echo = json.loads(out.read_text().splitlines()[-1])["config"]
+        assert echo["seed"] == 3 and echo["stream"]["seed"] == 7
+        for name in ("safe", "retrain"):
+            channel = safestream.runner._SECTIONS[name][1]
+            assert echo[name]["seed"] == derive_seed(3, channel)
+
     def test_verify_subcommand(self, tmp_path):
         cfg = self.write_cfg(tmp_path)
         assert main(["verify", "--config", cfg,
@@ -684,6 +713,15 @@ class TestCli:
         rec = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert rec["error"] == "ConfigError"
         assert "config seed must be a non-negative" in rec["message"]
+
+    def test_non_object_config_with_seed_flag_exit_code(self, tmp_path, capsys):
+        # the command line's overrides must not reach a root that is no object
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        assert main(["run", "--config", str(path), "--seed", "3"]) == 1
+        rec = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert rec["error"] == "ConfigError"
+        assert "config root must be a JSON object" in rec["message"]
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
     def test_unreadable_config_exit_code(self, tmp_path, capsys, kind):

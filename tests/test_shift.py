@@ -78,10 +78,9 @@ def test_density_ratio_closed_form_mean_shift():
     dim = 3
     mu = np.zeros(dim)
     mu[0] = delta
+    unit = {0: ClassStats(50, np.zeros(dim), np.eye(dim))}
     stats = {0: ClassStats(50, mu, np.eye(dim))}
-    g = ClassConditionalGaussians(
-        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
-    )
+    g = ClassConditionalGaussians(np.eye(dim), unit, stats)
     got = density_ratio(np.zeros((1, dim)), np.zeros(1), g, 0)
     assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
 
@@ -104,10 +103,9 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
 def test_density_ratio_clipped_positive_finite():
     dim = 2
     far_mu = np.full(dim, 80.0)
+    unit = {0: ClassStats(50, np.zeros(dim), np.eye(dim))}
     stats = {0: ClassStats(50, far_mu, np.eye(dim))}
-    g = ClassConditionalGaussians(
-        np.eye(dim), {0: np.zeros(dim)}, {0: np.eye(dim)}, stats
-    )
+    g = ClassConditionalGaussians(np.eye(dim), unit, stats)
     Z = np.vstack([np.zeros(dim), far_mu])
     low, high = density_ratio(Z, sq_norms(Z), g, 0)
     assert low == 1e-6 and high == 1e6

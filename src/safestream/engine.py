@@ -2,13 +2,26 @@
 per deletion round, anchored at the initially trained parameters.
 
 Per round the engine (i) updates the recursive retention gradient, (ii)
-downdates the per-class Gaussian statistics, (iii) re-evaluates the shift
-targets of every point forgotten so far against the current statistics: it
-refreshes the ledger's density ratio column from the per-class projections
-cached when each point entered the ledger, recomputing every row of a class
-whose statistics the round replaced and only the new rows of any other class,
-then reweights the cached w_0 probabilities by those ratios, (iv) assembles the
-total gradient and emits
+downdates the per-class Gaussian statistics, (iii) builds the forgetting
+gradient over every point forgotten so far against the current statistics,
+on one of two paths:
+
+- ``"sums"``, for the linear head where no density ratio can clip and
+  folding a round's rows costs less than re-evaluating the ledger's: one
+  contraction of per-class sums, into which the ledger folds each row once,
+  with each class's current log-ratio coefficients, and the per-row kernel
+  at the few rows where its PROB_FLOOR may fire. Beyond one pass over each
+  row's extreme w_0 probabilities, its cost is set by the classes, the
+  parameters, the projection dimension and the round's rows, not by the
+  ledger;
+- ``"rows"``, otherwise: it re-evaluates the shift targets of every ledger
+  row, refreshing the ledger's density ratio column from the per-class
+  projections cached when each point entered the ledger (recomputing every
+  row of a class whose statistics moved since the column was last refreshed
+  and only the newer rows of any other class), reweights the cached w_0
+  probabilities by those ratios and runs the KL backward over the ledger;
+
+(iv) assembles the total gradient and emits
 
     w_t = w_0 - gamma * g_t / ||g_t||_2 - b_t,
 
@@ -20,8 +33,9 @@ and t=0 (per-class standardized projections and their squared norms, w_0
 class probabilities and, for the MLP, w_0 hidden activations), but no label.
 Each of those is computed once, when its row enters the ledger, so a round
 runs no forward pass over the ledger. Beside them the ledger keeps each row's
-density ratio under every class, which a round refreshes only where the class
-statistics moved. A request that keeps no row changes no state.
+density ratio under every class and, for the linear head, the per-class
+sums; a round brings either up to date only on the path that reads it. A
+request that keeps no row changes no state.
 """
 
 from __future__ import annotations
@@ -32,14 +46,22 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StreamError
-from .gaussian import ClassConditionalGaussians, ClassStats, sq_norms
+from .gaussian import (
+    ClassConditionalGaussians,
+    ClassStats,
+    quadratic_features,
+    sq_norms,
+)
 from .model import (
+    PROB_FLOOR,
+    Architecture,
     ModelParams,
     forward_proba,
     grad_cross_entropy,
+    kl_dlogits,
     sum_grad_kl_to_targets,
 )
-from .shift import ShiftEstimator, density_ratio
+from .shift import RATIO_CEIL, ShiftEstimator, density_ratio
 
 ZERO_GRAD_TOL = 1e-12
 
@@ -154,27 +176,61 @@ class ForgettingLedger:
     One column is not frozen: R, the (n_classes, count) clipped density
     ratio of each row under every class's current statistics
     (``density_ratio``); n_classes. It is appended unset (NaN) with zz and
-    set by ``refresh_ratios``, which every round's targets run first.
-    Beside it, ``ratio_stats`` records the ``ClassStats`` object each
+    set by ``refresh_ratios``, which the per-row gradient's targets run
+    first. Beside it, ``ratio_stats`` records the ``ClassStats`` object each
     class's ratios were computed under and ``ratio_rows`` how many rows
     they cover. A class whose statistics object was replaced since gets
     every row recomputed; any other class, a frozen one included, only the
     rows appended since.
 
+    A ledger built with ``sums`` (the engine's choice, ``keeps_sums``) also
+    keeps, for the linear head with classes 0..C-1:
+
+    - S: the per-class sums S_c = sum_i phi(z_i^c) (A_i[:C-1, c] (x)
+      [x_i, 1])', (n_classes, F, P), with A_i = diag p0_i - p0_i p0_i' the
+      w_0 softmax Jacobian, phi(z) = (1, z, the upper triangle of z z') of
+      the row's projection under class c, F features
+      (``quadratic_features``), and P = (C - 1)(d + 1) the first C - 1 rows
+      of the linear head's [W | b]: every column of A sums to zero, so the
+      last row's gradient is minus the sum of the others'. ``fold_sums``
+      folds the rows appended since it last ran, ``sums_rows`` of them so
+      far, so S costs nothing until the sums path first reads it;
+    - rho2: per class, the largest zz of any row, and rho2_near the largest
+      zz of the rows whose most probable w_0 class it is; p_ext, each row's
+      smallest and largest w_0 probability, (2, count). ``track_bounds``
+      brings them up to date with the rows appended since it last ran,
+      ``tracked_rows`` of them so far, so a round that cannot take the sums
+      path pays nothing for them;
+    - appended: the rows of the latest append, what a round on the sums
+      path folds.
+
+    ``forgetting_gradient`` contracts S only while ``sums_exact`` (no ratio
+    can clip) and ``sums_cheaper`` hold, and records the path it took in
+    ``grad_path``.
+
     The targets depend on the current class statistics and counts; they are
-    not stored and are recomputed from these columns each round.
+    not stored and are recomputed from these columns when read.
 
     Rows live in buffers whose capacity doubles when full, so an append
     copies only its own rows (amortized); each column is a view of the
     filled prefix, None while the ledger is empty (rows is then empty). Each
     buffer takes the dtype of its column."""
 
-    def __init__(self, lam: float):
+    def __init__(self, lam: float, sums: bool = False):
         self.lam = lam
         self.count = 0
         self._buf: dict[str, np.ndarray] = {"rows": np.empty(0, dtype=np.intp)}
         self.ratio_stats: dict[int, ClassStats] = {}
         self.ratio_rows = 0
+        self.sums = sums
+        self.rho2: np.ndarray | None = None
+        self.rho2_near: np.ndarray | None = None
+        self.p_ext: np.ndarray | None = None
+        self.tracked_rows = 0
+        self.S: np.ndarray | None = None
+        self.sums_rows = 0
+        self.appended = 0
+        self.grad_path: str | None = None
 
     def _rows(self, name: str) -> np.ndarray | None:
         buf = self._buf.get(name)
@@ -209,6 +265,7 @@ class ForgettingLedger:
         for name, col in cols.items():
             self._buf[name][_along(_ROW_AXIS[name], lo, hi)] = col
         self.count = hi
+        self.appended = len(rows)
 
     def stale_from(self, label: int, stats: ClassStats) -> int:
         """The first row whose ratio under class ``label`` is out of date
@@ -229,6 +286,118 @@ class ForgettingLedger:
         self.ratio_rows = self.count
         return self.R
 
+    def track_bounds(self) -> None:
+        """Bring rho2, rho2_near and p_ext up to date with the rows appended
+        since the last call (see the class docstring)."""
+        lo = self.tracked_rows
+        if lo == self.count:
+            return
+        zz, P0 = self.zz[:, lo:], self.P0[:, lo:]
+        own = P0.argmax(axis=0) == np.arange(len(zz))[:, None]
+        top, near = zz.max(axis=1), np.where(own, zz, 0.0).max(axis=1)
+        ext = np.stack([P0.min(axis=0), P0.max(axis=0)])
+        if lo:
+            top, near = np.maximum(self.rho2, top), np.maximum(self.rho2_near, near)
+            ext = np.concatenate([self.p_ext, ext], axis=1)
+        self.rho2, self.rho2_near, self.p_ext = top, near, ext
+        self.tracked_rows = self.count
+
+    def fold_sums(self) -> np.ndarray:
+        """Fold the rows appended since the last call into S (see the class
+        docstring) and return it.
+
+        Each row's column c of A but its last entry, times [x, 1], is laid
+        out as the first C - 1 rows of the (C, d + 1) matrix [W | b], one
+        (m, P) slab per class, so a fold is one stacked GEMM with the rows'
+        ``quadratic_features``. Rows are folded at most as many at a time as
+        the latest append brought, so the rows the sums path finds unfolded
+        when it is first taken need no more temporary memory than a round's
+        own."""
+        step = max(self.appended, 1)
+        for lo in range(self.sums_rows, self.count, step):
+            hi = min(lo + step, self.count)
+            X, P0t = self.X[lo:hi], self.P0[:, lo:hi].T
+            C, m = P0t.shape[1], hi - lo
+            # A_i[j, c] = p_j (delta_jc - p_c), one (m, C) slab per class c
+            A = P0t * (np.eye(C)[:, None, :] - P0t.T[:, :, None])
+            X1 = np.concatenate([X, np.ones((m, 1))], axis=1)
+            M = (A[..., :-1, None] * X1[:, None, :]).reshape(C, m, -1)
+            folded = quadratic_features(self.Z[:, lo:hi]) @ M
+            if self.S is None:
+                self.S = folded
+            else:
+                self.S += folded
+        self.sums_rows = self.count
+        return self.S
+
+
+def keeps_sums(arch: Architecture, class_counts: dict[int, int], k: int) -> bool:
+    """Whether an engine's ledger keeps the per-class sums: only for the
+    linear head with a fitted class at every label 0..C-1, and only where
+    each class's F x P block of S is no larger than the n_train x k slab of
+    Z with every training row forgotten."""
+    if arch.hidden_dim is not None or sorted(class_counts) != list(range(arch.n_classes)):
+        return False
+    n_train = sum(class_counts.values())
+    return (arch.n_classes - 1) * (arch.input_dim + 1) * (k + 1) * (k + 2) // 2 <= n_train * k
+
+
+def sums_exact(ledger: ForgettingLedger,
+               gaussians: ClassConditionalGaussians) -> bool:
+    """Whether no density ratio of a ledger row can clip under the current
+    statistics: every class's ``log_ratio_bounds`` at the rows' largest
+    squared norm rho2 lies below log RATIO_CEIL (= -log RATIO_FLOOR)."""
+    return bool(np.all(gaussians.log_ratio_bounds(ledger.rho2) < math.log(RATIO_CEIL)))
+
+
+def sums_cheaper(ledger: ForgettingLedger, n_floor: int = 0) -> bool:
+    """Whether a round costs less on the sums path than on the rows path, by
+    their multiply-adds per class: the sums path folds the m rows of the
+    latest append into S at F * P each and re-evaluates its ``n_floor``
+    floor rows per row, where the rows path re-evaluates all L ledger rows,
+    each at k^2 for its whitening and d + 1 for its share of the backward
+    pass. The rows folded when the sums path is first taken are paid once,
+    as the rows path's refresh is when it is taken again."""
+    C, L = ledger.P0.shape
+    k, d = ledger.Z.shape[2], ledger.X.shape[1]
+    fold = ledger.appended * (k + 1) * (k + 2) // 2 * (C - 1) * (d + 1)
+    return fold <= (L - n_floor) * (k * k + d + 1)
+
+
+def floor_rows(ledger: ForgettingLedger, shift: ShiftEstimator,
+               counts_t: dict[int, int], size_dt: int) -> np.ndarray:
+    """The ledger rows where the per-row KL kernel may floor a w_0
+    probability or a target at PROB_FLOOR; at every other row its gradient
+    is -A log q to round-off.
+
+    Each ratio q_j = lr_j r_j of a row lies in lr_j e^(-/+B_j), B_j the
+    class's ``log_ratio_bounds`` at rho2, and below lr_j e^(B'_j), B'_j
+    the bound at rho2_near, where j is the row's most probable class. So
+    with p_min and p_max its smallest and largest w_0 probability (p_ext),
+    a row's p . q is at most top = p_max max B' + (1 - p_max) max B (in
+    ratios) and each target at least p_min min lo / top: a row is returned
+    when that falls below PROB_FLOOR, or p_min does."""
+    log_lr = np.log(shift.label_ratios(counts_t, size_dt))
+    far, near = shift.gaussians.log_ratio_bounds(np.stack([ledger.rho2, ledger.rho2_near]))
+    lo = (log_lr - far).min()
+    a, b = np.exp((log_lr + near).max() - lo), np.exp((log_lr + far).max() - lo)
+    p_min, p_max = ledger.p_ext
+    return np.flatnonzero(p_min < PROB_FLOOR * np.maximum(b + (a - b) * p_max, 1.0))
+
+
+def _sums_plan(ledger: ForgettingLedger, shift: ShiftEstimator,
+               counts_t: dict[int, int], size_dt: int) -> np.ndarray | None:
+    """The ``floor_rows`` of a round that takes the sums path, None for one
+    that takes the rows path: the sums path needs a ledger that keeps sums,
+    ``sums_exact``, and ``sums_cheaper`` with its floor rows counted."""
+    if not (ledger.sums and sums_cheaper(ledger)):
+        return None
+    ledger.track_bounds()
+    if not sums_exact(ledger, shift.gaussians):
+        return None
+    rows = floor_rows(ledger, shift, counts_t, size_dt)
+    return rows if sums_cheaper(ledger, len(rows)) else None
+
 
 def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
                    X: np.ndarray) -> dict[str, np.ndarray | None]:
@@ -239,20 +408,67 @@ def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
     return {"Z": Z, "zz": sq_norms(Z), "P0": P0, "H": H}
 
 
+def _sums_kl_gradient(ledger: ForgettingLedger, shift: ShiftEstimator,
+                      counts_t: dict[int, int], size_dt: int,
+                      rows: np.ndarray) -> np.ndarray:
+    """sum_i dKL(p_i || target_i)/dtheta at w_0 from the ledger's sums, with
+    the per-row kernel's gradient in place of the sums' at ``rows``, its
+    ``floor_rows``.
+
+    At w_0 the KL logit gradient is exactly -A_i log q_i, the target's
+    normalizer cancelling, and wherever no ratio clips log q_i[c] is
+    log lr_c plus the quadratic ``log_ratio_forms`` gives at z = z_i^c. The
+    gradient of the first C - 1 rows of [W | b] is then -sum_c coef_c' S_c,
+    and the last row's is minus their sum, since every row of A sums to
+    zero. The per-row kernel floors w_0 probabilities and targets at
+    PROB_FLOOR, so at ``rows`` the sums' terms are taken out again and the
+    kernel's own put in."""
+    S = ledger.fold_sums()
+    coef, B, _ = shift.gaussians.log_ratio_forms()
+    coef = coef.copy()
+    coef[:, 0] += np.log(shift.label_ratios(counts_t, size_dt))
+    C, d = ledger.P0.shape[0], ledger.X.shape[1]
+    G = np.empty((C, d + 1))
+    G[:-1] = -(coef[:, None, :] @ S).sum(axis=0).reshape(C - 1, d + 1)
+    G[-1] = -G[:-1].sum(axis=0)
+    if len(rows):
+        # log q = log lr + c + h.z + z'Bz, the quadratic the sums hold, and
+        # the kernel's targets p q / (p . q) from it
+        p, Z = ledger.P0[:, rows], ledger.Z[:, rows]
+        k = Z.shape[2]
+        logq = (coef[:, :1] + np.einsum("cij,cij->ci", Z @ B, Z)
+                + (Z @ coef[:, 1:k + 1, None])[..., 0])
+        targets = p * np.exp(logq - logq.max(axis=0))
+        targets /= targets.sum(axis=0)
+        X1 = np.concatenate([ledger.X[rows], np.ones((len(rows), 1))], axis=1)
+        G += (kl_dlogits(p, targets) - p * ((p * logq).sum(axis=0) - logq)) @ X1
+    return np.concatenate([G[:, :d].ravel(), G[:, d]])
+
+
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
                         shift: ShiftEstimator, counts_t: dict[int, int],
-                        size_dt: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """``(gradient, targets)``: (lam / sum |F_i|) * sum over forgotten points
-    of the KL gradient toward the current shift targets, and those (n, C)
-    targets; a zero vector and None for an empty ledger. The targets refresh
-    the ledger's density ratio column; the backward pass reuses the w_0
-    forward pass the ledger keeps, so it runs none of its own."""
+                        size_dt: int) -> np.ndarray:
+    """(lam / sum |F_i|) * the sum over forgotten points of the KL gradient
+    toward the current shift targets; a zero vector for an empty ledger.
+
+    It records its path in ``ledger.grad_path``: ``"sums"`` contracts the
+    ledger's per-class sums with the current log-ratio coefficients and
+    reads only its ``floor_rows``; ``"rows"`` builds the targets
+    (``ShiftEstimator.target_predictions``, which refreshes the ledger's
+    density ratio column) and runs the backward pass over the w_0 forward
+    pass the ledger keeps, so it runs none of its own."""
     if ledger.count == 0:
-        return np.zeros(params0.arch.n_params), None
-    targets = shift.target_predictions(ledger, counts_t, size_dt)
-    g = sum_grad_kl_to_targets(params0, ledger.X, targets,
-                               forward=(ledger.P0, ledger.H))
-    return (ledger.lam / ledger.count) * g, targets
+        ledger.grad_path = None
+        return np.zeros(params0.arch.n_params)
+    rows = _sums_plan(ledger, shift, counts_t, size_dt)
+    ledger.grad_path = "rows" if rows is None else "sums"
+    if rows is not None:
+        g = _sums_kl_gradient(ledger, shift, counts_t, size_dt, rows)
+    else:
+        targets = shift.target_predictions(ledger, counts_t, size_dt)
+        g = sum_grad_kl_to_targets(params0, ledger.X, targets,
+                                   forward=(ledger.P0, ledger.H))
+    return (ledger.lam / ledger.count) * g
 
 
 def _index_column(values, what: str) -> np.ndarray:
@@ -272,13 +488,18 @@ def _index_column(values, what: str) -> np.ndarray:
 
 @dataclass
 class RoundResult:
+    """One round's emitted model and what the round did to reach it; its
+    forgetting gradient took ``grad_path`` (see ``forgetting_gradient``).
+    The shift targets are not part of it: a caller that needs them builds
+    them with ``ShiftEstimator.target_predictions``."""
+
     params: ModelParams
     accepted: int                # request size after filtering
     dropped: int                 # repeated ids (first kept) / non-members
     grad_norm: float
     perturbation: np.ndarray
     exhausted_classes: list[int]
-    targets: np.ndarray | None   # shift targets per ledger row; None if empty
+    grad_path: str | None        # "sums" / "rows"; None for an empty ledger
 
 
 class SafeUnlearner:
@@ -311,7 +532,9 @@ class SafeUnlearner:
         self._order = np.argsort(ids)
         self._sorted_ids = ids[self._order]
         self.alive = np.ones(len(ids), dtype=bool)
-        self.ledger = ForgettingLedger(lam=config.lam)
+        self.ledger = ForgettingLedger(
+            lam=config.lam,
+            sums=keeps_sums(params0.arch, self.class_counts, projection.shape[1]))
         self.shift = ShiftEstimator(self.gaussians, self.class_counts)
         self.gamma = learning_rate(config)
         self.phi = perturbation_scale(config)
@@ -380,7 +603,7 @@ class SafeUnlearner:
             self.alive[rows] = False
             self.ledger.append(X, rows, **frozen)
 
-        g_forget, targets = forgetting_gradient(
+        g_forget = forgetting_gradient(
             self.params0, self.ledger, self.shift,
             self.class_counts, self.retention.size_dt,
         )
@@ -398,5 +621,5 @@ class SafeUnlearner:
             grad_norm=gnorm,
             perturbation=b,
             exhausted_classes=exhausted,
-            targets=targets,
+            grad_path=self.ledger.grad_path,
         )

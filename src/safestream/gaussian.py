@@ -9,6 +9,10 @@ class's t=0 fit. There every class's initial distribution is N(0, I)
 exactly, which makes the later density-ratio denominators closed-form.
 Every whitening is ``ClassStats.whiten``, one GEMM against the explicit
 k x k inverse of a Cholesky factor, not a triangular solve over every row.
+For the engine's sums path, ``ClassConditionalGaussians.log_ratio_forms``
+writes each class's log density ratio against N(0, I) as a quadratic in
+the standardized z, a dot product with ``quadratic_features``, and
+``log_ratio_bounds`` bounds it over a ball.
 
 The covariance downdate uses the exact sum-of-squares group identity
 
@@ -21,6 +25,7 @@ the surviving points.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +114,49 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, centered.T @ centered / (m - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column indices of the upper triangle of a k x k matrix in
+    ``np.triu_indices`` order, their flat indices, and the weight of each
+    entry in a quadratic form (1 on the diagonal, 2 off it); read-only."""
+    iu, ju = np.triu_indices(k)
+    out = iu, ju, iu * k + ju, np.where(iu == ju, 1.0, 2.0)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def quadratic_features(Z: np.ndarray) -> np.ndarray:
+    """phi(z) = (1, z, z_a z_b for a <= b in ``np.triu_indices`` order) of
+    every row of the (..., m, k) rows Z, as a feature-major (..., F, m)
+    stack with F = (k + 1)(k + 2)/2: a quadratic in z is a dot product with
+    phi(z) (``ClassConditionalGaussians.log_ratio_forms``)."""
+    Zt = np.ascontiguousarray(np.swapaxes(Z, -1, -2))
+    k, m = Zt.shape[-2:]
+    iu, ju, _, _ = _upper_triangle(k)
+    phi = np.empty(Zt.shape[:-2] + (len(iu) + k + 1, m))
+    phi[..., 0, :] = 1.0
+    phi[..., 1:k + 1, :] = Zt
+    # take copies whole rows of m; a fancy index is several times slower
+    np.multiply(np.take(Zt, iu, axis=-2), np.take(Zt, ju, axis=-2),
+                out=phi[..., k + 1:, :])
+    return phi
+
+
+def schatten_bound(B: np.ndarray) -> np.ndarray:
+    """An upper bound on the spectral norm of each symmetric (k, k) matrix
+    of the stack B: the Schatten 32-norm (sum_i |lambda_i|^32)^(1/32) =
+    ||B^16||_F^(1/16), by four squarings of B scaled to unit Frobenius
+    norm, so nothing overflows. It exceeds ||B||_2 by at most a factor
+    k^(1/32) (1.09 at k = 16), and costs a few small GEMMs where an
+    eigensolver costs several times more."""
+    sq = np.einsum("...ij,...ij->...", B, B)
+    Bn = B / np.sqrt(np.where(sq > 0.0, sq, 1.0))[..., None, None]
+    for _ in range(4):
+        Bn = Bn @ Bn
+    return np.sqrt(sq) * np.einsum("...ij,...ij->...", Bn, Bn) ** (1.0 / 32.0)
+
+
 @dataclass
 class ClassStats:
     """A Gaussian N(mu, sigma) over n points: a class's t=0 fit in the
@@ -148,6 +196,7 @@ class ClassConditionalGaussians:
         self.projection = projection
         self.base = base
         self.stats = stats
+        self._forms: tuple | None = None  # see log_ratio_forms
 
     @property
     def proj_dim(self) -> int:
@@ -245,6 +294,52 @@ class ClassConditionalGaussians:
         log_num = -0.5 * (d * LOG_2PI + st.logdet + sq_norms(st.whiten(Z)))
         log_den = -0.5 * (d * LOG_2PI + zz)
         return log_num - log_den
+
+    def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(coef, B, terms)`` of every class, in the order of ``classes``.
+
+        coef (n_classes, F): log N(z | mu_t, Sigma_t) - log N(z | 0, I) =
+        c + h.z + z'Bz is ``coef[i] @ quadratic_features(z)``, with h =
+        Sigma^-1 mu, B = (I - Sigma^-1)/2, c = -(logdet + mu'h)/2 and Sigma^-1
+        = inv_chol' inv_chol, the factor ``ClassStats.whiten`` applies; so
+        coef[i, 0] is c and coef[i, 1:k+1] is h. B (n_classes, k, k).
+        terms (n_classes, 3): (|logdet| + mu'h)/2 >= |c|, ||h|| and
+        ``schatten_bound(B)`` >= ||B||_2, which ``log_ratio_bounds``
+        combines.
+
+        All three are computed once per set of statistics objects: a round
+        that replaces none (a frozen class keeps its object) reuses them."""
+        stats = [self.stats[label] for label in self.classes]
+        if self._forms is None or any(a is not b for a, b in zip(self._forms[0], stats)):
+            k = self.proj_dim
+            _, _, flat, weight = _upper_triangle(k)
+            inv = np.stack([st.inv_chol for st in stats])
+            mu = np.stack([st.mu for st in stats])
+            logdet = np.array([st.logdet for st in stats])
+            prec = np.swapaxes(inv, 1, 2) @ inv
+            h = (prec @ mu[..., None])[..., 0]
+            mh = (mu * h).sum(axis=1)
+            B = 0.5 * (np.eye(k) - prec)
+            coef = np.empty((len(stats), len(flat) + k + 1))
+            coef[:, 0] = -0.5 * (logdet + mh)
+            coef[:, 1:k + 1] = h
+            np.multiply(np.take(B.reshape(len(stats), k * k), flat, axis=1), weight,
+                        out=coef[:, k + 1:])
+            terms = np.empty((len(stats), 3))
+            terms[:, 0] = 0.5 * (np.abs(logdet) + mh)
+            terms[:, 1] = np.sqrt((h * h).sum(axis=1))
+            terms[:, 2] = schatten_bound(B)
+            self._forms = (stats, coef, B, terms)
+        return self._forms[1:]
+
+    def log_ratio_bounds(self, rho2: np.ndarray) -> np.ndarray:
+        """Per class, in the order of ``classes``, an upper bound on
+        |log N(z | mu_t, Sigma_t) - log N(z | 0, I)| over every z with
+        ||z||^2 <= rho2[class]: (|logdet| + mu'h)/2 + ||h|| rho +
+        ||B||_2 rho^2, in the terms of ``log_ratio_forms``; |z'Bz| <=
+        ||B||_2 ||z||^2 and ||B||_2 = ||I - Sigma^-1||_2 / 2."""
+        c_bound, h_norm, B_norm = self.log_ratio_forms()[2].T
+        return c_bound + h_norm * np.sqrt(rho2) + B_norm * rho2
 
 
 def mardia_test(Z: np.ndarray) -> tuple[float, float]:

@@ -306,7 +306,7 @@ def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def _kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
+def kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Class-major (C, n) dKL(p||t)/dlogits for batched p, t: p_k (log(p_k/t_k) - KL)."""
     logp = np.log(np.maximum(p, PROB_FLOOR))
     logt = np.log(np.maximum(target, PROB_FLOOR))
@@ -328,5 +328,5 @@ def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
     runs here."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     p, hidden = forward_proba(params, X) if forward is None else forward
-    dlogits = _kl_dlogits(p, np.asarray(targets, dtype=np.float64).T)
+    dlogits = kl_dlogits(p, np.asarray(targets, dtype=np.float64).T)
     return _backprop_sum(params, X, dlogits, hidden)

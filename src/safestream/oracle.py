@@ -87,12 +87,13 @@ def surrogate_risk(loss0: np.ndarray, loss_led: np.ndarray, p_led: np.ndarray,
         (|D_0|/|D_t|) R_0(w) - (1/|D_t|) sum_forgotten loss(w)
 
     plus the forgetting term, weighted by ``lam``, toward ``targets``, the
-    shift targets the engine built this round (``RoundResult.targets``), in
-    place of the retrained model. R_0 is the mean of ``loss0``, the model's
-    per-row losses on the initial data D_0; ``loss_led`` and ``p_led`` are
-    its losses and (count, C) predictions on the forgotten points in ledger
-    order. Requires the retained initial data, so only ``run`` in oracle mode
-    calls it."""
+    shift targets of the ledger rows at the round's class statistics and
+    counts (``ShiftEstimator.target_predictions``, which ``run`` calls for
+    this estimate alone), in place of the retrained model. R_0 is the mean
+    of ``loss0``, the model's per-row losses on the initial data D_0;
+    ``loss_led`` and ``p_led`` are its losses and (count, C) predictions on
+    the forgotten points in ledger order. Requires the retained initial
+    data, so only ``run`` in oracle mode calls it."""
     r0 = float(loss0.mean())
     risk = (len(loss0) / size_dt) * r0
     if len(p_led):

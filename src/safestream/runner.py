@@ -6,7 +6,10 @@ Output format of ``run``: one JSON object per round (the engine's result,
 accuracies, MIA rates and config hash, with an ``oracle`` sub-object when the
 oracle is on), then a final summary record carrying means over rounds,
 final-round values, and the full config echo. Identical configs (with timing
-capture disabled) produce byte-identical files.
+capture disabled) produce byte-identical files. ``grad_path`` names the
+path of the round's forgetting gradient (``engine.forgetting_gradient``):
+``"sums"``, ``"rows"``, or null while the ledger is empty. ``wall_ms`` times
+the engine round alone, which builds no shift targets on the sums path.
 
 Where each round's metrics read their rows: the engine, not the round loop,
 keeps the mask of the training rows no request has taken yet
@@ -26,7 +29,8 @@ over a subset of their rows:
   ``risk_star``: the mean loss of w* on the remaining rows;
 - ``surrogate_risk``: R_0, the mean loss of w_t over all training rows,
   rescaled, less w_t's losses on the forgotten rows, plus the KL term
-  toward the engine's shift targets.
+  toward the shift targets of the forgotten rows, which only this oracle
+  metric builds (``ShiftEstimator.target_predictions``).
 
 Only the oracle's retrain and ``verify``, which checks the engine against
 fresh statistics of the remaining rows, copy them.
@@ -49,6 +53,7 @@ import hashlib
 import json
 import time
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -364,6 +369,7 @@ def run(cfg: RunConfig, out) -> dict:
             "request_size": result.accepted,
             "wall_ms": wall_ms if cfg.measure_time else None,
             "grad_norm": result.grad_norm,
+            "grad_path": result.grad_path,
             "exhausted_classes": result.exhausted_classes,
             "ra": accuracy(w.correct[alive]),
             "ta": accuracy(w_test.correct),
@@ -394,8 +400,12 @@ def run(cfg: RunConfig, out) -> dict:
             # true_risk of w* itself: its KL term against itself is 0
             risk_star = float(ws.loss[alive].mean())
             account.update(risk_w, risk_star, star)
+            # the round's shift targets, which only this estimate reads
+            targets = (engine.shift.target_predictions(
+                led, engine.class_counts, engine.retention.size_dt)
+                if led.count else None)
             surrogate = surrogate_risk(w.loss, w.loss[forgotten], p_led,
-                                       result.targets, engine.retention.size_dt,
+                                       targets, engine.retention.size_dt,
                                        led.lam)
             oracle_ms = (time.perf_counter() - o0) * 1e3
             rec["oracle"] = {
@@ -511,15 +521,20 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     """Run the oracle-equivalence suites on the configured task, retaining the
     initial data purely for checking. The references standardize rows against
     a t=0 base recomputed from the training rows, not the engine's fit.
-    Prints one PASS/FAIL line per suite and writes the final per-class
-    statistics as JSON to ``out``."""
+    Prints one PASS/FAIL line per suite, then how many rounds took each
+    gradient path, and writes the final per-class statistics as JSON to
+    ``out``. Errors are relative to max(1, |reference|) where a suite's
+    values can be large: density ratios reach 1e6, where a double's ulp is
+    1e-10."""
     state = initialize(cfg)
     engine = state.engine
     standardize = _reference_standardizer(engine.gaussians, state.train)
     twin = initialize(cfg).engine  # independently initialized replay twin
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
+    paths = Counter()
     for _, request, result, _ in round_loop(state):
+        paths[result.grad_path] += 1
         remaining = state.train.subset(engine.alive)
         twin_result = twin.process_request(request.X, request.y, request.ids)
 
@@ -559,8 +574,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         # the gradient from the ledger's frozen columns vs a recompute from
         # the raw rows
         if engine.ledger.count:
-            got, _ = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
-                                         engine.class_counts, engine.retention.size_dt)
+            got = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
+                                      engine.class_counts, engine.retention.size_dt)
             want = _reference_forgetting_gradient(engine, standardize)
             errs["forgetting_gradient"] = max(
                 errs["forgetting_gradient"],
@@ -575,8 +590,9 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         Z = engine.gaussians.standardize_batch(probe.X, label)
         want = _scipy_density_ratio(Z, st)
         got = density_ratio(Z, sq_norms(Z), engine.gaussians, label)
-        errs["density_ratio"] = max(errs["density_ratio"],
-                                    float(np.abs(got - want).max()))
+        errs["density_ratio"] = max(
+            errs["density_ratio"],
+            float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max()))
 
     all_ok = True
     for name, tol in VERIFY_TOLERANCES.items():
@@ -584,6 +600,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         all_ok &= ok
         report(f"VERIFY {name}: {'PASS' if ok else 'FAIL'} "
                f"(max err {errs[name]:.3e}, tol {tol:.1e})")
+    report(f"VERIFY gradient paths: {paths['sums']} rounds sums, "
+           f"{paths['rows']} rows, {paths[None]} empty ledger")
     out.write(json.dumps(
         {"type": "verify", "passed": all_ok,
          "errors": {k: float(v) for k, v in errs.items()},

@@ -62,12 +62,17 @@ class ShiftEstimator:
         ratios = ledger.refresh_ratios(self.gaussians)
         n_classes = max(self.counts0) + 1
         q = np.full((n_classes, ledger.count), RATIO_FLOOR)
-        for ratio, label in zip(ratios, self.gaussians.classes):
-            lr = label_ratio(
-                counts_t.get(label, 0), self.counts0[label], size_dt, self.size_d0
-            )
+        for ratio, label, lr in zip(ratios, self.gaussians.classes,
+                                    self.label_ratios(counts_t, size_dt)):
             q[label] = lr * ratio
         return q.T
+
+    def label_ratios(self, counts_t: dict[int, int], size_dt: int) -> list[float]:
+        """``label_ratio`` of every fitted class, in the order of
+        ``gaussians.classes``, at the current counts and |D_t|."""
+        return [label_ratio(counts_t.get(label, 0), self.counts0[label], size_dt,
+                            self.size_d0)
+                for label in self.gaussians.classes]
 
     def target_predictions(self, ledger, counts_t: dict[int, int],
                            size_dt: int) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import rel_entr
 
+import safestream.engine
 import safestream.gaussian
 import safestream.model
 from safestream.data import make_synthetic
@@ -29,6 +30,7 @@ from safestream.gaussian import (
     sq_norms,
 )
 from safestream.model import (
+    PROB_FLOOR,
     Architecture,
     ModelParams,
     forward_proba,
@@ -37,6 +39,7 @@ from safestream.model import (
     predict_proba_batch,
 )
 from safestream.oracle import RetrainConfig, retrain
+from safestream.shift import RATIO_CEIL
 
 from conftest import build_engine, central_difference, relative_error
 
@@ -132,11 +135,11 @@ class TestForgettingGradient:
     def test_empty_ledger_zero_vector(self, blob_task):
         train, _, params0 = blob_task
         engine = build_engine(train, params0, SafeConfig(T=5, lam=100.0))
-        g, targets = forgetting_gradient(
+        g = forgetting_gradient(
             params0, engine.ledger, engine.shift, engine.class_counts, train.n
         )
         assert np.array_equal(g, np.zeros(params0.arch.n_params))
-        assert targets is None
+        assert engine.ledger.grad_path is None
 
     def test_zero_when_target_equals_prediction(self, blob_task):
         train, _, params0 = blob_task
@@ -150,10 +153,11 @@ class TestForgettingGradient:
         ledger = ForgettingLedger(lam=10.0)
         ledger.append(train.X[:1], np.arange(1),
                       **frozen_columns(params0, engine.gaussians, train.X[:1]))
-        g, _ = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
+        g = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
         assert np.abs(g).max() < 1e-12
 
-    def test_matches_finite_difference_of_assembled_risk(self, blob_task):
+    def test_matches_finite_difference_of_assembled_risk(self, blob_task,
+                                                         monkeypatch):
         train, _, _ = blob_task
         arch = Architecture(train.dim, train.n_classes)
         rng = np.random.default_rng(3)
@@ -167,15 +171,22 @@ class TestForgettingGradient:
         size_dt = engine.retention.size_dt
         targets = engine.shift.target_predictions(ledger, counts, size_dt)
 
-        analytic, _ = forgetting_gradient(params0, ledger, engine.shift, counts,
-                                          size_dt)
-
         def assembled(theta):
             p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
             return (ledger.lam / ledger.count) * rel_entr(p, targets).sum()
 
         fd = central_difference(assembled, params0.theta.copy())
-        assert relative_error(analytic, fd) < 1e-6
+        # both paths: the sums, on a ledger this small only when the
+        # crossover is overridden, then the rows
+        assert ledger.grad_path == "rows"
+        monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
+        for path in ("sums", "rows"):
+            if path == "rows":
+                monkeypatch.setattr(safestream.engine, "sums_exact", lambda *a: False)
+            analytic = forgetting_gradient(params0, ledger, engine.shift, counts,
+                                           size_dt)
+            assert ledger.grad_path == path
+            assert relative_error(analytic, fd) < 1e-6
 
 
 def engine_state(eng):
@@ -192,20 +203,25 @@ def engine_state(eng):
         "class_counts": dict(eng.class_counts),
         "stats": {c: asdict(st) for c, st in eng.gaussians.stats.items()},
         "ledger": (led.rows, led.X, led.Z, led.zz, led.P0, led.H, led.R),
+        # the per-class sums, the rows folded into them, the rows of the
+        # latest append, the largest squared norms per class and the rows'
+        # extreme w_0 probabilities
+        "sums": (led.S, led.sums_rows, led.appended, led.rho2, led.rho2_near,
+                 led.p_ext, led.tracked_rows),
         "alive": eng.alive,
         "round": eng.round,
     })
 
 
 def same_state(a, b) -> bool:
-    """Two ``engine_state`` values agree: arrays by ``np.array_equal``,
-    everything else by ``==``."""
+    """Two ``engine_state`` values agree: arrays by ``np.array_equal`` (NaN,
+    a ratio not yet set, equal to NaN), everything else by ``==``."""
     if isinstance(a, dict):
         return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(same_state, a, b))
     if isinstance(a, np.ndarray):
-        return isinstance(b, np.ndarray) and np.array_equal(a, b)
+        return isinstance(b, np.ndarray) and np.array_equal(a, b, equal_nan=True)
     return a == b
 
 
@@ -248,12 +264,12 @@ def max_rel_err(got, want):
 
 
 def check_frozen_columns_through_requests(engine, train):
-    """The ledger's frozen columns, and the shift targets each round returns,
-    must equal a fresh standardization, a fresh forward pass at w_0 and a
-    fresh target build, every class's ratios computed anew, from the ledger
-    rows through every kind of request: bit for bit, except the MLP's
-    forward pass, whose per-request GEMMs may round differently from one
-    over the whole ledger (to 1e-14 relative)."""
+    """The ledger's frozen columns, and the shift targets of its rows after
+    each round, must equal a fresh standardization, a fresh forward pass at
+    w_0 and a fresh target build, every class's ratios computed anew, from
+    the ledger rows through every kind of request: bit for bit, except the
+    MLP's forward pass, whose per-request GEMMs may round differently from
+    one over the whole ledger (to 1e-14 relative)."""
     params0 = engine.params0
     assert engine.shift.size_d0 == train.n
     empty = (np.empty((0, train.dim)), np.empty(0, int), np.empty(0, int))
@@ -262,7 +278,7 @@ def check_frozen_columns_through_requests(engine, train):
     repeated = np.array([others[0], others[0], others[1]])
     foreign = (np.zeros((1, train.dim)), np.array([1]), np.array([10_000_000]))
     requests = [
-        empty,  # the ledger is still empty, so there are no targets
+        empty,  # the ledger is still empty, so there is no gradient path
         (train.X[repeated], train.y[repeated], train.ids[repeated]),
         foreign,
         empty,
@@ -276,7 +292,7 @@ def check_frozen_columns_through_requests(engine, train):
         exhausted += result.exhausted_classes
         led = engine.ledger
         if not led.count:
-            assert result.targets is None
+            assert result.grad_path is None
             continue
         Z = engine.gaussians.standardize_all(led.X)
         P0, H = forward_proba(params0, led.X)
@@ -289,8 +305,9 @@ def check_frozen_columns_through_requests(engine, train):
             assert max_rel_err(led.H, H) <= 1e-14
         fresh = ForgettingLedger(led.lam)
         fresh.append(led.X, led.rows, Z=Z, zz=sq_norms(Z), P0=led.P0)
-        assert np.array_equal(result.targets, engine.shift.target_predictions(
-            fresh, engine.class_counts, engine.retention.size_dt))
+        counts, size_dt = engine.class_counts, engine.retention.size_dt
+        assert np.array_equal(engine.shift.target_predictions(led, counts, size_dt),
+                              engine.shift.target_predictions(fresh, counts, size_dt))
     assert exhausted == [0] and engine.gaussians.stats[0].frozen
     rows = 2 + len(class0) - 3 + 28
     assert engine.ledger.Z.shape == (3, rows, 10)
@@ -674,12 +691,14 @@ def test_request_stream_invariants(small_task, requests):
             frozen = {c for c, s in engine.gaussians.stats.items() if s.frozen}
             assert result.exhausted_classes == sorted(frozen - frozen_before)
             alive[hit] = False
-            # the same targets as every class's ratios recomputed over the
-            # whole ledger, up to BLAS rounding a short product (a one-row
-            # gemv) differently from the same rows of a longer one
+            # the ledger's targets as every class's ratios recomputed over
+            # the whole ledger, up to BLAS rounding a short product (a
+            # one-row gemv) differently from the same rows of a longer one
             if engine.ledger.count:
                 want = full_refresh_targets(engine)
-                assert np.abs(result.targets - want).max() <= 1e-13
+                got = engine.shift.target_predictions(
+                    engine.ledger, engine.class_counts, engine.retention.size_dt)
+                assert np.abs(got - want).max() <= 1e-13
         check_stream_invariants(engine, train, params0, alive, counts0)
 
 
@@ -717,3 +736,94 @@ def test_ledger_appends_match_concatenation():
         assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))
         assert np.array_equal(ledger.P0, np.concatenate(P0s, axis=1))
         assert ledger.H is None and ledger.zz is None
+
+
+def run_stream(engine, train, rng, rounds, per_round):
+    """Send ``rounds`` random requests of ``per_round`` live rows through
+    ``engine``, yielding each round's result."""
+    for _ in range(rounds):
+        alive = np.flatnonzero(engine.alive)
+        rows = rng.choice(alive, min(per_round, len(alive) - 1), replace=False)
+        yield engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
+
+
+@given(seed=st.integers(0, 10_000), n_classes=st.integers(2, 4),
+       dim=st.integers(4, 7), proj_dim=st.integers(1, 4),
+       per_round=st.integers(1, 30), rounds=st.integers(1, 4),
+       epochs=st.sampled_from([10, 200]))
+@settings(max_examples=25, deadline=None)
+def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
+                                                per_round, rounds, epochs):
+    # at every round of a small softmax stream, with the crossover forced
+    # open: the clip bound covers every ledger row's |log ratio|, and where
+    # it lies below the ceiling the sums path's gradient is the per-row
+    # one, to round-off where no w_0 probability meets PROB_FLOOR
+    train, _ = make_synthetic(40 * n_classes, max(dim, n_classes), n_classes, 3.0,
+                              seed=seed)
+    arch = Architecture(train.dim, train.n_classes)
+    params0 = retrain(train.X, train.y, arch, RetrainConfig(epochs=epochs, seed=0))
+    engine = build_engine(train, params0, SafeConfig(T=rounds, lam=50.0,
+                                                     proj_dim=proj_dim, seed=seed))
+    assert engine.ledger.sums
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
+        for result in run_stream(engine, train, rng, rounds, per_round):
+            led, g = engine.ledger, engine.gaussians
+            logr = np.array([np.abs(g.log_density_vs_base_batch(Zc, zzc, c)).max()
+                             for Zc, zzc, c in zip(led.Z, led.zz, g.classes)])
+            bounds = g.log_ratio_bounds(led.rho2)
+            # the bound holds up to the log ratios' own round-off
+            assert np.all(logr <= bounds + 1e-12)
+            assert result.grad_path == ("sums" if bounds.max() < np.log(RATIO_CEIL)
+                                        else "rows")
+            if result.grad_path == "rows":
+                continue
+            args = (params0, led, engine.shift, engine.class_counts,
+                    engine.retention.size_dt)
+            sums = forgetting_gradient(*args)
+            mp.setattr(safestream.engine, "sums_exact", lambda *a: False)
+            rows = forgetting_gradient(*args)
+            mp.undo()
+            mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
+            err = np.abs(sums - rows).max() / max(1.0, np.abs(rows).max())
+            assert err <= (1e-12 if led.P0.min() >= PROB_FLOOR else 1e-10), err
+
+
+def test_mlp_engine_never_takes_the_sums_path(blob_task, monkeypatch):
+    # the MLP keeps no sums, so no crossover or bound can route it there
+    monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
+    engine = build_mlp_engine(blob_task)
+    assert not engine.ledger.sums
+    paths = [r.grad_path for r in run_stream(engine, blob_task[0],
+                                             np.random.default_rng(1), 4, 40)]
+    assert paths == ["rows"] * 4
+    assert engine.ledger.S is None and engine.ledger.rho2 is None
+
+
+def test_sums_follow_the_ledger_through_every_fold(engine, blob_task, monkeypatch):
+    # S and rho2 as rebuilt from the ledger's rows in one fold, whether the
+    # rows were folded round by round or caught up in chunks when the sums
+    # path is first taken; a rejected request touches neither
+    train = blob_task[0]
+    rng = np.random.default_rng(3)
+    paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 30)]
+    led = engine.ledger
+    assert paths == ["rows"] * 3 and led.S is None and led.rho2 is None
+    monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
+    paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 25)]
+    assert paths == ["sums"] * 3 and led.sums_rows == led.count == 165
+    fresh = ForgettingLedger(led.lam, sums=True)
+    fresh.append(led.X, led.rows, Z=led.Z, zz=led.zz, P0=led.P0)
+    want = fresh.fold_sums()
+    assert np.abs(led.S - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(led.rho2, led.zz.max(axis=1))
+    own = led.P0.argmax(axis=0) == np.arange(3)[:, None]
+    assert np.array_equal(led.rho2_near, np.where(own, led.zz, 0.0).max(axis=1))
+    assert np.array_equal(led.p_ext, [led.P0.min(axis=0), led.P0.max(axis=0)])
+    before = engine_state(engine)
+    X = train.X[:2].copy()
+    X[1, 0] = np.nan
+    with pytest.raises(StreamError):
+        engine.process_request(X, train.y[:2], train.ids[:2])
+    assert same_state(engine_state(engine), before)

@@ -56,7 +56,7 @@ def base_config(**overrides):
     return config_from_dict(raw)
 
 
-ROUND_KEYS = {"type", "t", "request_size", "wall_ms", "grad_norm",
+ROUND_KEYS = {"type", "t", "request_size", "wall_ms", "grad_norm", "grad_path",
               "exhausted_classes", "ra", "fa", "ta", "mia", "mia_test",
               "config_hash"}
 ORACLE_KEYS = {"risk_w", "risk_star", "regret", "cumulative_regret", "v_t",
@@ -517,6 +517,39 @@ class TestVerify:
         assert sum("PASS" in l for l in lines) == 5
 
 
+    def test_verify_passes_where_density_ratios_reach_4e5(self):
+        # a valid small config whose probe ratios reach 4.03e5, where a
+        # double's ulp is 5.8e-11: the density_ratio suite judges its error
+        # relative to max(1, |ratio|), as the forgetting_gradient suite does
+        cfg = config_from_dict({
+            "dataset": {"kind": "synthetic", "n": 120, "dim": 8, "classes": 5},
+            "stream": {"mode": "random-subset", "rounds": 1, "per_round": 10},
+            "safe": {"T": 1}, "retrain": {"epochs": 30}, "seed": 274,
+            "oracle": True})
+        lines = []
+        assert verify(cfg, io.StringIO(), report=lines.append) is True
+        assert sum("PASS" in l for l in lines) == 6
+
+    def test_class_stream_switches_from_sums_to_rows(self):
+        # draining class 1 two rows a round: the per-row gradient while the
+        # ledger is small, the sums once folding a round's rows costs less
+        # than re-evaluating the ledger, the per-row gradient again once the
+        # drained class's statistics could clip a ratio; every suite passes
+        # on both paths
+        cfg = base_config(
+            dataset={**BASE["dataset"], "n": 300},
+            stream={"mode": "class-stream", "target_class": 1, "rounds": 40,
+                    "per_round": 2},
+        )
+        paths = "".join({"sums": "s", "rows": "r"}[result.grad_path]
+                        for _, _, result, _ in round_loop(initialize(cfg)))
+        assert paths == "r" * 12 + "s" * 17 + "r" * 11
+        lines = []
+        assert verify(cfg, io.StringIO(), report=lines.append) is True
+        assert sum("PASS" in l for l in lines) == 6
+        assert lines[-1] == "VERIFY gradient paths: 17 rounds sums, 23 rows, 0 empty ledger"
+
+
 class TestSweep:
     def test_sweep_grid_outputs(self, tmp_path):
         out = tmp_path / "grid"
@@ -665,6 +698,46 @@ class TestCli:
         for name in ("safe", "retrain"):
             channel = safestream.runner._SECTIONS[name][1]
             assert echo[name]["seed"] == derive_seed(3, channel)
+
+    def test_sums_path_keeps_the_preset_outputs(self, tmp_path, monkeypatch):
+        # the CLI standard preset with the oracle, once with the sums path
+        # wherever it is exact and once with the per-row path only: every
+        # float agrees to 1e-12 relative to max(1, |x|), a difference of two
+        # risks relative to its larger operand, every other field exactly
+        outputs = {}
+        for path, patch in (("sums", ("sums_cheaper", lambda *a: True)),
+                            ("rows", ("sums_exact", lambda *a: False))):
+            with monkeypatch.context() as m:
+                m.setattr(safestream.engine, *patch)
+                out = tmp_path / f"{path}.jsonl"
+                assert main(["run", "--oracle", "--output", str(out)]) == 0
+            outputs[path] = [json.loads(l) for l in out.read_text().splitlines()]
+        sums, rows = outputs["sums"], outputs["rows"]
+        assert [r.get("grad_path") for r in rows[:-1]] == ["rows"] * 20
+        assert [r.get("grad_path") for r in sums[:-1]] == ["sums"] * 20
+        oracles = [r["oracle"] for r in rows[:-1]]
+        risk = max(max(abs(o["risk_w"]), abs(o["risk_star"]),
+                       abs(o["surrogate_risk"])) for o in oracles)
+        # a difference of two risks, or a sum of t of them
+        operand = {"regret": risk, "risk_gap": risk, "mean_regret": risk,
+                   "mean_risk_gap": risk, "cumulative_regret": 20 * risk}
+        timing = {"wall_ms", "retrain_ms", "oracle_ms", "mean_wall_ms",
+                  "mean_retrain_ms", "mean_oracle_ms", "grad_path"}
+
+        def agree(a, b, key=None):
+            if isinstance(a, dict):
+                assert a.keys() == b.keys()
+                for k in a.keys() - timing:
+                    agree(a[k], b[k], k)
+            elif isinstance(a, float) and isinstance(b, float):
+                scale = max(1.0, abs(a), operand.get(key, 0.0))
+                assert abs(a - b) <= 1e-12 * scale, (key, a, b)
+            else:
+                assert a == b, (key, a, b)
+
+        assert len(sums) == len(rows)
+        for a, b in zip(sums, rows):
+            agree(a, b)
 
     def test_verify_subcommand(self, tmp_path):
         cfg = self.write_cfg(tmp_path)

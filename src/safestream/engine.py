@@ -3,23 +3,24 @@ per deletion round, anchored at the initially trained parameters.
 
 Per round the engine (i) updates the recursive retention gradient, (ii)
 downdates the per-class Gaussian statistics, (iii) builds the forgetting
-gradient over every point forgotten so far against the current statistics,
-on one of two paths:
+gradient over every point forgotten so far against the current statistics.
+Its target for row i is the w_0 prediction p_i reweighted by the ratios q_i
+and renormalized, and at w_0 the KL logit gradient toward it is exactly
+-A_i log q_i, with A_i = diag p_i - p_i p_i' the softmax Jacobian; no target
+is formed. The gradient takes one of two paths:
 
 - ``"sums"``, for the linear head where no density ratio can clip and
   folding a round's rows costs less than re-evaluating the ledger's: one
   contraction of per-class sums, into which the ledger folds each row once,
-  with each class's current log-ratio coefficients, and the per-row kernel
-  at the few rows where its PROB_FLOOR may fire. Beyond one pass over each
-  row's extreme w_0 probabilities, its cost is set by the classes, the
-  parameters, the projection dimension and the round's rows, not by the
-  ledger;
-- ``"rows"``, otherwise: it re-evaluates the shift targets of every ledger
-  row, refreshing the ledger's density ratio column from the per-class
+  with each class's current log-ratio coefficients. Its cost is set by the
+  classes, the parameters, the projection dimension and the round's rows,
+  not by the ledger;
+- ``"rows"``, otherwise: it re-evaluates log q at every ledger row,
+  refreshing the ledger's density ratio column from the per-class
   projections cached when each point entered the ledger (recomputing every
   row of a class whose statistics moved since the column was last refreshed
-  and only the newer rows of any other class), reweights the cached w_0
-  probabilities by those ratios and runs the KL backward over the ledger;
+  and only the newer rows of any other class), and runs the KL backward
+  over the ledger from the w_0 forward pass it cached;
 
 (iv) assembles the total gradient and emits
 
@@ -53,12 +54,10 @@ from .gaussian import (
     sq_norms,
 )
 from .model import (
-    PROB_FLOOR,
     Architecture,
     ModelParams,
     forward_proba,
     grad_cross_entropy,
-    kl_dlogits,
     sum_grad_kl_to_targets,
 )
 from .shift import RATIO_CEIL, ShiftEstimator, density_ratio
@@ -176,12 +175,12 @@ class ForgettingLedger:
     One column is not frozen: R, the (n_classes, count) clipped density
     ratio of each row under every class's current statistics
     (``density_ratio``); n_classes. It is appended unset (NaN) with zz and
-    set by ``refresh_ratios``, which the per-row gradient's targets run
-    first. Beside it, ``ratio_stats`` records the ``ClassStats`` object each
-    class's ratios were computed under and ``ratio_rows`` how many rows
-    they cover. A class whose statistics object was replaced since gets
-    every row recomputed; any other class, a frozen one included, only the
-    rows appended since.
+    set by ``refresh_ratios``, which the per-row gradient's
+    ``class_ratio_matrix`` runs first. Beside it, ``ratio_stats`` records
+    the ``ClassStats`` object each class's ratios were computed under and
+    ``ratio_rows`` how many rows they cover. A class whose statistics
+    object was replaced since gets every row recomputed; any other class, a
+    frozen one included, only the rows appended since.
 
     A ledger built with ``sums`` (the engine's choice, ``keeps_sums``) also
     keeps, for the linear head with classes 0..C-1:
@@ -195,12 +194,8 @@ class ForgettingLedger:
       last row's gradient is minus the sum of the others'. ``fold_sums``
       folds the rows appended since it last ran, ``sums_rows`` of them so
       far, so S costs nothing until the sums path first reads it;
-    - rho2: per class, the largest zz of any row, and rho2_near the largest
-      zz of the rows whose most probable w_0 class it is; p_ext, each row's
-      smallest and largest w_0 probability, (2, count). ``track_bounds``
-      brings them up to date with the rows appended since it last ran,
-      ``tracked_rows`` of them so far, so a round that cannot take the sums
-      path pays nothing for them;
+    - rho2: per class, the largest zz of any row, a running max that
+      ``append`` keeps;
     - appended: the rows of the latest append, what a round on the sums
       path folds.
 
@@ -208,8 +203,8 @@ class ForgettingLedger:
     can clip) and ``sums_cheaper`` hold, and records the path it took in
     ``grad_path``.
 
-    The targets depend on the current class statistics and counts; they are
-    not stored and are recomputed from these columns when read.
+    The shift ratios depend on the current class statistics and counts; they
+    are recomputed from these columns when read.
 
     Rows live in buffers whose capacity doubles when full, so an append
     copies only its own rows (amortized); each column is a view of the
@@ -224,9 +219,6 @@ class ForgettingLedger:
         self.ratio_rows = 0
         self.sums = sums
         self.rho2: np.ndarray | None = None
-        self.rho2_near: np.ndarray | None = None
-        self.p_ext: np.ndarray | None = None
-        self.tracked_rows = 0
         self.S: np.ndarray | None = None
         self.sums_rows = 0
         self.appended = 0
@@ -247,11 +239,15 @@ class ForgettingLedger:
     def append(self, X: np.ndarray, rows: np.ndarray, **frozen) -> None:
         """Append m >= 1 rows: features X, training row indices ``rows`` and,
         by name, their frozen columns (see ``frozen_columns``; a column given
-        as None is not kept). Rows appended with zz get unset ratios in R."""
+        as None is not kept). Rows appended with zz get unset ratios in R
+        and, in a ledger that keeps sums, enter rho2."""
         cols = {"X": X, "rows": rows,
                 **{name: v for name, v in frozen.items() if v is not None}}
         if "zz" in cols:
             cols["R"] = np.full_like(cols["zz"], np.nan)
+            if self.sums:
+                top = cols["zz"].max(axis=1)
+                self.rho2 = top if self.rho2 is None else np.maximum(self.rho2, top)
         lo, hi = self.count, self.count + len(rows)
         if hi > len(self._buf["rows"]):
             cap = max(hi, 2 * len(self._buf["rows"]))
@@ -285,22 +281,6 @@ class ForgettingLedger:
             self.ratio_stats[label] = stats
         self.ratio_rows = self.count
         return self.R
-
-    def track_bounds(self) -> None:
-        """Bring rho2, rho2_near and p_ext up to date with the rows appended
-        since the last call (see the class docstring)."""
-        lo = self.tracked_rows
-        if lo == self.count:
-            return
-        zz, P0 = self.zz[:, lo:], self.P0[:, lo:]
-        own = P0.argmax(axis=0) == np.arange(len(zz))[:, None]
-        top, near = zz.max(axis=1), np.where(own, zz, 0.0).max(axis=1)
-        ext = np.stack([P0.min(axis=0), P0.max(axis=0)])
-        if lo:
-            top, near = np.maximum(self.rho2, top), np.maximum(self.rho2_near, near)
-            ext = np.concatenate([self.p_ext, ext], axis=1)
-        self.rho2, self.rho2_near, self.p_ext = top, near, ext
-        self.tracked_rows = self.count
 
     def fold_sums(self) -> np.ndarray:
         """Fold the rows appended since the last call into S (see the class
@@ -350,53 +330,17 @@ def sums_exact(ledger: ForgettingLedger,
     return bool(np.all(gaussians.log_ratio_bounds(ledger.rho2) < math.log(RATIO_CEIL)))
 
 
-def sums_cheaper(ledger: ForgettingLedger, n_floor: int = 0) -> bool:
+def sums_cheaper(ledger: ForgettingLedger) -> bool:
     """Whether a round costs less on the sums path than on the rows path, by
     their multiply-adds per class: the sums path folds the m rows of the
-    latest append into S at F * P each and re-evaluates its ``n_floor``
-    floor rows per row, where the rows path re-evaluates all L ledger rows,
-    each at k^2 for its whitening and d + 1 for its share of the backward
-    pass. The rows folded when the sums path is first taken are paid once,
-    as the rows path's refresh is when it is taken again."""
+    latest append into S at F * P each, where the rows path re-evaluates all
+    L ledger rows, each at k^2 for its whitening and d + 1 for its share of
+    the backward pass. The rows folded when the sums path is first taken are
+    paid once, as the rows path's refresh is when it is taken again."""
     C, L = ledger.P0.shape
     k, d = ledger.Z.shape[2], ledger.X.shape[1]
     fold = ledger.appended * (k + 1) * (k + 2) // 2 * (C - 1) * (d + 1)
-    return fold <= (L - n_floor) * (k * k + d + 1)
-
-
-def floor_rows(ledger: ForgettingLedger, shift: ShiftEstimator,
-               counts_t: dict[int, int], size_dt: int) -> np.ndarray:
-    """The ledger rows where the per-row KL kernel may floor a w_0
-    probability or a target at PROB_FLOOR; at every other row its gradient
-    is -A log q to round-off.
-
-    Each ratio q_j = lr_j r_j of a row lies in lr_j e^(-/+B_j), B_j the
-    class's ``log_ratio_bounds`` at rho2, and below lr_j e^(B'_j), B'_j
-    the bound at rho2_near, where j is the row's most probable class. So
-    with p_min and p_max its smallest and largest w_0 probability (p_ext),
-    a row's p . q is at most top = p_max max B' + (1 - p_max) max B (in
-    ratios) and each target at least p_min min lo / top: a row is returned
-    when that falls below PROB_FLOOR, or p_min does."""
-    log_lr = np.log(shift.label_ratios(counts_t, size_dt))
-    far, near = shift.gaussians.log_ratio_bounds(np.stack([ledger.rho2, ledger.rho2_near]))
-    lo = (log_lr - far).min()
-    a, b = np.exp((log_lr + near).max() - lo), np.exp((log_lr + far).max() - lo)
-    p_min, p_max = ledger.p_ext
-    return np.flatnonzero(p_min < PROB_FLOOR * np.maximum(b + (a - b) * p_max, 1.0))
-
-
-def _sums_plan(ledger: ForgettingLedger, shift: ShiftEstimator,
-               counts_t: dict[int, int], size_dt: int) -> np.ndarray | None:
-    """The ``floor_rows`` of a round that takes the sums path, None for one
-    that takes the rows path: the sums path needs a ledger that keeps sums,
-    ``sums_exact``, and ``sums_cheaper`` with its floor rows counted."""
-    if not (ledger.sums and sums_cheaper(ledger)):
-        return None
-    ledger.track_bounds()
-    if not sums_exact(ledger, shift.gaussians):
-        return None
-    rows = floor_rows(ledger, shift, counts_t, size_dt)
-    return rows if sums_cheaper(ledger, len(rows)) else None
+    return fold <= L * (k * k + d + 1)
 
 
 def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
@@ -409,39 +353,22 @@ def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
 
 
 def _sums_kl_gradient(ledger: ForgettingLedger, shift: ShiftEstimator,
-                      counts_t: dict[int, int], size_dt: int,
-                      rows: np.ndarray) -> np.ndarray:
-    """sum_i dKL(p_i || target_i)/dtheta at w_0 from the ledger's sums, with
-    the per-row kernel's gradient in place of the sums' at ``rows``, its
-    ``floor_rows``.
+                      counts_t: dict[int, int], size_dt: int) -> np.ndarray:
+    """sum_i dKL(p_i || target_i)/dtheta at w_0 from the ledger's sums.
 
-    At w_0 the KL logit gradient is exactly -A_i log q_i, the target's
-    normalizer cancelling, and wherever no ratio clips log q_i[c] is
+    The KL logit gradient of row i is -A_i log q_i
+    (``sum_grad_kl_to_targets``), and wherever no ratio clips log q_i[c] is
     log lr_c plus the quadratic ``log_ratio_forms`` gives at z = z_i^c. The
     gradient of the first C - 1 rows of [W | b] is then -sum_c coef_c' S_c,
     and the last row's is minus their sum, since every row of A sums to
-    zero. The per-row kernel floors w_0 probabilities and targets at
-    PROB_FLOOR, so at ``rows`` the sums' terms are taken out again and the
-    kernel's own put in."""
+    zero."""
     S = ledger.fold_sums()
-    coef, B, _ = shift.gaussians.log_ratio_forms()
-    coef = coef.copy()
+    coef = shift.gaussians.log_ratio_forms()[0].copy()
     coef[:, 0] += np.log(shift.label_ratios(counts_t, size_dt))
     C, d = ledger.P0.shape[0], ledger.X.shape[1]
     G = np.empty((C, d + 1))
     G[:-1] = -(coef[:, None, :] @ S).sum(axis=0).reshape(C - 1, d + 1)
     G[-1] = -G[:-1].sum(axis=0)
-    if len(rows):
-        # log q = log lr + c + h.z + z'Bz, the quadratic the sums hold, and
-        # the kernel's targets p q / (p . q) from it
-        p, Z = ledger.P0[:, rows], ledger.Z[:, rows]
-        k = Z.shape[2]
-        logq = (coef[:, :1] + np.einsum("cij,cij->ci", Z @ B, Z)
-                + (Z @ coef[:, 1:k + 1, None])[..., 0])
-        targets = p * np.exp(logq - logq.max(axis=0))
-        targets /= targets.sum(axis=0)
-        X1 = np.concatenate([ledger.X[rows], np.ones((len(rows), 1))], axis=1)
-        G += (kl_dlogits(p, targets) - p * ((p * logq).sum(axis=0) - logq)) @ X1
     return np.concatenate([G[:, :d].ravel(), G[:, d]])
 
 
@@ -452,21 +379,22 @@ def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
     toward the current shift targets; a zero vector for an empty ledger.
 
     It records its path in ``ledger.grad_path``: ``"sums"`` contracts the
-    ledger's per-class sums with the current log-ratio coefficients and
-    reads only its ``floor_rows``; ``"rows"`` builds the targets
-    (``ShiftEstimator.target_predictions``, which refreshes the ledger's
-    density ratio column) and runs the backward pass over the w_0 forward
-    pass the ledger keeps, so it runs none of its own."""
+    ledger's per-class sums with the current log-ratio coefficients;
+    ``"rows"`` takes the log of ``ShiftEstimator.class_ratio_matrix``, which
+    refreshes the ledger's density ratio column, and runs the backward pass
+    over the w_0 forward pass the ledger keeps, so it runs none of its own.
+    Both compute -A log q at every row, exactly, and neither builds targets."""
     if ledger.count == 0:
         ledger.grad_path = None
         return np.zeros(params0.arch.n_params)
-    rows = _sums_plan(ledger, shift, counts_t, size_dt)
-    ledger.grad_path = "rows" if rows is None else "sums"
-    if rows is not None:
-        g = _sums_kl_gradient(ledger, shift, counts_t, size_dt, rows)
+    sums = (ledger.sums and sums_cheaper(ledger)
+            and sums_exact(ledger, shift.gaussians))
+    ledger.grad_path = "sums" if sums else "rows"
+    if sums:
+        g = _sums_kl_gradient(ledger, shift, counts_t, size_dt)
     else:
-        targets = shift.target_predictions(ledger, counts_t, size_dt)
-        g = sum_grad_kl_to_targets(params0, ledger.X, targets,
+        logq = np.log(shift.class_ratio_matrix(ledger, counts_t, size_dt).T)
+        g = sum_grad_kl_to_targets(params0, ledger.X, logq,
                                    forward=(ledger.P0, ledger.H))
     return (ledger.lam / ledger.count) * g
 
@@ -490,8 +418,8 @@ def _index_column(values, what: str) -> np.ndarray:
 class RoundResult:
     """One round's emitted model and what the round did to reach it; its
     forgetting gradient took ``grad_path`` (see ``forgetting_gradient``).
-    The shift targets are not part of it: a caller that needs them builds
-    them with ``ShiftEstimator.target_predictions``."""
+    No round builds the shift targets: a caller that needs them builds them
+    with ``ShiftEstimator.target_predictions``."""
 
     params: ModelParams
     accepted: int                # request size after filtering

@@ -295,20 +295,20 @@ class ClassConditionalGaussians:
         log_den = -0.5 * (d * LOG_2PI + zz)
         return log_num - log_den
 
-    def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(coef, B, terms)`` of every class, in the order of ``classes``.
+    def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(coef, terms)`` of every class, in the order of ``classes``.
 
         coef (n_classes, F): log N(z | mu_t, Sigma_t) - log N(z | 0, I) =
         c + h.z + z'Bz is ``coef[i] @ quadratic_features(z)``, with h =
         Sigma^-1 mu, B = (I - Sigma^-1)/2, c = -(logdet + mu'h)/2 and Sigma^-1
         = inv_chol' inv_chol, the factor ``ClassStats.whiten`` applies; so
-        coef[i, 0] is c and coef[i, 1:k+1] is h. B (n_classes, k, k).
+        coef[i, 0] is c and coef[i, 1:k+1] is h.
         terms (n_classes, 3): (|logdet| + mu'h)/2 >= |c|, ||h|| and
         ``schatten_bound(B)`` >= ||B||_2, which ``log_ratio_bounds``
         combines.
 
-        All three are computed once per set of statistics objects: a round
-        that replaces none (a frozen class keeps its object) reuses them."""
+        Both are computed once per set of statistics objects: a round that
+        replaces none (a frozen class keeps its object) reuses them."""
         stats = [self.stats[label] for label in self.classes]
         if self._forms is None or any(a is not b for a, b in zip(self._forms[0], stats)):
             k = self.proj_dim
@@ -329,7 +329,7 @@ class ClassConditionalGaussians:
             terms[:, 0] = 0.5 * (np.abs(logdet) + mh)
             terms[:, 1] = np.sqrt((h * h).sum(axis=1))
             terms[:, 2] = schatten_bound(B)
-            self._forms = (stats, coef, B, terms)
+            self._forms = (stats, coef, terms)
         return self._forms[1:]
 
     def log_ratio_bounds(self, rho2: np.ndarray) -> np.ndarray:
@@ -338,7 +338,7 @@ class ClassConditionalGaussians:
         ||z||^2 <= rho2[class]: (|logdet| + mu'h)/2 + ||h|| rho +
         ||B||_2 rho^2, in the terms of ``log_ratio_forms``; |z'Bz| <=
         ||B||_2 ||z||^2 and ||B||_2 = ||I - Sigma^-1||_2 / 2."""
-        c_bound, h_norm, B_norm = self.log_ratio_forms()[2].T
+        c_bound, h_norm, B_norm = self.log_ratio_forms()[1].T
         return c_bound + h_norm * np.sqrt(rho2) + B_norm * rho2
 
 

@@ -10,10 +10,10 @@ gradients are (C, n) arrays, one row per class, and MLP hidden activations
 are (h, n), so every softmax reduction runs along a long contiguous axis
 rather than across the 2-10 classes of each row. The public functions keep
 row-major shapes: inputs X are (n, d), ``predict_proba_batch`` returns
-(n, C) (a transposed view) and ``sum_grad_kl_to_targets`` takes (n, C)
-targets. ``forward_proba`` is the exception: it returns the class-major
-forward pass itself, so a caller can keep it and hand it back to the KL
-backward.
+(n, C) (a transposed view). Two functions are class-major at their
+boundary: ``forward_proba`` returns the forward pass itself, so a caller can
+keep it and hand it back to the KL backward, and ``sum_grad_kl_to_targets``
+takes its log ratios as (C, n).
 
 Prepared rows: one check covers every labelled batch (no empty batch, one
 label per row, every label in [0, C)) and builds the class-major one-hot
@@ -306,19 +306,18 @@ def kl_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return terms.sum(axis=1)
 
 
-def kl_dlogits(p: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Class-major (C, n) dKL(p||t)/dlogits for batched p, t: p_k (log(p_k/t_k) - KL)."""
-    logp = np.log(np.maximum(p, PROB_FLOOR))
-    logt = np.log(np.maximum(target, PROB_FLOOR))
-    kl = (p * (logp - logt)).sum(axis=0)
-    return p * (logp - logt - kl)
-
-
 def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
-                           targets: np.ndarray, forward=None) -> np.ndarray:
-    """Gradient w.r.t. theta of sum_i KL(p_i || target_i), p_i the predicted
-    probabilities of row i and targets (n, C). Targets are constants: no
-    gradient flows through them.
+                           logq: np.ndarray, forward=None) -> np.ndarray:
+    """Gradient w.r.t. theta of sum_i KL(p_i || t_i), p_i the predicted
+    probabilities of row i and t_i = p_i q_i / (p_i . q_i) its target, the
+    predictions reweighted by the positive ratios q_i, given as class-major
+    (C, n) log ratios ``logq``. Targets are constants: no gradient flows
+    through them.
+
+    The target's normalizer cancels, so the logit gradient of row i is
+    exactly p_i (p_i . log q_i - log q_i) = -A_i log q_i, with A_i = diag p_i
+    - p_i p_i' the softmax Jacobian: no target is formed, and none is
+    floored however small it is.
 
     ``forward`` is the ``forward_proba(params, X)`` pair, when the caller
     already holds it: the backward pass then reads those probabilities and
@@ -328,5 +327,5 @@ def sum_grad_kl_to_targets(params: ModelParams, X: np.ndarray,
     runs here."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     p, hidden = forward_proba(params, X) if forward is None else forward
-    dlogits = kl_dlogits(p, np.asarray(targets, dtype=np.float64).T)
+    dlogits = p * ((p * logq).sum(axis=0) - logq)
     return _backprop_sum(params, X, dlogits, hidden)

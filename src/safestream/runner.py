@@ -9,7 +9,7 @@ final-round values, and the full config echo. Identical configs (with timing
 capture disabled) produce byte-identical files. ``grad_path`` names the
 path of the round's forgetting gradient (``engine.forgetting_gradient``):
 ``"sums"``, ``"rows"``, or null while the ledger is empty. ``wall_ms`` times
-the engine round alone, which builds no shift targets on the sums path.
+the engine round alone, which builds no shift targets on either path.
 
 Where each round's metrics read their rows: the engine, not the round loop,
 keeps the mask of the training rows no request has taken yet
@@ -53,7 +53,6 @@ import hashlib
 import json
 import time
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -81,7 +80,6 @@ from .model import (
     Architecture,
     ModelParams,
     grad_cross_entropy,
-    predict_proba_batch,
     sum_grad_kl_to_targets,
 )
 from .oracle import (
@@ -495,25 +493,20 @@ def _scipy_density_ratio(Z: np.ndarray, st: ClassStats) -> np.ndarray:
 
 def _reference_forgetting_gradient(engine: SafeUnlearner, standardize) -> np.ndarray:
     """The engine's forgetting gradient recomputed from the raw ledger rows:
-    the reference ``standardize`` per class, scipy's density ratios, the label
-    ratios, the renormalized targets with the w_0 fallback, one backward
-    pass with its own forward pass. It reads none of the ledger's frozen
-    columns (projections, their norms, w_0 probabilities and hidden
-    activations), nor the engine's density ratio or target code."""
+    the ratios q from the reference ``standardize`` per class, scipy's
+    density ratios and the label ratios, then the KL backward with its own
+    forward pass. It reads none of the ledger's frozen columns (projections,
+    their norms, w_0 probabilities and hidden activations), nor the engine's
+    density ratio or sums code; it shares the backward pass
+    (``sum_grad_kl_to_targets``) with the engine's per-row path."""
     led, gaussians, est = engine.ledger, engine.gaussians, engine.shift
-    p0 = predict_proba_batch(engine.params0, led.X)
     q = np.full((led.count, max(est.counts0) + 1), RATIO_FLOOR)
     for label, st in gaussians.stats.items():
         lr = label_ratio(engine.class_counts.get(label, 0), est.counts0[label],
                          engine.retention.size_dt, est.size_d0)
         Z = standardize(led.X, label)
         q[:, label] = lr * _scipy_density_ratio(Z, st)
-    raw = p0 * q
-    norm = raw.sum(axis=1)
-    ok = np.isfinite(norm) & (norm > 0.0)
-    targets = p0.copy()
-    targets[ok] = raw[ok] / norm[ok, None]
-    grad = sum_grad_kl_to_targets(engine.params0, led.X, targets)
+    grad = sum_grad_kl_to_targets(engine.params0, led.X, np.log(q).T)
     return (led.lam / led.count) * grad
 
 
@@ -522,19 +515,20 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     initial data purely for checking. The references standardize rows against
     a t=0 base recomputed from the training rows, not the engine's fit.
     Prints one PASS/FAIL line per suite, then how many rounds took each
-    gradient path, and writes the final per-class statistics as JSON to
-    ``out``. Errors are relative to max(1, |reference|) where a suite's
-    values can be large: density ratios reach 1e6, where a double's ulp is
-    1e-10."""
+    gradient path, and writes both, with the final per-class statistics, as
+    JSON to ``out`` (the path counts under ``grad_paths``: ``sums``,
+    ``rows`` and ``empty``). Errors are relative to max(1, |reference|)
+    where a suite's values can be large: density ratios reach 1e6, where a
+    double's ulp is 1e-10."""
     state = initialize(cfg)
     engine = state.engine
     standardize = _reference_standardizer(engine.gaussians, state.train)
     twin = initialize(cfg).engine  # independently initialized replay twin
 
     errs = {name: 0.0 for name in VERIFY_TOLERANCES}
-    paths = Counter()
+    paths = dict.fromkeys(("sums", "rows", "empty"), 0)
     for _, request, result, _ in round_loop(state):
-        paths[result.grad_path] += 1
+        paths[result.grad_path or "empty"] += 1
         remaining = state.train.subset(engine.alive)
         twin_result = twin.process_request(request.X, request.y, request.ids)
 
@@ -601,10 +595,11 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         report(f"VERIFY {name}: {'PASS' if ok else 'FAIL'} "
                f"(max err {errs[name]:.3e}, tol {tol:.1e})")
     report(f"VERIFY gradient paths: {paths['sums']} rounds sums, "
-           f"{paths['rows']} rows, {paths[None]} empty ledger")
+           f"{paths['rows']} rows, {paths['empty']} empty ledger")
     out.write(json.dumps(
         {"type": "verify", "passed": all_ok,
          "errors": {k: float(v) for k, v in errs.items()},
+         "grad_paths": paths,
          "stats": {str(c): asdict(st) for c, st in engine.gaussians.stats.items()},
          "config": cfg.to_dict()},
         sort_keys=True, default=np.ndarray.tolist) + "\n")

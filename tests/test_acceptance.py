@@ -151,9 +151,12 @@ def test_c03_gradient_correctness():
 
             worst = max(worst, relative_error(analytic, central_difference(ce, theta.copy())))
 
+            # KL toward the prediction at theta reweighted by random ratios
             x = rng.standard_normal((1, arch.input_dim))
-            target = rng.dirichlet(np.ones(arch.n_classes))[None, :]
-            analytic = sum_grad_kl_to_targets(params, x, target)
+            logq = 3.0 * rng.standard_normal((arch.n_classes, 1))
+            analytic = sum_grad_kl_to_targets(params, x, logq)
+            raw = predict_proba_batch(params, x) * np.exp(logq.T)
+            target = raw / raw.sum()
 
             def kl(t, x=x, target=target, arch=arch):
                 return rel_entr(predict_proba_batch(ModelParams(arch, t), x), target).sum()

@@ -30,7 +30,6 @@ from safestream.gaussian import (
     sq_norms,
 )
 from safestream.model import (
-    PROB_FLOOR,
     Architecture,
     ModelParams,
     forward_proba,
@@ -146,9 +145,9 @@ class TestForgettingGradient:
         engine = build_engine(train, params0, SafeConfig(T=5))
 
         class IdentityShift:
-            # a fresh prediction, so the cached P0 must match it too
-            def target_predictions(self, ledger, counts, size):
-                return predict_proba_batch(params0, train.X[:1])
+            # ratios of one: every target is the row's own w_0 prediction
+            def class_ratio_matrix(self, ledger, counts_t, size_dt):
+                return np.ones((ledger.count, params0.arch.n_classes))
 
         ledger = ForgettingLedger(lam=10.0)
         ledger.append(train.X[:1], np.arange(1),
@@ -188,6 +187,37 @@ class TestForgettingGradient:
             assert ledger.grad_path == path
             assert relative_error(analytic, fd) < 1e-6
 
+    @pytest.mark.parametrize("hidden", [None, 4])
+    def test_exact_where_a_target_falls_below_every_floor(self, blob_task,
+                                                          monkeypatch, hidden):
+        # ratios (1e-12, 1, 1e6) at every row put each row's class-0 target
+        # near 1e-18: the gradient is still that of the KL toward the
+        # unfloored targets, where a floor at 1e-12 would move a logit
+        # gradient by O(1)
+        train = blob_task[0]
+        arch = Architecture(train.dim, train.n_classes, hidden)
+        rng = np.random.default_rng(8)
+        params0 = ModelParams(arch, 0.3 * rng.standard_normal(arch.n_params))
+        engine = build_engine(train, params0, SafeConfig(T=5, lam=50.0, proj_dim=4))
+        idx = rng.choice(train.n, 12, replace=False)
+        engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
+        ledger = engine.ledger
+        q = np.tile([1e-12, 1.0, 1e6], (ledger.count, 1))
+        monkeypatch.setattr(engine.shift, "class_ratio_matrix", lambda *a: q)
+        analytic = forgetting_gradient(params0, ledger, engine.shift,
+                                       engine.class_counts, engine.retention.size_dt)
+        assert ledger.grad_path == "rows"
+        p0 = predict_proba_batch(params0, ledger.X)
+        targets = p0 * q / (p0 * q).sum(axis=1, keepdims=True)
+        assert targets.min() < 1e-16
+
+        def assembled(theta):
+            p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
+            return (ledger.lam / ledger.count) * rel_entr(p, targets).sum()
+
+        fd = central_difference(assembled, params0.theta.copy())
+        assert relative_error(analytic, fd) < 1e-6
+
 
 def engine_state(eng):
     """A deep copy of everything process_request may change; compare two
@@ -204,10 +234,8 @@ def engine_state(eng):
         "stats": {c: asdict(st) for c, st in eng.gaussians.stats.items()},
         "ledger": (led.rows, led.X, led.Z, led.zz, led.P0, led.H, led.R),
         # the per-class sums, the rows folded into them, the rows of the
-        # latest append, the largest squared norms per class and the rows'
-        # extreme w_0 probabilities
-        "sums": (led.S, led.sums_rows, led.appended, led.rho2, led.rho2_near,
-                 led.p_ext, led.tracked_rows),
+        # latest append and the largest squared norms per class
+        "sums": (led.S, led.sums_rows, led.appended, led.rho2),
         "alive": eng.alive,
         "round": eng.round,
     })
@@ -757,7 +785,7 @@ def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
     # at every round of a small softmax stream, with the crossover forced
     # open: the clip bound covers every ledger row's |log ratio|, and where
     # it lies below the ceiling the sums path's gradient is the per-row
-    # one, to round-off where no w_0 probability meets PROB_FLOOR
+    # one, to round-off
     train, _ = make_synthetic(40 * n_classes, max(dim, n_classes), n_classes, 3.0,
                               seed=seed)
     arch = Architecture(train.dim, train.n_classes)
@@ -787,7 +815,7 @@ def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
             mp.undo()
             mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
             err = np.abs(sums - rows).max() / max(1.0, np.abs(rows).max())
-            assert err <= (1e-12 if led.P0.min() >= PROB_FLOOR else 1e-10), err
+            assert err <= 1e-12, err
 
 
 def test_mlp_engine_never_takes_the_sums_path(blob_task, monkeypatch):
@@ -802,14 +830,16 @@ def test_mlp_engine_never_takes_the_sums_path(blob_task, monkeypatch):
 
 
 def test_sums_follow_the_ledger_through_every_fold(engine, blob_task, monkeypatch):
-    # S and rho2 as rebuilt from the ledger's rows in one fold, whether the
-    # rows were folded round by round or caught up in chunks when the sums
-    # path is first taken; a rejected request touches neither
+    # S as rebuilt from the ledger's rows in one fold, whether the rows were
+    # folded round by round or caught up in chunks when the sums path is
+    # first taken, and rho2 as the largest zz of every row appended, on
+    # either path; a rejected request touches neither
     train = blob_task[0]
     rng = np.random.default_rng(3)
     paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 30)]
     led = engine.ledger
-    assert paths == ["rows"] * 3 and led.S is None and led.rho2 is None
+    assert paths == ["rows"] * 3 and led.S is None
+    assert np.array_equal(led.rho2, led.zz.max(axis=1))
     monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
     paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 25)]
     assert paths == ["sums"] * 3 and led.sums_rows == led.count == 165
@@ -818,9 +848,6 @@ def test_sums_follow_the_ledger_through_every_fold(engine, blob_task, monkeypatc
     want = fresh.fold_sums()
     assert np.abs(led.S - want).max() <= 1e-12 * np.abs(want).max()
     assert np.array_equal(led.rho2, led.zz.max(axis=1))
-    own = led.P0.argmax(axis=0) == np.arange(3)[:, None]
-    assert np.array_equal(led.rho2_near, np.where(own, led.zz, 0.0).max(axis=1))
-    assert np.array_equal(led.p_ext, [led.P0.min(axis=0), led.P0.max(axis=0)])
     before = engine_state(engine)
     X = train.X[:2].copy()
     X[1, 0] = np.nan

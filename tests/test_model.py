@@ -221,31 +221,36 @@ def test_kl_nonnegative(seed):
 
 
 def test_grad_kl_zero_at_target():
+    # constant log ratios reweight no class: every target is the prediction
     params, x, _ = random_model(5)
-    target = predict_proba_batch(params, x[None, :])
-    g = sum_grad_kl_to_targets(params, x[None, :], target)
+    g = sum_grad_kl_to_targets(params, x[None, :], np.full((3, 1), 0.7))
     assert np.abs(g).max() < 1e-12
 
 
 def test_grad_kl_zero_for_uniform_zero_model():
     arch = Architecture(3, 4)
     params = ModelParams(arch, np.zeros(arch.n_params))
-    g = sum_grad_kl_to_targets(params, np.array([[1.0, 2.0, 3.0]]), np.full((1, 4), 0.25))
+    g = sum_grad_kl_to_targets(params, np.array([[1.0, 2.0, 3.0]]),
+                               np.zeros((4, 1)))
     assert np.abs(g).max() < 1e-15
 
 
 @pytest.mark.parametrize("hidden", [None, 4])
 def test_kl_grad_matches_finite_differences(hidden):
+    # the gradient of sum_i KL(p_i || t_i) with t_i = p_i q_i / (p_i . q_i)
+    # built at theta and held constant, for random log ratios
     arch = Architecture(5, 3, hidden)
     rng = np.random.default_rng(43)
     for _ in range(10):
         theta = rng.standard_normal(arch.n_params)
-        x = rng.standard_normal((1, 5))
-        target = rng.dirichlet(np.ones(3))[None, :]
-        analytic = sum_grad_kl_to_targets(ModelParams(arch, theta), x, target)
+        X = rng.standard_normal((2, 5))
+        logq = 3.0 * rng.standard_normal((3, 2))
+        analytic = sum_grad_kl_to_targets(ModelParams(arch, theta), X, logq)
+        raw = predict_proba_batch(ModelParams(arch, theta), X) * np.exp(logq.T)
+        target = raw / raw.sum(axis=1, keepdims=True)
 
         def f(t):
-            return rel_entr(predict_proba_batch(ModelParams(arch, t), x), target).sum()
+            return rel_entr(predict_proba_batch(ModelParams(arch, t), X), target).sum()
 
         assert relative_error(analytic, central_difference(f, theta)) < 1e-6
 

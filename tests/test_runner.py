@@ -17,7 +17,7 @@ import safestream.runner
 from safestream.cli import main
 from safestream.data import Dataset, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
-from safestream.errors import ConfigError, DataError
+from safestream.errors import ConfigError, DataError, SafestreamError
 from safestream.gaussian import ClassConditionalGaussians, ClassStats
 from safestream.oracle import RetrainConfig
 from safestream.runner import (
@@ -543,11 +543,73 @@ class TestVerify:
         )
         paths = "".join({"sums": "s", "rows": "r"}[result.grad_path]
                         for _, _, result, _ in round_loop(initialize(cfg)))
-        assert paths == "r" * 12 + "s" * 17 + "r" * 11
-        lines = []
-        assert verify(cfg, io.StringIO(), report=lines.append) is True
+        assert paths == "r" * 12 + "s" * 21 + "r" * 7
+        lines, buf = [], io.StringIO()
+        assert verify(cfg, buf, report=lines.append) is True
         assert sum("PASS" in l for l in lines) == 6
-        assert lines[-1] == "VERIFY gradient paths: 17 rounds sums, 23 rows, 0 empty ledger"
+        assert lines[-1] == "VERIFY gradient paths: 21 rounds sums, 19 rows, 0 empty ledger"
+        record = json.loads(buf.getvalue())
+        assert record["grad_paths"] == {"sums": 21, "rows": 19, "empty": 0}
+
+
+@st.composite
+def _small_configs(draw):
+    """Small synthetic configs over both heads and both stream modes, with
+    proj_dim anywhere in 1..d, lambda 0 among the weights and the oracle
+    on; a class stream may drain its class to zero rows."""
+    n = draw(st.sampled_from([120, 200, 400]))
+    classes = draw(st.sampled_from([2, 3, 5]))
+    dim = draw(st.sampled_from([d for d in (5, 8, 16) if d >= classes]))
+    rounds, per_round = draw(st.integers(1, 4)), draw(st.integers(1, 30))
+    mode = draw(st.sampled_from(["random-subset", "class-stream", "drain"]))
+    stream = {"mode": mode, "rounds": rounds, "per_round": per_round}
+    if mode != "random-subset":
+        target = draw(st.integers(0, classes - 1))
+        stream.update(mode="class-stream", target_class=target)
+        if mode == "drain":
+            # every training row of the class, in as many equal rounds as
+            # divide its count (set by n and the class count, not the seed)
+            count = int((make_synthetic(n, dim, classes, 4.0, seed=0)[0].y
+                         == target).sum())
+            rounds = max(r for r in range(1, rounds + 1) if count % r == 0)
+            stream.update(rounds=rounds, per_round=count // rounds)
+    return {
+        "dataset": {"kind": "synthetic", "n": n, "dim": dim, "classes": classes},
+        "safe": {"T": rounds, "proj_dim": draw(st.integers(1, dim)),
+                 "lam": draw(st.sampled_from([0.0, 10.0, 1000.0])),
+                 "K": draw(st.sampled_from([0.5, 2.5])),
+                 "epsilon": draw(st.sampled_from([5.0, 2000.0]))},
+        "stream": stream,
+        "retrain": {"epochs": 30},
+        "arch": draw(st.sampled_from(["softmax", "mlp"])),
+        "hidden_dim": draw(st.sampled_from([2, 8])),
+        "evaluate_mia": draw(st.booleans()),
+        "oracle": True,
+        "measure_time": False,
+        "seed": draw(st.integers(0, 10_000)),
+    }
+
+
+@given(raw=_small_configs())
+@settings(max_examples=25, deadline=None)
+def test_verify_and_run_hold_across_small_configs(raw):
+    # each config either fails inside the error taxonomy or passes every
+    # verify suite, and then runs to finite summaries, byte-identical when
+    # run again
+    cfg = config_from_dict(raw)
+    lines = []
+    try:
+        passed = verify(cfg, io.StringIO(), report=lines.append)
+    except SafestreamError:
+        return
+    assert passed, lines
+    outputs = []
+    for _ in range(2):
+        buf = io.StringIO()
+        summary = run(cfg, buf)
+        outputs.append(buf.getvalue())
+    json.dumps(summary, allow_nan=False)  # raises on a non-finite float
+    assert outputs[0] == outputs[1]
 
 
 class TestSweep:

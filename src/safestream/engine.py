@@ -30,8 +30,8 @@ with b_t drawn i.i.d. N(0, phi^2) per coordinate. The engine reads the
 training set once, in its constructor; it keeps only an index of the training
 ids, a mask of the rows still alive, O(1)-per-class statistics and the ledger:
 of each forgotten point its features, training row and what is frozen at w_0
-and t=0 (per-class standardized projections and their squared norms, w_0
-class probabilities and, for the MLP, w_0 hidden activations), but no label.
+and t=0 (per-class standardized projections, w_0 class probabilities and,
+for the MLP, w_0 hidden activations), but no label.
 Each of those is computed once, when its row enters the ledger, so a round
 runs no forward pass over the ledger. Beside them the ledger keeps each row's
 density ratio under every class and, for the linear head, the per-class
@@ -146,7 +146,7 @@ def update_retention_grad(state: RetentionGradState, grad_sum_ft: np.ndarray,
 
 # the axis along which each ledger column stacks its rows: X and rows are
 # row-major, the other columns are per class (or per hidden unit) first
-_ROW_AXIS = {"X": 0, "rows": 0, "Z": 1, "zz": 1, "P0": 1, "H": 1, "R": 1}
+_ROW_AXIS = {"X": 0, "rows": 0, "Z": 1, "P0": 1, "H": 1, "R": 1}
 
 
 def _along(axis: int, lo: int, hi: int) -> tuple:
@@ -166,15 +166,13 @@ class ForgettingLedger:
     - Z: the standardized projection under every fitted class, the
       (n_classes, count, k) ``ClassConditionalGaussians.standardize_all``
       stack; n_classes * k;
-    - zz: the (n_classes, count) squared norms of Z, which fix the base
-      density N(z | 0, I); n_classes;
     - P0: the class-major (C, count) w_0 probabilities; C;
     - H: the (h, count) w_0 hidden activations of the MLP, None for the
       linear head; h.
 
     One column is not frozen: R, the (n_classes, count) clipped density
     ratio of each row under every class's current statistics
-    (``density_ratio``); n_classes. It is appended unset (NaN) with zz and
+    (``density_ratio``); n_classes. It is appended unset (NaN) with Z and
     set by ``refresh_ratios``, which the per-row gradient's
     ``class_ratio_matrix`` runs first. Beside it, ``ratio_stats`` records
     the ``ClassStats`` object each class's ratios were computed under and
@@ -194,8 +192,8 @@ class ForgettingLedger:
       last row's gradient is minus the sum of the others'. ``fold_sums``
       folds the rows appended since it last ran, ``sums_rows`` of them so
       far, so S costs nothing until the sums path first reads it;
-    - rho2: per class, the largest zz of any row, a running max that
-      ``append`` keeps;
+    - rho2: per class, the largest squared norm ||z||^2 of any row's
+      projection, a running max that ``append`` keeps;
     - appended: the rows of the latest append, what a round on the sums
       path folds.
 
@@ -231,7 +229,6 @@ class ForgettingLedger:
     X = property(lambda self: self._rows("X"))
     rows = property(lambda self: self._rows("rows"))
     Z = property(lambda self: self._rows("Z"))
-    zz = property(lambda self: self._rows("zz"))
     P0 = property(lambda self: self._rows("P0"))
     H = property(lambda self: self._rows("H"))
     R = property(lambda self: self._rows("R"))
@@ -239,14 +236,14 @@ class ForgettingLedger:
     def append(self, X: np.ndarray, rows: np.ndarray, **frozen) -> None:
         """Append m >= 1 rows: features X, training row indices ``rows`` and,
         by name, their frozen columns (see ``frozen_columns``; a column given
-        as None is not kept). Rows appended with zz get unset ratios in R
+        as None is not kept). Rows appended with Z get unset ratios in R
         and, in a ledger that keeps sums, enter rho2."""
         cols = {"X": X, "rows": rows,
                 **{name: v for name, v in frozen.items() if v is not None}}
-        if "zz" in cols:
-            cols["R"] = np.full_like(cols["zz"], np.nan)
+        if "Z" in cols:
+            cols["R"] = np.full(cols["Z"].shape[:2], np.nan)
             if self.sums:
-                top = cols["zz"].max(axis=1)
+                top = sq_norms(cols["Z"]).max(axis=1)
                 self.rho2 = top if self.rho2 is None else np.maximum(self.rho2, top)
         lo, hi = self.count, self.count + len(rows)
         if hi > len(self._buf["rows"]):
@@ -273,11 +270,11 @@ class ForgettingLedger:
         """Bring the R column up to date with the current class statistics
         (see the class docstring) and return it; ``gaussians`` must be the
         model whose ``standardize_all`` stack Z holds."""
-        for Zc, zzc, Rc, label in zip(self.Z, self.zz, self.R, gaussians.classes):
+        for Zc, Rc, label in zip(self.Z, self.R, gaussians.classes):
             stats = gaussians.stats[label]
             lo = self.stale_from(label, stats)
             if lo < self.count:
-                Rc[lo:] = density_ratio(Zc[lo:], zzc[lo:], gaussians, label)
+                Rc[lo:] = density_ratio(Zc[lo:], stats)
             self.ratio_stats[label] = stats
         self.ratio_rows = self.count
         return self.R
@@ -334,7 +331,7 @@ def sums_cheaper(ledger: ForgettingLedger) -> bool:
     """Whether a round costs less on the sums path than on the rows path, by
     their multiply-adds per class: the sums path folds the m rows of the
     latest append into S at F * P each, where the rows path re-evaluates all
-    L ledger rows, each at k^2 for its whitening and d + 1 for its share of
+    L ledger rows, each at k^2 for its log ratio and d + 1 for its share of
     the backward pass. The rows folded when the sums path is first taken are
     paid once, as the rows path's refresh is when it is taken again."""
     C, L = ledger.P0.shape
@@ -345,11 +342,11 @@ def sums_cheaper(ledger: ForgettingLedger) -> bool:
 
 def frozen_columns(params0: ModelParams, gaussians: ClassConditionalGaussians,
                    X: np.ndarray) -> dict[str, np.ndarray | None]:
-    """The ledger columns of rows X (Z, zz, P0, H; see ``ForgettingLedger``):
+    """The ledger columns of rows X (Z, P0, H; see ``ForgettingLedger``):
     one frozen projection and one forward pass at w_0 over these rows only."""
     Z = gaussians.standardize_all(X)
     P0, H = forward_proba(params0, X)
-    return {"Z": Z, "zz": sq_norms(Z), "P0": P0, "H": H}
+    return {"Z": Z, "P0": P0, "H": H}
 
 
 def _sums_kl_gradient(ledger: ForgettingLedger, shift: ShiftEstimator,

@@ -9,10 +9,11 @@ class's t=0 fit. There every class's initial distribution is N(0, I)
 exactly, which makes the later density-ratio denominators closed-form.
 Every whitening is ``ClassStats.whiten``, one GEMM against the explicit
 k x k inverse of a Cholesky factor, not a triangular solve over every row.
-For the engine's sums path, ``ClassConditionalGaussians.log_ratio_forms``
-writes each class's log density ratio against N(0, I) as a quadratic in
-the standardized z, a dot product with ``quadratic_features``, and
-``log_ratio_bounds`` bounds it over a ball.
+Every log density ratio against N(0, I) is the quadratic form in z that
+``ClassStats.log_ratio_form`` holds: ``ClassStats.log_ratio`` evaluates it
+at rows, ``ClassConditionalGaussians.log_ratio_forms`` stacks every class's
+as a dot product with ``quadratic_features`` for the engine's sums path,
+and ``log_ratio_bounds`` bounds it over a ball.
 
 The covariance downdate uses the exact sum-of-squares group identity
 
@@ -35,7 +36,6 @@ from scipy.linalg.lapack import dtrtri
 
 from .errors import ConfigError, StatsError
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 CHOL_JITTER = 1e-6
 
 
@@ -165,7 +165,8 @@ class ClassStats:
     Construction factors sigma (``cholesky_with_jitter``) and keeps the
     factor's inverse ``inv_chol`` and sigma's log-determinant ``logdet`` as
     plain attributes, not fields, so ``asdict`` gives n, mu, sigma and
-    frozen; a downdate builds new statistics instead."""
+    frozen; a downdate builds new statistics instead, so nothing derived
+    from mu and sigma (the factor, ``log_ratio_form``) goes stale."""
 
     n: int
     mu: np.ndarray
@@ -176,10 +177,30 @@ class ClassStats:
         chol = cholesky_with_jitter(self.sigma)
         self.inv_chol = inverse_cholesky(chol)
         self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
+        self._form = None  # see log_ratio_form
 
     def whiten(self, U: np.ndarray) -> np.ndarray:
         """Rows U mapped to inv_chol (U - mu): N(mu, sigma) becomes N(0, I)."""
         return (U - self.mu) @ self.inv_chol.T
+
+    @property
+    def log_ratio_form(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """(c, h, B) with log N(z | mu, sigma) - log N(z | 0, I) = c + h.z +
+        z'Bz: h = Sigma^-1 mu, B = (I - Sigma^-1)/2 and c = -(logdet +
+        mu'h)/2, where Sigma^-1 = inv_chol' inv_chol; computed on first use
+        and kept, like ``inv_chol``, for the life of these statistics."""
+        if self._form is None:
+            prec = self.inv_chol.T @ self.inv_chol
+            h = prec @ self.mu
+            B = 0.5 * (np.eye(len(h)) - prec)
+            self._form = -0.5 * (self.logdet + float(self.mu @ h)), h, B
+        return self._form
+
+    def log_ratio(self, Z: np.ndarray) -> np.ndarray:
+        """log N(z | mu, sigma) - log N(z | 0, I) at each row z of the (n, k)
+        rows Z, from ``log_ratio_form``."""
+        c, h, B = self.log_ratio_form
+        return c + Z @ h + np.einsum("ij,ij->i", Z @ B, Z)
 
 
 class ClassConditionalGaussians:
@@ -283,29 +304,14 @@ class ClassConditionalGaussians:
         self.stats.update(updated)
         return exhausted
 
-    def log_density_vs_base_batch(self, Z: np.ndarray, zz: np.ndarray,
-                                  label: int) -> np.ndarray:
-        """log N(z | mu_t, Sigma_t) - log N(z | 0, I) for each standardized
-        row of Z, given the rows' squared norms ``zz = sq_norms(Z)``. Those
-        fix the base density; they are frozen with Z, so the ledger keeps
-        them."""
-        st = self.stats[label]
-        d = Z.shape[1]
-        log_num = -0.5 * (d * LOG_2PI + st.logdet + sq_norms(st.whiten(Z)))
-        log_den = -0.5 * (d * LOG_2PI + zz)
-        return log_num - log_den
-
     def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(coef, terms)`` of every class, in the order of ``classes``.
+        """``(coef, terms)`` of every class, in the order of ``classes``,
+        stacked from each class's ``ClassStats.log_ratio_form`` (c, h, B).
 
-        coef (n_classes, F): log N(z | mu_t, Sigma_t) - log N(z | 0, I) =
-        c + h.z + z'Bz is ``coef[i] @ quadratic_features(z)``, with h =
-        Sigma^-1 mu, B = (I - Sigma^-1)/2, c = -(logdet + mu'h)/2 and Sigma^-1
-        = inv_chol' inv_chol, the factor ``ClassStats.whiten`` applies; so
-        coef[i, 0] is c and coef[i, 1:k+1] is h.
-        terms (n_classes, 3): (|logdet| + mu'h)/2 >= |c|, ||h|| and
-        ``schatten_bound(B)`` >= ||B||_2, which ``log_ratio_bounds``
-        combines.
+        coef (n_classes, F): c + h.z + z'Bz is ``coef[i] @
+        quadratic_features(z)``, so coef[i, 0] is c and coef[i, 1:k+1] is h.
+        terms (n_classes, 3): |c|, ||h|| and ``schatten_bound(B)`` >=
+        ||B||_2, which ``log_ratio_bounds`` combines.
 
         Both are computed once per set of statistics objects: a round that
         replaces none (a frozen class keeps its object) reuses them."""
@@ -313,33 +319,26 @@ class ClassConditionalGaussians:
         if self._forms is None or any(a is not b for a, b in zip(self._forms[0], stats)):
             k = self.proj_dim
             _, _, flat, weight = _upper_triangle(k)
-            inv = np.stack([st.inv_chol for st in stats])
-            mu = np.stack([st.mu for st in stats])
-            logdet = np.array([st.logdet for st in stats])
-            prec = np.swapaxes(inv, 1, 2) @ inv
-            h = (prec @ mu[..., None])[..., 0]
-            mh = (mu * h).sum(axis=1)
-            B = 0.5 * (np.eye(k) - prec)
             coef = np.empty((len(stats), len(flat) + k + 1))
-            coef[:, 0] = -0.5 * (logdet + mh)
-            coef[:, 1:k + 1] = h
+            B = np.empty((len(stats), k, k))
+            for i, st in enumerate(stats):
+                coef[i, 0], coef[i, 1:k + 1], B[i] = st.log_ratio_form
             np.multiply(np.take(B.reshape(len(stats), k * k), flat, axis=1), weight,
                         out=coef[:, k + 1:])
-            terms = np.empty((len(stats), 3))
-            terms[:, 0] = 0.5 * (np.abs(logdet) + mh)
-            terms[:, 1] = np.sqrt((h * h).sum(axis=1))
-            terms[:, 2] = schatten_bound(B)
+            c, h = coef[:, 0], coef[:, 1:k + 1]
+            terms = np.stack([np.abs(c), np.sqrt((h * h).sum(axis=1)),
+                              schatten_bound(B)], axis=1)
             self._forms = (stats, coef, terms)
         return self._forms[1:]
 
     def log_ratio_bounds(self, rho2: np.ndarray) -> np.ndarray:
         """Per class, in the order of ``classes``, an upper bound on
         |log N(z | mu_t, Sigma_t) - log N(z | 0, I)| over every z with
-        ||z||^2 <= rho2[class]: (|logdet| + mu'h)/2 + ||h|| rho +
-        ||B||_2 rho^2, in the terms of ``log_ratio_forms``; |z'Bz| <=
-        ||B||_2 ||z||^2 and ||B||_2 = ||I - Sigma^-1||_2 / 2."""
-        c_bound, h_norm, B_norm = self.log_ratio_forms()[1].T
-        return c_bound + h_norm * np.sqrt(rho2) + B_norm * rho2
+        ||z||^2 <= rho2[class]: |c| + ||h|| rho + ||B||_2 rho^2, in the
+        terms of ``log_ratio_forms``; |z'Bz| <= ||B||_2 ||z||^2 and ||B||_2
+        = ||I - Sigma^-1||_2 / 2."""
+        c_abs, h_norm, B_norm = self.log_ratio_forms()[1].T
+        return c_abs + h_norm * np.sqrt(rho2) + B_norm * rho2
 
 
 def mardia_test(Z: np.ndarray) -> tuple[float, float]:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .gaussian import ClassConditionalGaussians
+from .gaussian import ClassConditionalGaussians, ClassStats
 # the shift layer takes the w_0 predictions as input and runs no forward
 # pass; predict_proba_batch stays importable here because the benchmark's
 # tracer (perfbench/tracing.py) captures it by this module path
@@ -29,21 +29,22 @@ def label_ratio(n_t_y: int, n_0_y: int, size_dt: int, size_d0: int) -> float:
     return (n_t_y / n_0_y) * (size_d0 / size_dt)
 
 
-def density_ratio(Z: np.ndarray, zz: np.ndarray,
-                  gaussians: ClassConditionalGaussians, label: int) -> np.ndarray:
-    """Current-vs-initial Gaussian density ratio at each standardized row of
-    Z, whose squared norms are zz, clipped to [1e-6, 1e6]."""
-    logr = gaussians.log_density_vs_base_batch(Z, zz, label)
+def density_ratio(Z: np.ndarray, stats: ClassStats) -> np.ndarray:
+    """Current-vs-initial Gaussian density ratio N(z | mu_t, Sigma_t) /
+    N(z | 0, I) at each standardized row z of Z, from ``stats.log_ratio``,
+    clipped to [1e-6, 1e6]."""
     with np.errstate(over="ignore"):
-        return np.clip(np.exp(logr), RATIO_FLOOR, RATIO_CEIL)
+        return np.clip(np.exp(stats.log_ratio(Z)), RATIO_FLOOR, RATIO_CEIL)
 
 
 class ShiftEstimator:
     """Builds per-class shift ratios q_t and the resulting prediction targets.
 
     Ratios multiply the initial model's class probabilities componentwise and
-    the result is renormalized; rows that degenerate fall back to the initial
-    prediction unchanged. It owns the initial class counts and |D_0|.
+    the result is renormalized. No row's mass can vanish or overflow: every
+    q is a density ratio clipped to [1e-6, 1e6] times a positive label
+    ratio, and every column of w_0 probabilities has an entry >= 1/C. It
+    owns the initial class counts and |D_0|.
     """
 
     def __init__(self, gaussians: ClassConditionalGaussians,
@@ -79,9 +80,5 @@ class ShiftEstimator:
         """(n, C) reweighted, renormalized stand-ins for the retrained
         predictions at the n rows of ``ledger``, from their class-major
         (C, n) w_0 probabilities ``ledger.P0`` and ``class_ratio_matrix``."""
-        probs0 = ledger.P0
-        raw = probs0 * self.class_ratio_matrix(ledger, counts_t, size_dt).T
-        norm = raw.sum(axis=0)
-        ok = np.isfinite(norm) & (norm > 0.0)
-        out = np.where(ok, raw / np.where(ok, norm, 1.0), probs0)
-        return out.T
+        raw = ledger.P0 * self.class_ratio_matrix(ledger, counts_t, size_dt).T
+        return (raw / raw.sum(axis=0)).T

@@ -24,7 +24,6 @@ from safestream.engine import (
 )
 from safestream.errors import ConfigError, StatsError, StreamError
 from safestream.gaussian import (
-    ClassConditionalGaussians,
     batch_mean_cov,
     make_projection,
     sq_norms,
@@ -232,7 +231,7 @@ def engine_state(eng):
         "retention": (eng.retention.grad, eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         "stats": {c: asdict(st) for c, st in eng.gaussians.stats.items()},
-        "ledger": (led.rows, led.X, led.Z, led.zz, led.P0, led.H, led.R),
+        "ledger": (led.rows, led.X, led.Z, led.P0, led.H, led.R),
         # the per-class sums, the rows folded into them, the rows of the
         # latest append and the largest squared norms per class
         "sums": (led.S, led.sums_rows, led.appended, led.rho2),
@@ -274,17 +273,24 @@ def any_engine(request, engine, blob_task):
 
 @pytest.fixture()
 def evaluated(monkeypatch):
-    """(label, rows) of every density ratio evaluation, in call order."""
+    """(statistics object, rows) of every density ratio evaluation, in call
+    order; ``labels_of`` maps the objects to their classes."""
     calls = []
-    exact = ClassConditionalGaussians.log_density_vs_base_batch
+    exact = safestream.engine.density_ratio
 
-    def recording(self, Z, zz, label):
-        calls.append((label, len(Z)))
-        return exact(self, Z, zz, label)
+    def recording(Z, stats):
+        calls.append((stats, len(Z)))
+        return exact(Z, stats)
 
-    monkeypatch.setattr(ClassConditionalGaussians, "log_density_vs_base_batch",
-                        recording)
+    monkeypatch.setattr(safestream.engine, "density_ratio", recording)
     return calls
+
+
+def labels_of(calls, gaussians):
+    """``evaluated`` calls as (label, rows), by the class whose current
+    statistics each call read."""
+    label = {id(st): c for c, st in gaussians.stats.items()}
+    return [(label[id(st)], rows) for st, rows in calls]
 
 
 def max_rel_err(got, want):
@@ -325,21 +331,20 @@ def check_frozen_columns_through_requests(engine, train):
         Z = engine.gaussians.standardize_all(led.X)
         P0, H = forward_proba(params0, led.X)
         assert np.array_equal(led.Z, Z)
-        assert np.array_equal(led.zz, sq_norms(Z))
         if params0.arch.hidden_dim is None:
             assert np.array_equal(led.P0, P0) and led.H is None
         else:
             assert max_rel_err(led.P0, P0) <= 1e-14
             assert max_rel_err(led.H, H) <= 1e-14
         fresh = ForgettingLedger(led.lam)
-        fresh.append(led.X, led.rows, Z=Z, zz=sq_norms(Z), P0=led.P0)
+        fresh.append(led.X, led.rows, Z=Z, P0=led.P0)
         counts, size_dt = engine.class_counts, engine.retention.size_dt
         assert np.array_equal(engine.shift.target_predictions(led, counts, size_dt),
                               engine.shift.target_predictions(fresh, counts, size_dt))
     assert exhausted == [0] and engine.gaussians.stats[0].frozen
     rows = 2 + len(class0) - 3 + 28
     assert engine.ledger.Z.shape == (3, rows, 10)
-    assert engine.ledger.zz.shape == engine.ledger.P0.shape == (3, rows)
+    assert engine.ledger.R.shape == engine.ledger.P0.shape == (3, rows)
     if params0.arch.hidden_dim is not None:
         assert engine.ledger.H.shape == (8, rows)
 
@@ -527,7 +532,8 @@ class TestProcessRequest:
                 after_freeze += 1
             else:
                 want[0] = engine.ledger.count
-            assert sorted(evaluated) == sorted(want.items()), lo
+            assert sorted(labels_of(evaluated, engine.gaussians)) == sorted(
+                want.items()), lo
         assert after_freeze >= 2
 
     def test_random_subset_reevaluates_every_class(self, any_engine, blob_task,
@@ -541,8 +547,8 @@ class TestProcessRequest:
             assert set(train.y[rows]) == set(engine.gaussians.classes)
             evaluated.clear()
             engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
-            assert sorted(evaluated) == [(c, engine.ledger.count)
-                                         for c in engine.gaussians.classes]
+            assert sorted(labels_of(evaluated, engine.gaussians)) == [
+                (c, engine.ledger.count) for c in engine.gaussians.classes]
 
     def test_w0_never_mutated(self, engine, blob_task):
         train, _, params0 = blob_task
@@ -763,7 +769,10 @@ def test_ledger_appends_match_concatenation():
         assert np.array_equal(ledger.rows, np.concatenate(rows_s))
         assert np.array_equal(ledger.Z, np.concatenate(Zs, axis=1))
         assert np.array_equal(ledger.P0, np.concatenate(P0s, axis=1))
-        assert ledger.H is None and ledger.zz is None
+        assert ledger.H is None
+        # R, the ratio column, is allocated unset with Z
+        assert ledger.R.shape == ledger.Z.shape[:2]
+        assert np.isnan(ledger.R).all()
 
 
 def run_stream(engine, train, rng, rounds, per_round):
@@ -798,8 +807,8 @@ def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
         mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
         for result in run_stream(engine, train, rng, rounds, per_round):
             led, g = engine.ledger, engine.gaussians
-            logr = np.array([np.abs(g.log_density_vs_base_batch(Zc, zzc, c)).max()
-                             for Zc, zzc, c in zip(led.Z, led.zz, g.classes)])
+            logr = np.array([np.abs(g.stats[c].log_ratio(Zc)).max()
+                             for Zc, c in zip(led.Z, g.classes)])
             bounds = g.log_ratio_bounds(led.rho2)
             # the bound holds up to the log ratios' own round-off
             assert np.all(logr <= bounds + 1e-12)
@@ -832,22 +841,22 @@ def test_mlp_engine_never_takes_the_sums_path(blob_task, monkeypatch):
 def test_sums_follow_the_ledger_through_every_fold(engine, blob_task, monkeypatch):
     # S as rebuilt from the ledger's rows in one fold, whether the rows were
     # folded round by round or caught up in chunks when the sums path is
-    # first taken, and rho2 as the largest zz of every row appended, on
-    # either path; a rejected request touches neither
+    # first taken, and rho2 as the largest squared norm of every row
+    # appended, on either path; a rejected request touches neither
     train = blob_task[0]
     rng = np.random.default_rng(3)
     paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 30)]
     led = engine.ledger
     assert paths == ["rows"] * 3 and led.S is None
-    assert np.array_equal(led.rho2, led.zz.max(axis=1))
+    assert np.array_equal(led.rho2, sq_norms(led.Z).max(axis=1))
     monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
     paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 25)]
     assert paths == ["sums"] * 3 and led.sums_rows == led.count == 165
     fresh = ForgettingLedger(led.lam, sums=True)
-    fresh.append(led.X, led.rows, Z=led.Z, zz=led.zz, P0=led.P0)
+    fresh.append(led.X, led.rows, Z=led.Z, P0=led.P0)
     want = fresh.fold_sums()
     assert np.abs(led.S - want).max() <= 1e-12 * np.abs(want).max()
-    assert np.array_equal(led.rho2, led.zz.max(axis=1))
+    assert np.array_equal(led.rho2, sq_norms(led.Z).max(axis=1))
     before = engine_state(engine)
     X = train.X[:2].copy()
     X[1, 0] = np.nan

@@ -2,9 +2,10 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
+from scipy.stats import multivariate_normal
 
 from safestream.errors import ConfigError, StatsError
 from safestream.gaussian import (
@@ -17,20 +18,15 @@ from safestream.gaussian import (
     inverse_cholesky,
     make_projection,
     mardia_test,
-    sq_norms,
 )
+from safestream.shift import RATIO_CEIL
 
 LOG_2PI = np.log(2.0 * np.pi)
 
 
 def log_ratio(Z, mu, sigma):
-    """log N(z | mu, sigma) - log N(z | 0, I) per row, from a one-class model
-    whose frozen transform is the identity."""
-    d = len(mu)
-    unit = ClassStats(50, np.zeros(d), np.eye(d))
-    g = ClassConditionalGaussians(np.eye(d), {0: unit}, {0: ClassStats(50, mu, sigma)})
-    Z = np.atleast_2d(Z)
-    return g.log_density_vs_base_batch(Z, sq_norms(Z), 0)
+    """log N(z | mu, sigma) - log N(z | 0, I) per row."""
+    return ClassStats(50, mu, sigma).log_ratio(np.atleast_2d(Z))
 
 
 def std_normal_log(z):
@@ -157,6 +153,30 @@ def test_gaussian_logpdf_matches_explicit_inverse():
             + diff @ np.linalg.inv(sigma) @ diff
         ) - std_normal_log(z)
         assert abs(log_ratio(z, mu, sigma)[0] - direct) < 1e-10
+
+
+@given(seed=st.integers(0, 10_000), k=st.sampled_from([1, 2, 5, 16, 32]),
+       log_cond=st.floats(0.0, 4.0))
+@settings(max_examples=40, deadline=None)
+def test_log_ratio_matches_scipy_densities(seed, k, log_cond):
+    # an SPD sigma with condition number up to 10^log_cond, at rows drawn
+    # from both densities: the quadratic form agrees with scipy's two
+    # logpdfs wherever the ratio would not clip
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    eig = 10.0 ** (log_cond * (rng.uniform(0.0, 1.0, k) - rng.uniform()))
+    sigma = (Q * eig) @ Q.T
+    sigma = 0.5 * (sigma + sigma.T)
+    mu = 0.5 * rng.standard_normal(k)
+    Z = np.vstack([rng.standard_normal((50, k)),
+                   rng.multivariate_normal(mu, sigma, 50)])
+    want = (multivariate_normal(mu, sigma).logpdf(Z)
+            - multivariate_normal(np.zeros(k), np.eye(k)).logpdf(Z))
+    keep = np.abs(want) < np.log(RATIO_CEIL)
+    assume(keep.any())
+    got = ClassStats(50, mu, sigma).log_ratio(Z)
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err[keep].max() <= 1e-10
 
 
 def test_gaussian_logpdf_maximized_at_mean():

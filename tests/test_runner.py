@@ -240,6 +240,19 @@ class TestRun:
         summary = records[-1]
         assert "oracle" in summary and summary["oracle"]["v_t"] >= 0.0
 
+    def test_mlp_oracle_that_deletes_nothing_does_not_move(self):
+        # every w*_t is retrained from w_0's seed, so where no round deletes
+        # anything each w*_t is w_0 and the path length v_t is zero, not
+        # the distance between random initializations
+        cfg = base_config(dataset={**BASE["dataset"], "n": 300, "dim": 8},
+                          arch="mlp", hidden_dim=4, oracle=True,
+                          stream={"rounds": 3, "per_round": 0},
+                          retrain={"epochs": 30, "lr": 1.0})
+        records = run_to_records(cfg)
+        assert [r["request_size"] for r in records[:-1]] == [0, 0, 0]
+        assert [r["oracle"]["v_t"] for r in records[:-1]] == [0.0] * 3
+        assert records[-1]["oracle"]["v_t"] == 0.0
+
     def test_mia_reported_without_test_rows(self, tmp_path):
         # the loss-threshold attack needs no non-members: a run with an
         # empty test split still reports mia, and only its test reference
@@ -451,9 +464,14 @@ class TestVerify:
         assert set(record["stats"]["0"]) == {"frozen", "mu", "n", "sigma"}
 
     @pytest.mark.parametrize("suites, owner, name, bump", [
-        pytest.param(["density_ratio"], ClassConditionalGaussians,
-                     "log_density_vs_base_batch", lambda out: out + 1e-6,
-                     id="density_ratio"),
+        # every row of the softmax Jacobian sums to zero, so a constant
+        # shift of the log ratio cannot reach the gradient; a relative one
+        # does
+        pytest.param(["density_ratio"], ClassStats, "log_ratio",
+                     lambda out: out + 1e-6, id="density_ratio"),
+        pytest.param(["density_ratio", "forgetting_gradient"], ClassStats,
+                     "log_ratio", lambda out: out * (1 + 1e-6),
+                     id="density_ratio-relative"),
         pytest.param(["retention_recursion"], safestream.engine,
                      "update_retention_grad",
                      lambda out: replace(out, grad=out.grad + 1e-6),
@@ -543,13 +561,13 @@ class TestVerify:
         )
         paths = "".join({"sums": "s", "rows": "r"}[result.grad_path]
                         for _, _, result, _ in round_loop(initialize(cfg)))
-        assert paths == "r" * 12 + "s" * 21 + "r" * 7
+        assert paths == "r" * 12 + "s" * 22 + "r" * 6
         lines, buf = [], io.StringIO()
         assert verify(cfg, buf, report=lines.append) is True
         assert sum("PASS" in l for l in lines) == 6
-        assert lines[-1] == "VERIFY gradient paths: 21 rounds sums, 19 rows, 0 empty ledger"
+        assert lines[-1] == "VERIFY gradient paths: 22 rounds sums, 18 rows, 0 empty ledger"
         record = json.loads(buf.getvalue())
-        assert record["grad_paths"] == {"sums": 21, "rows": 19, "empty": 0}
+        assert record["grad_paths"] == {"sums": 22, "rows": 18, "empty": 0}
 
 
 @st.composite

@@ -10,7 +10,6 @@ from safestream.gaussian import (
     ClassConditionalGaussians,
     ClassStats,
     make_projection,
-    sq_norms,
 )
 from safestream.model import Architecture, ModelParams
 from safestream.shift import (
@@ -68,7 +67,7 @@ def test_density_ratio_one_without_deletions(gaussian_setup):
     X, y, g = gaussian_setup
     for x, label in zip(X[:20], y[:20]):
         z = g.standardize_batch(x[None, :], int(label))
-        got = density_ratio(z, sq_norms(z), g, int(label))
+        got = density_ratio(z, g.stats[int(label)])
         assert got == pytest.approx([1.0], abs=1e-6)
 
 
@@ -78,10 +77,7 @@ def test_density_ratio_closed_form_mean_shift():
     dim = 3
     mu = np.zeros(dim)
     mu[0] = delta
-    unit = {0: ClassStats(50, np.zeros(dim), np.eye(dim))}
-    stats = {0: ClassStats(50, mu, np.eye(dim))}
-    g = ClassConditionalGaussians(np.eye(dim), unit, stats)
-    got = density_ratio(np.zeros((1, dim)), np.zeros(1), g, 0)
+    got = density_ratio(np.zeros((1, dim)), ClassStats(50, mu, np.eye(dim)))
     assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
 
 
@@ -96,18 +92,15 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
         z = g.standardize_batch(x[None, :], 0)
         direct = np.exp(multivariate_normal(st.mu, st.sigma).logpdf(z)
                         - multivariate_normal(np.zeros(4), np.eye(4)).logpdf(z))
-        got = density_ratio(z, sq_norms(z), g, 0)
+        got = density_ratio(z, st)
         assert got == pytest.approx([float(direct)], abs=1e-10)
 
 
 def test_density_ratio_clipped_positive_finite():
     dim = 2
     far_mu = np.full(dim, 80.0)
-    unit = {0: ClassStats(50, np.zeros(dim), np.eye(dim))}
-    stats = {0: ClassStats(50, far_mu, np.eye(dim))}
-    g = ClassConditionalGaussians(np.eye(dim), unit, stats)
     Z = np.vstack([np.zeros(dim), far_mu])
-    low, high = density_ratio(Z, sq_norms(Z), g, 0)
+    low, high = density_ratio(Z, ClassStats(50, far_mu, np.eye(dim)))
     assert low == 1e-6 and high == 1e6
 
 
@@ -123,12 +116,30 @@ def test_target_identity_when_ratios_one(gaussian_setup):
     assert np.abs(targets - predict_proba_batch(params, X[:10])).max() < 1e-6
 
 
+class FixedRatios(ShiftEstimator):
+    """A shift estimator whose ``class_ratio_matrix`` returns the given
+    (n, C) ratios, whatever the ledger's rows."""
+
+    def __init__(self, ratios):
+        self.ratios = np.atleast_2d(ratios)
+
+    def class_ratio_matrix(self, ledger, counts_t, size_dt):
+        return self.ratios
+
+
+def targets_of(probs, ratios):
+    """``target_predictions`` of the w_0 probabilities ``probs`` (n, C)
+    under fixed ratios."""
+    ledger = ForgettingLedger(lam=1.0)
+    probs = np.atleast_2d(probs)
+    ledger.append(np.zeros((len(probs), 1)), np.arange(len(probs)), P0=probs.T)
+    return FixedRatios(ratios).target_predictions(ledger, {}, 1)
+
+
 def test_target_closed_form_reweighting():
     # f = (0.5, 0.5), ratios (1, 3) -> (0.25, 0.75)
-    probs = np.array([0.5, 0.5])
-    ratios = np.array([1.0, 3.0])
-    raw = probs * ratios
-    assert np.allclose(raw / raw.sum(), [0.25, 0.75])
+    got = targets_of([0.5, 0.5], [1.0, 3.0])
+    assert np.allclose(got, [[0.25, 0.75]])
 
 
 def test_target_normalization_invariance(gaussian_setup):
@@ -154,32 +165,12 @@ def test_target_monotone_in_ratio(seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(4))
     ratios = rng.uniform(0.2, 5.0, 4)
-    raw = probs * ratios
-    target = raw / raw.sum()
     boosted = ratios.copy()
     boosted[2] *= 3.0
-    raw2 = probs * boosted
-    target2 = raw2 / raw2.sum()
+    target, target2 = targets_of(np.vstack([probs, probs]),
+                                 np.vstack([ratios, boosted]))
     assert target2[2] >= target[2] - 1e-15
     assert abs(target.sum() - 1.0) < 1e-12
-
-
-def test_degenerate_row_falls_back_to_initial(gaussian_setup):
-    X, y, g = gaussian_setup
-    est = ShiftEstimator(g, {0: 300, 1: 300})
-    arch = Architecture(8, 2)
-    params = ModelParams(arch, np.zeros(arch.n_params))
-
-    class AllZeroRatios(ShiftEstimator):
-        def class_ratio_matrix(self, ledger, counts_t, size_dt):
-            return np.zeros((ledger.count, 2))
-
-    est2 = AllZeroRatios(g, {0: 300, 1: 300})
-    targets = est2.target_predictions(ledger_of(params, g, X[:3]),
-                                      {0: 300, 1: 300}, 600)
-    assert np.allclose(targets, 0.5)
-    one = est.target_predictions(ledger_of(params, g, X[:1]), {0: 300, 1: 300}, 600)
-    assert one.shape == (1, 2)
 
 
 def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
@@ -190,13 +181,12 @@ def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
     arch = Architecture(8, 2)
     params = ModelParams(arch, np.random.default_rng(5).standard_normal(arch.n_params))
     Z = g.standardize_all(X[:7])
-    zz = sq_norms(Z)
     ledger = ledger_of(params, g, X[:7])
     q = est.class_ratio_matrix(ledger, counts_t, 550)
     assert q.shape == (7, 2)
     for j, label in enumerate(g.classes):
         want = (label_ratio(counts_t[label], 300, 550, 600)
-                * density_ratio(Z[j], zz[j], g, label))
+                * density_ratio(Z[j], g.stats[label]))
         assert np.array_equal(q[:, label], want)
     targets = est.target_predictions(ledger, counts_t, 550)
     assert targets.shape == (7, 2)

@@ -178,6 +178,7 @@ class ClassStats:
         self.inv_chol = inverse_cholesky(chol)
         self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
         self._form = None  # see log_ratio_form
+        self._row = None  # its rows of ClassConditionalGaussians.log_ratio_forms
 
     def whiten(self, U: np.ndarray) -> np.ndarray:
         """Rows U mapped to inv_chol (U - mu): N(mu, sigma) becomes N(0, I)."""
@@ -305,30 +306,42 @@ class ClassConditionalGaussians:
         return exhausted
 
     def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(coef, terms)`` of every class, in the order of ``classes``,
-        stacked from each class's ``ClassStats.log_ratio_form`` (c, h, B).
+        """``(coef, terms)`` of every class, in the order of ``classes``, from
+        each class's ``ClassStats.log_ratio_form`` (c, h, B).
 
         coef (n_classes, F): c + h.z + z'Bz is ``coef[i] @
         quadratic_features(z)``, so coef[i, 0] is c and coef[i, 1:k+1] is h.
         terms (n_classes, 3): |c|, ||h|| and ``schatten_bound(B)`` >=
         ||B||_2, which ``log_ratio_bounds`` combines.
 
-        Both are computed once per set of statistics objects: a round that
-        replaces none (a frozen class keeps its object) reuses them."""
+        A class's rows are computed once per statistics object and kept on
+        it, those of every class that lacks them in one stacked pass, and
+        the stacks once per set of statistics objects: a round that replaces
+        one class's statistics computes that class's rows alone, and a round
+        that replaces none (a frozen class keeps its object) reuses the
+        stacks."""
         stats = [self.stats[label] for label in self.classes]
-        if self._forms is None or any(a is not b for a, b in zip(self._forms[0], stats)):
+        if self._forms is not None and all(a is b for a, b in zip(self._forms[0], stats)):
+            return self._forms[1:]
+        stale = [st for st in stats if st._row is None]
+        if stale:
             k = self.proj_dim
             _, _, flat, weight = _upper_triangle(k)
-            coef = np.empty((len(stats), len(flat) + k + 1))
-            B = np.empty((len(stats), k, k))
-            for i, st in enumerate(stats):
+            coef = np.empty((len(stale), len(flat) + k + 1))
+            B = np.empty((len(stale), k, k))
+            for i, st in enumerate(stale):
                 coef[i, 0], coef[i, 1:k + 1], B[i] = st.log_ratio_form
-            np.multiply(np.take(B.reshape(len(stats), k * k), flat, axis=1), weight,
+            np.multiply(np.take(B.reshape(len(stale), k * k), flat, axis=1), weight,
                         out=coef[:, k + 1:])
             c, h = coef[:, 0], coef[:, 1:k + 1]
             terms = np.stack([np.abs(c), np.sqrt((h * h).sum(axis=1)),
                               schatten_bound(B)], axis=1)
-            self._forms = (stats, coef, terms)
+            for st, row, bound in zip(stale, coef, terms):
+                st._row = row, bound
+        if len(stale) < len(stats):
+            coef = np.array([st._row[0] for st in stats])
+            terms = np.array([st._row[1] for st in stats])
+        self._forms = (stats, coef, terms)
         return self._forms[1:]
 
     def log_ratio_bounds(self, rho2: np.ndarray) -> np.ndarray:

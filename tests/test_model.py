@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import rel_entr
 
+import safestream.model
 from safestream.errors import ConfigError
 from safestream.model import (
     Architecture,
@@ -163,6 +164,47 @@ def test_prepared_grad_matches_row_major_reference_for_every_n_mod_8(hidden):
         got = grad_cross_entropy(params, prepare_rows(arch, X, y))
         want = textbook_grad(arch, params.theta, X, y)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+
+
+def single_pass_grad(params, rows):
+    """The mean gradient over prepared rows in one pass, unblocked."""
+    logits, hidden = safestream.model._forward(params, rows)
+    dlogits = safestream.model._softmax(logits)
+    dlogits -= rows.onehot
+    g = safestream.model._backprop_sum(params, rows, dlogits, hidden)
+    g /= len(rows)
+    return g
+
+
+@pytest.mark.parametrize("hidden", [None, 4])
+def test_blocked_grad_matches_row_major_reference_at_block_edges(hidden,
+                                                                 monkeypatch):
+    # a shrunken budget cuts the rows into blocks of B columns; every block
+    # count and a one-column last block must give the textbook gradient
+    monkeypatch.setattr(safestream.model, "_BLOCK_BYTES", 8192)
+    arch = Architecture(16, 5, hidden)
+    params, _, rng = random_model(23, arch)
+    B = prepare_rows(arch, np.zeros((1, 16)), [0]).block
+    assert B == 8192 // (8 * (16 + 1 + 5))
+    for n, count in [(B - 1, 1), (B, 1), (B + 1, 2), (3 * B + 1, 4)]:
+        X = rng.standard_normal((n, 16))
+        y = rng.integers(0, 5, n)
+        rows = prepare_rows(arch, X, y)
+        assert len(rows.blocks()) == count, n
+        got = grad_cross_entropy(params, rows)
+        want = textbook_grad(arch, params.theta, X, y)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
+        if count == 1:
+            assert np.array_equal(got, single_pass_grad(params, rows)), n
+
+
+def test_budget_keeps_standard_preset_fit_in_one_block():
+    # 4400 rows of 16 features in 5 classes covers the CLI standard preset's
+    # fits and the oracle-preset benchmark's; blocking fits this small made
+    # them slower
+    arch = Architecture(16, 5)
+    rows = prepare_rows(arch, np.zeros((4400, 16)), np.zeros(4400, dtype=int))
+    assert len(rows.blocks()) == 1
 
 
 @given(st.integers(0, 10_000))

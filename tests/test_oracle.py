@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import rel_entr
 
+import safestream.engine
 import safestream.model
 import safestream.oracle
+import safestream.runner
 from safestream.data import make_synthetic
 from safestream.engine import SafeConfig
 from safestream.errors import ConfigError, NumericalError
@@ -134,6 +138,46 @@ class TestRetrain:
         monkeypatch.setattr(safestream.oracle, "GRAD_TOL", 0.0)
         retrain(train.X, train.y, arch, RetrainConfig(epochs=17, lr=0.5))
         assert len(calls) == 17
+
+    def test_fit_runs_under_the_names_the_benchmark_hooks(self):
+        # perfbench probes each epoch at oracle.grad_cross_entropy and traces
+        # runner.retrain and engine.grad_cross_entropy: all three must stay
+        # module attributes naming these functions
+        assert safestream.oracle.grad_cross_entropy is safestream.model.grad_cross_entropy
+        assert safestream.engine.grad_cross_entropy is safestream.model.grad_cross_entropy
+        assert safestream.runner.retrain is retrain
+
+    @pytest.mark.parametrize("hidden", [None, 8])
+    def test_blocked_fit_takes_one_gradient_and_no_full_width_array_per_epoch(
+            self, hidden, monkeypatch):
+        # rows cut into at least 4 blocks: still one gradient call per epoch,
+        # and no epoch allocates a temporary of one float per row, the
+        # smallest array as wide as Xt1 and onehot
+        rng = np.random.default_rng(31)
+        n = 32000
+        X, y = rng.standard_normal((n, 16)), rng.integers(0, 5, n)
+        arch = Architecture(16, 5, hidden)
+        monkeypatch.setattr(safestream.model, "_BLOCK_BYTES", 1 << 16)
+        assert len(safestream.model.prepare_rows(arch, X, y).blocks()) >= 4
+        peaks = []
+        exact = safestream.oracle.grad_cross_entropy
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            g = exact(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            return g
+
+        monkeypatch.setattr(safestream.oracle, "grad_cross_entropy", traced)
+        monkeypatch.setattr(safestream.oracle, "GRAD_TOL", 0.0)
+        tracemalloc.start()
+        try:
+            retrain(X, y, arch, RetrainConfig(epochs=6, lr=0.5))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 6
+        assert max(peaks) < 8 * n, peaks
 
     @pytest.mark.parametrize("hidden", [None, 5])
     def test_fit_prepares_its_rows_once(self, small_task, hidden, monkeypatch):

@@ -47,15 +47,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, StreamError
-from .gaussian import (
-    ClassConditionalGaussians,
-    ClassStats,
-    quadratic_features,
-    sq_norms,
-)
+from .gaussian import ClassConditionalGaussians, quadratic_features, slabs, sq_norms
 from .model import (
     Architecture,
     ModelParams,
+    TrainingRows,
     forward_proba,
     grad_cross_entropy,
     sum_grad_kl_to_targets,
@@ -174,11 +170,11 @@ class ForgettingLedger:
     ratio of each row under every class's current statistics
     (``density_ratio``); n_classes. It is appended unset (NaN) with Z and
     set by ``refresh_ratios``, which the per-row gradient's
-    ``class_ratio_matrix`` runs first. Beside it, ``ratio_stats`` records
-    the ``ClassStats`` object each class's ratios were computed under and
-    ``ratio_rows`` how many rows they cover. A class whose statistics
-    object was replaced since gets every row recomputed; any other class, a
-    frozen one included, only the rows appended since.
+    ``class_ratio_matrix`` runs first. Beside it, ``ratio_version`` records
+    the classes' ``ClassConditionalGaussians.version`` at the last refresh
+    and ``ratio_rows`` how many rows it covered. A class whose version
+    moved since gets every row recomputed; any other class, a frozen one
+    included, only the rows appended since.
 
     A ledger built with ``sums`` (the engine's choice, ``keeps_sums``) also
     keeps, for the linear head with classes 0..C-1:
@@ -213,7 +209,7 @@ class ForgettingLedger:
         self.lam = lam
         self.count = 0
         self._buf: dict[str, np.ndarray] = {"rows": np.empty(0, dtype=np.intp)}
-        self.ratio_stats: dict[int, ClassStats] = {}
+        self.ratio_version: np.ndarray | None = None
         self.ratio_rows = 0
         self.sums = sums
         self.rho2: np.ndarray | None = None
@@ -260,24 +256,26 @@ class ForgettingLedger:
         self.count = hi
         self.appended = len(rows)
 
-    def stale_from(self, label: int, stats: ClassStats) -> int:
-        """The first row whose ratio under class ``label`` is out of date
-        with ``stats``: every row if the ratios were computed under another
-        statistics object, else only the rows appended since."""
-        return self.ratio_rows if self.ratio_stats.get(label) is stats else 0
+    def stale_from(self, version: np.ndarray) -> np.ndarray:
+        """Per class, the first row whose ratio is out of date with the
+        statistics at ``version``: every row if the class's version moved
+        since its ratios were computed, else only the rows appended since."""
+        return np.where(self.ratio_version == version, self.ratio_rows, 0)
 
     def refresh_ratios(self, gaussians: ClassConditionalGaussians) -> np.ndarray:
         """Bring the R column up to date with the current class statistics
         (see the class docstring) and return it; ``gaussians`` must be the
         model whose ``standardize_all`` stack Z holds."""
-        for Zc, Rc, label in zip(self.Z, self.R, gaussians.classes):
-            stats = gaussians.stats[label]
-            lo = self.stale_from(label, stats)
+        Z, R = self.Z, self.R
+        stale = self.stale_from(gaussians.version).tolist()
+        # the classes that share a first stale row, in one stacked pass
+        for lo in sorted(set(stale)):
             if lo < self.count:
-                Rc[lo:] = density_ratio(Zc[lo:], stats)
-            self.ratio_stats[label] = stats
+                idx = slabs([i for i, first in enumerate(stale) if first == lo])
+                R[idx, lo:] = density_ratio(Z[idx, lo:], gaussians, idx)
+        self.ratio_version = gaussians.version.copy()
         self.ratio_rows = self.count
-        return self.R
+        return R
 
     def fold_sums(self) -> np.ndarray:
         """Fold the rows appended since the last call into S (see the class
@@ -360,7 +358,7 @@ def _sums_kl_gradient(ledger: ForgettingLedger, shift: ShiftEstimator,
     and the last row's is minus their sum, since every row of A sums to
     zero."""
     S = ledger.fold_sums()
-    coef = shift.gaussians.log_ratio_forms()[0].copy()
+    coef = shift.gaussians.log_ratio_forms.copy()
     coef[:, 0] += np.log(shift.label_ratios(counts_t, size_dt))
     C, d = ledger.P0.shape[0], ledger.X.shape[1]
     G = np.empty((C, d + 1))
@@ -430,18 +428,18 @@ class RoundResult:
 class SafeUnlearner:
     """Single-writer state machine processing one deletion request per round.
 
-    The constructor is given the training rows D_0 (features X, labels y,
-    row ids) and reads them there and never again. From them it derives the
-    whole initial state: the retention gradient at w_0, the class counts, the
-    per-class Gaussians under ``projection``, the shift estimator, an index
-    of the row ids and ``alive``, the boolean mask of the training rows no
-    accepted request has taken yet. A request that ``process_request``
+    The constructor is given the training rows D_0 (``prepare_rows``, as
+    for the fit of w_0) and their ids, and reads them there and never
+    again. From them it derives the whole initial state: the retention
+    gradient at w_0, the class counts, the per-class Gaussians under
+    ``projection``, the shift estimator, an index of the row ids and
+    ``alive``, the boolean mask of the training rows no accepted request
+    has taken yet. A request that ``process_request``
     rejects leaves that state unchanged.
     """
 
     def __init__(self, params0: ModelParams, config: SafeConfig,
-                 projection: np.ndarray, X: np.ndarray, y: np.ndarray,
-                 ids: np.ndarray):
+                 projection: np.ndarray, rows: TrainingRows, ids: np.ndarray):
         if config.W is None:
             w0_norm = float(np.linalg.norm(params0.theta))
             if not w0_norm > 0:
@@ -449,10 +447,9 @@ class SafeUnlearner:
             config = replace(config, W=w0_norm)
         self.config = config
         self.params0 = params0.copy()
-        self.retention = RetentionGradState(grad_cross_entropy(params0, X, y), len(y))
-        labels, counts = np.unique(y, return_counts=True)
-        self.class_counts = {int(c): int(k) for c, k in zip(labels, counts)}
-        self.gaussians = ClassConditionalGaussians.fit(X, y, projection)
+        self.retention = RetentionGradState(grad_cross_entropy(params0, rows), len(rows))
+        self.gaussians = ClassConditionalGaussians.fit(rows.X, rows.y, projection)
+        self.class_counts = dict(zip(self.gaussians.classes, self.gaussians.n.tolist()))
         ids = np.asarray(ids)
         self._order = np.argsort(ids)
         self._sorted_ids = ids[self._order]
@@ -521,10 +518,10 @@ class SafeUnlearner:
                 self.retention, grad_cross_entropy(self.params0, X, y) * m, m)
             frozen = frozen_columns(self.params0, self.gaussians, X)
             # remove commits all of its class statistics or none of them
-            exhausted = self.gaussians.remove(frozen["Z"], y)
+            exhausted, removed = self.gaussians.remove(frozen["Z"], y)
             self.retention = retention
-            for label in y:
-                self.class_counts[int(label)] -= 1
+            for label, k in zip(self.gaussians.classes, removed.tolist()):
+                self.class_counts[label] -= k
             self.alive[rows] = False
             self.ledger.append(X, rows, **frozen)
 

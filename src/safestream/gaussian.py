@@ -1,19 +1,20 @@
 """Random projection, per-class Gaussian statistics with exact downdating,
 Gaussian log-density ratios, and Mardia's multivariate normality test.
 
-Every Gaussian is a ``ClassStats``, the one place a covariance is factored.
-Per class there are two: the t=0 fit of the projected training rows, and
-the current statistics in a *standardized* space frozen at initialization:
-raw inputs are projected with a fixed Gaussian matrix, then whitened by the
-class's t=0 fit. There every class's initial distribution is N(0, I)
-exactly, which makes the later density-ratio denominators closed-form.
-Every whitening is ``ClassStats.whiten``, one GEMM against the explicit
-k x k inverse of a Cholesky factor, not a triangular solve over every row.
-Every log density ratio against N(0, I) is the quadratic form in z that
-``ClassStats.log_ratio_form`` holds: ``ClassStats.log_ratio`` evaluates it
-at rows, ``ClassConditionalGaussians.log_ratio_forms`` stacks every class's
-as a dot product with ``quadratic_features`` for the engine's sums path,
-and ``log_ratio_bounds`` bounds it over a ball.
+``ClassConditionalGaussians`` keeps each class's Gaussians as one slab of
+stacks: the t=0 fit of its projected training rows, and its current
+statistics in a *standardized* space frozen at initialization: raw inputs
+are projected with a fixed Gaussian matrix, then whitened by the class's
+t=0 fit. There every class's initial distribution is N(0, I) exactly, which
+makes the later density-ratio denominators closed-form. Every whitening is
+one GEMM against the explicit k x k inverse of a Cholesky factor, not a
+triangular solve over every row. ``factor`` factors every covariance, a
+stack at a time, and gives the Gaussians' log density ratios against
+N(0, I), quadratic forms in z held as coefficients over
+``quadratic_features`` (``log_ratio_forms``):
+``ClassConditionalGaussians.log_ratio`` evaluates them at rows, the
+engine's sums path contracts them, and ``log_ratio_bounds`` bounds them
+over a ball.
 
 The covariance downdate uses the exact sum-of-squares group identity
 
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import stats as spstats
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dpotrf, dtrtri
 
 from .errors import ConfigError, StatsError
 
@@ -69,31 +70,39 @@ def inverse_cholesky(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def downdate_mean(n: int, mu: np.ndarray, m: int,
-                  mu_rm: np.ndarray) -> tuple[int, np.ndarray]:
+def slabs(indices: list[int]) -> slice | np.ndarray:
+    """Ascending slab indices as a basic slice when they are consecutive (one
+    class, or every class), so stacks are read and written as views; else
+    as an index array."""
+    lo, hi = indices[0], indices[-1] + 1
+    return slice(lo, hi) if hi - lo == len(indices) else np.array(indices)
+
+
+def downdate_mean(n, mu: np.ndarray, m, mu_rm: np.ndarray) -> tuple:
     """Count and mean after removing a batch of 1 <= m < n points with mean
-    mu_rm."""
+    mu_rm; for a leading class axis of mu and mu_rm (s, k), n and m are
+    (s, 1)."""
     n_new = n - m
     return n_new, (n * mu - m * mu_rm) / n_new
 
 
-def downdate_cov(n: int, sigma: np.ndarray, mu_new: np.ndarray, m: int,
+def downdate_cov(n, sigma: np.ndarray, mu_new: np.ndarray, m,
                  mu_rm: np.ndarray, sigma_rm: np.ndarray) -> np.ndarray:
     """Bessel-corrected covariance after removing a batch of m >= 1 points
-    that leaves n - m >= 2.
+    that leaves n - m >= 2; for a leading class axis of sigma and sigma_rm
+    (s, k, k), n and m are (s, 1, 1).
 
     sigma_rm is the Bessel-corrected covariance of the removed batch and must
-    be the zero matrix when m == 1.
+    be the zero matrix when m == 1. Entries (a, b) and (b, a) take the same
+    operations, so symmetric sigma and sigma_rm give a symmetric result.
     """
     n_new = n - m
     diff = mu_new - mu_rm
-    s_new = (
-        (n - 1) * sigma
-        - (m - 1) * sigma_rm
-        - (n_new * m / n) * np.outer(diff, diff)
-    )
-    sigma_new = s_new / (n_new - 1)
-    return 0.5 * (sigma_new + sigma_new.T)  # kill asymmetric rounding
+    s_new = (n - 1) * sigma
+    s_new -= (m - 1) * sigma_rm
+    s_new -= (n_new * m / n) * (diff[..., :, None] * diff[..., None, :])
+    s_new /= n_new - 1
+    return s_new
 
 
 def sq_norms(Z: np.ndarray) -> np.ndarray:
@@ -115,12 +124,13 @@ def batch_mean_cov(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_triangle(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _upper_triangle(k: int) -> tuple[np.ndarray, ...]:
     """Row and column indices of the upper triangle of a k x k matrix in
-    ``np.triu_indices`` order, their flat indices, and the weight of each
-    entry in a quadratic form (1 on the diagonal, 2 off it); read-only."""
+    ``np.triu_indices`` order, their flat indices, the weight of each entry
+    in a quadratic form (1 on the diagonal, 2 off it), and 0.5 I_k;
+    read-only."""
     iu, ju = np.triu_indices(k)
-    out = iu, ju, iu * k + ju, np.where(iu == ju, 1.0, 2.0)
+    out = iu, ju, iu * k + ju, np.where(iu == ju, 1.0, 2.0), 0.5 * np.eye(k)
     for a in out:
         a.setflags(write=False)
     return out
@@ -133,7 +143,7 @@ def quadratic_features(Z: np.ndarray) -> np.ndarray:
     phi(z) (``ClassConditionalGaussians.log_ratio_forms``)."""
     Zt = np.ascontiguousarray(np.swapaxes(Z, -1, -2))
     k, m = Zt.shape[-2:]
-    iu, ju, _, _ = _upper_triangle(k)
+    iu, ju = _upper_triangle(k)[:2]
     phi = np.empty(Zt.shape[:-2] + (len(iu) + k + 1, m))
     phi[..., 0, :] = 1.0
     phi[..., 1:k + 1, :] = Zt
@@ -141,6 +151,33 @@ def quadratic_features(Z: np.ndarray) -> np.ndarray:
     np.multiply(np.take(Zt, iu, axis=-2), np.take(Zt, ju, axis=-2),
                 out=phi[..., k + 1:, :])
     return phi
+
+
+def factor(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
+    """For the Gaussians N(mu, Sigma) of the stacks mu and sigma: inv_chol,
+    the inverse lower Cholesky factors (one ``dpotrf`` and ``dtrtri`` per
+    slab; only a slab ``dpotrf`` fails on goes to ``cholesky_with_jitter``),
+    logdet, and the log ratios against N(0, I), c + h.z + z'Bz with P =
+    inv_chol' inv_chol, h = P mu, B = (I - P)/2, c = -(logdet + mu'h)/2, as
+    the (s, F) coefficients of ``quadratic_features`` (c, h, B's upper
+    triangle with off-diagonal entries doubled) and the stack B."""
+    s, k = mu.shape
+    _, _, flat, weight, half_eye = _upper_triangle(k)
+    # slabs Fortran-ordered, as LAPACK returns them: a whitening's GEMM
+    # against inv.T then reads a C-ordered operand
+    inv = np.empty(sigma.shape).swapaxes(1, 2)
+    for i, S in enumerate(sigma):
+        L, info = dpotrf(S, lower=1)
+        inv[i] = inverse_cholesky(cholesky_with_jitter(S) if info else L)
+    logdet = -2.0 * np.log(inv.diagonal(axis1=1, axis2=2)).sum(axis=1)  # 1/diag(L)
+    prec = inv.swapaxes(1, 2) @ inv
+    h = prec @ mu[..., None]
+    B = half_eye - 0.5 * prec  # the bits of 0.5 (I - prec)
+    coef = np.empty((s, len(flat) + k + 1))
+    coef[:, 0] = -0.5 * (logdet + (mu[:, None] @ h)[:, 0, 0])
+    coef[:, 1:k + 1] = h[..., 0]
+    np.multiply(B.reshape(s, k * k).take(flat, axis=1), weight, out=coef[:, k + 1:])
+    return inv, logdet, coef, B
 
 
 def schatten_bound(B: np.ndarray) -> np.ndarray:
@@ -159,66 +196,42 @@ def schatten_bound(B: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ClassStats:
-    """A Gaussian N(mu, sigma) over n points: a class's t=0 fit in the
-    projected space, or its running statistics in the standardized space.
-
-    Construction factors sigma (``cholesky_with_jitter``) and keeps the
-    factor's inverse ``inv_chol`` and sigma's log-determinant ``logdet`` as
-    plain attributes, not fields, so ``asdict`` gives n, mu, sigma and
-    frozen; a downdate builds new statistics instead, so nothing derived
-    from mu and sigma (the factor, ``log_ratio_form``) goes stale."""
+    """One class's Gaussian N(mu, sigma) over n points, as plain values, so
+    ``asdict`` gives exactly n, mu, sigma and frozen."""
 
     n: int
     mu: np.ndarray
     sigma: np.ndarray
     frozen: bool = False
 
-    def __post_init__(self):
-        chol = cholesky_with_jitter(self.sigma)
-        self.inv_chol = inverse_cholesky(chol)
-        self.logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        self._form = None  # see log_ratio_form
-        self._row = None  # its rows of ClassConditionalGaussians.log_ratio_forms
-
-    def whiten(self, U: np.ndarray) -> np.ndarray:
-        """Rows U mapped to inv_chol (U - mu): N(mu, sigma) becomes N(0, I)."""
-        return (U - self.mu) @ self.inv_chol.T
-
-    @property
-    def log_ratio_form(self) -> tuple[float, np.ndarray, np.ndarray]:
-        """(c, h, B) with log N(z | mu, sigma) - log N(z | 0, I) = c + h.z +
-        z'Bz: h = Sigma^-1 mu, B = (I - Sigma^-1)/2 and c = -(logdet +
-        mu'h)/2, where Sigma^-1 = inv_chol' inv_chol; computed on first use
-        and kept, like ``inv_chol``, for the life of these statistics."""
-        if self._form is None:
-            prec = self.inv_chol.T @ self.inv_chol
-            h = prec @ self.mu
-            B = 0.5 * (np.eye(len(h)) - prec)
-            self._form = -0.5 * (self.logdet + float(self.mu @ h)), h, B
-        return self._form
-
-    def log_ratio(self, Z: np.ndarray) -> np.ndarray:
-        """log N(z | mu, sigma) - log N(z | 0, I) at each row z of the (n, k)
-        rows Z, from ``log_ratio_form``."""
-        c, h, B = self.log_ratio_form
-        return c + Z @ h + np.einsum("ij,ij->i", Z @ B, Z)
-
 
 class ClassConditionalGaussians:
-    """Projected, per-class Gaussian model of the surviving training data.
+    """Projected, per-class Gaussian model of the surviving training data,
+    one slab of each stack per class, in the order of ``classes``: the
+    frozen t=0 transform (the projection, ``base_mu`` (C, k) and
+    ``base_inv_chol`` (C, k, k)), and the statistics tracked under deletion,
+    ``n`` (C,), ``mu`` (C, k), ``sigma`` (C, k, k), their ``factor``
+    (``inv_chol``, ``logdet``, ``log_ratio_forms`` (C, F), B) and
+    ``frozen``, which ``stats`` copies out per class. ``version`` (C,)
+    counts each class's downdates: what is derived from a class's
+    statistics is current while its version is. ``remove`` alone decides
+    when a class freezes: once its count would fall below
+    ``min_class_count``, it keeps its last statistics."""
 
-    Holds the frozen initial transform (the projection and each class's t=0
-    fit, ``base``) and the per-class statistics tracked under deletion,
-    ``stats``. ``remove`` alone decides when a class freezes: once its count
-    would fall below ``min_class_count``, it keeps its last statistics.
-    """
-
-    def __init__(self, projection: np.ndarray, base: dict[int, ClassStats],
-                 stats: dict[int, ClassStats]):
+    def __init__(self, projection: np.ndarray, base_mu: np.ndarray,
+                 base_inv_chol: np.ndarray, stats: dict[int, ClassStats]):
         self.projection = projection
-        self.base = base
-        self.stats = stats
-        self._forms: tuple | None = None  # see log_ratio_forms
+        self.base_mu, self.base_inv_chol = base_mu, base_inv_chol
+        self.classes = sorted(stats)
+        self._label_col = np.array(self.classes)[:, None]  # see remove
+        self.n, self.mu, self.sigma, self.frozen = (
+            np.array([getattr(stats[c], f) for c in self.classes])
+            for f in ("n", "mu", "sigma", "frozen"))
+        (self.inv_chol, self.logdet, self.log_ratio_forms,
+         self.B) = factor(self.mu, self.sigma)
+        self.version = np.zeros(len(self.classes), dtype=np.int64)
+        # log_ratio_bounds' spectral bounds, and the versions they are of
+        self._bound, self._bound_version = np.zeros(len(self.classes)), self.version - 1
 
     @property
     def proj_dim(self) -> int:
@@ -232,126 +245,111 @@ class ClassConditionalGaussians:
         return self.proj_dim + 2
 
     @property
-    def classes(self) -> list[int]:
-        return sorted(self.stats)
+    def stats(self) -> dict[int, ClassStats]:
+        """Each class's current statistics by label, copied from the stacks."""
+        return {c: ClassStats(int(n), mu.copy(), sigma.copy(), bool(frozen))
+                for c, n, mu, sigma, frozen in zip(self.classes, self.n, self.mu,
+                                                   self.sigma, self.frozen)}
 
     @classmethod
     def fit(cls, X: np.ndarray, y: np.ndarray,
             projection: np.ndarray) -> "ClassConditionalGaussians":
+        """Each class's t=0 fit of its rows X @ projection, and its statistics
+        in the space that fit whitens."""
         proj_dim = projection.shape[1]
         U = X @ projection
-        base: dict[int, ClassStats] = {}
-        stats: dict[int, ClassStats] = {}
-        for label in np.unique(y):
-            label = int(label)
-            rows = U[y == label]
-            if len(rows) < proj_dim + 2:
+        labels, counts = np.unique(y, return_counts=True)
+        for label, count in zip(labels.tolist(), counts.tolist()):
+            if count < proj_dim + 2:
                 raise ConfigError(
-                    f"class {label} has {len(rows)} samples, "
+                    f"class {label} has {count} samples, "
                     f"needs >= {proj_dim + 2} for a {proj_dim}-dim Gaussian"
                 )
-            base[label] = ClassStats(len(rows), *batch_mean_cov(rows))
-            stats[label] = ClassStats(len(rows),
-                                      *batch_mean_cov(base[label].whiten(rows)))
-        return cls(projection, base, stats)
+        # a class's rows are gathered where read: one class's copy at a time
+        mu, sigma = map(np.array, zip(*(batch_mean_cov(U[y == c]) for c in labels)))
+        inv_chol = factor(mu, sigma)[0]
+        stats = {int(c): ClassStats(n, *batch_mean_cov((U[y == c] - m) @ L.T))
+                 for c, n, m, L in zip(labels, counts.tolist(), mu, inv_chol)}
+        return cls(projection, mu, inv_chol, stats)
 
     def standardize_batch(self, X: np.ndarray, label: int) -> np.ndarray:
         """Frozen t=0 transform of raw inputs under the given class."""
-        if label not in self.base:
+        if label not in self.classes:
             raise StatsError(f"no statistics for class {label}")
-        return self.base[label].whiten(np.atleast_2d(X) @ self.projection)
+        i = self.classes.index(label)
+        return (np.atleast_2d(X) @ self.projection - self.base_mu[i]) @ self.base_inv_chol[i].T
 
     def standardize_all(self, X: np.ndarray) -> np.ndarray:
         """(n_classes, n, k) stack of ``standardize_batch(X, c)`` over the
         fitted classes, in the order of ``classes``; X is projected once."""
         U = np.atleast_2d(X) @ self.projection
-        return np.stack([self.base[label].whiten(U) for label in self.classes])
+        return np.stack([(U - mu) @ L.T for mu, L in zip(self.base_mu, self.base_inv_chol)])
 
-    def remove(self, Z: np.ndarray, y: np.ndarray) -> list[int]:
-        """Downdate the per-class statistics for a deletion batch of rows
-        labelled y, all or nothing. Z is the batch's ``standardize_all``
-        stack, (n_classes, m, k): the rows of class c are read from the
-        slab of c.
+    def remove(self, Z: np.ndarray, y: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """Downdate, in one stacked pass, every class a deletion batch of
+        rows labelled y moves, all or nothing. Z is the batch's
+        ``standardize_all`` stack (n_classes, m, k).
 
         A class the batch would leave with fewer than ``min_class_count``
-        points freezes at its current statistics; already frozen classes are
-        skipped. Every other class's count, mean, covariance and Cholesky
-        factor is computed before any class changes, so a ``StatsError``
-        leaves every class as it was. A class's statistics change only by
-        replacing its ``ClassStats`` (freezing one sets its flag, nothing
-        else): the ledger's ratio refresh relies on that. Returns the labels
-        frozen by this call.
+        points freezes at its current statistics; frozen classes are
+        skipped. The moved classes' new slabs are all computed before any is
+        written, so a ``StatsError`` leaves every class as it was; each
+        moved class's ``version`` goes up by one. Returns the labels frozen
+        by this call and the batch's rows per class, in ``classes`` order.
         """
-        exhausted: list[int] = []
-        updated: dict[int, ClassStats] = {}
-        slab = {label: i for i, label in enumerate(self.classes)}
-        for label in np.unique(y):
-            label = int(label)
-            st = self.stats.get(label)
-            if st is None:
-                raise StatsError(f"deletion names unknown class {label}")
-            if st.frozen:
-                continue
-            Zc = Z[slab[label]][y == label]
-            if st.n - len(Zc) < self.min_class_count:
-                exhausted.append(label)
-                continue
-            mu_rm, sigma_rm = batch_mean_cov(Zc)
-            n_new, mu_new = downdate_mean(st.n, st.mu, len(Zc), mu_rm)
-            sigma_new = downdate_cov(st.n, st.sigma, mu_new, len(Zc), mu_rm, sigma_rm)
-            updated[label] = ClassStats(n_new, mu_new, sigma_new)
-        for label in exhausted:
-            self.stats[label].frozen = True
-        self.stats.update(updated)
-        return exhausted
+        hit = y == self._label_col
+        counts = hit.sum(axis=1)
+        named = counts.tolist()
+        if sum(named) < len(y):
+            raise StatsError(
+                f"deletion names unknown class {np.setdiff1d(y, self.classes)[0]}")
+        moved, exhausted = [], []
+        for i, (m, n, frozen) in enumerate(zip(named, self.n.tolist(),
+                                               self.frozen.tolist())):
+            if m and not frozen:
+                (moved if n - m >= self.min_class_count else exhausted).append(i)
+        if moved:
+            idx = slabs(moved)
+            w, Zm = hit[idx, None].astype(float), Z[idx]
+            m = w.sum(axis=2)
+            # the removed rows' means and scatter, one stacked GEMM each over
+            # the whole batch, the other classes' rows weighted zero
+            mu_rm = (w @ Zm)[:, 0] / m
+            D = (Zm - mu_rm[:, None]) * w.swapaxes(1, 2)
+            sigma_rm = D.swapaxes(1, 2) @ D / np.maximum(m - 1, 1)[..., None]
+            n0 = self.n[idx, None].astype(float)
+            n, mu = downdate_mean(n0, self.mu[idx], m, mu_rm)
+            sigma = downdate_cov(n0[..., None], self.sigma[idx], mu, m[..., None],
+                                 mu_rm, sigma_rm)
+            new = (n[:, 0], mu, sigma, *factor(mu, sigma))
+            for name, value in zip(("n", "mu", "sigma", "inv_chol", "logdet",
+                                    "log_ratio_forms", "B"), new):
+                getattr(self, name)[idx] = value
+            self.version[idx] += 1
+        if exhausted:
+            self.frozen[exhausted] = True
+        return [self.classes[i] for i in exhausted], counts
 
-    def log_ratio_forms(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(coef, terms)`` of every class, in the order of ``classes``, from
-        each class's ``ClassStats.log_ratio_form`` (c, h, B).
-
-        coef (n_classes, F): c + h.z + z'Bz is ``coef[i] @
-        quadratic_features(z)``, so coef[i, 0] is c and coef[i, 1:k+1] is h.
-        terms (n_classes, 3): |c|, ||h|| and ``schatten_bound(B)`` >=
-        ||B||_2, which ``log_ratio_bounds`` combines.
-
-        A class's rows are computed once per statistics object and kept on
-        it, those of every class that lacks them in one stacked pass, and
-        the stacks once per set of statistics objects: a round that replaces
-        one class's statistics computes that class's rows alone, and a round
-        that replaces none (a frozen class keeps its object) reuses the
-        stacks."""
-        stats = [self.stats[label] for label in self.classes]
-        if self._forms is not None and all(a is b for a, b in zip(self._forms[0], stats)):
-            return self._forms[1:]
-        stale = [st for st in stats if st._row is None]
-        if stale:
-            k = self.proj_dim
-            _, _, flat, weight = _upper_triangle(k)
-            coef = np.empty((len(stale), len(flat) + k + 1))
-            B = np.empty((len(stale), k, k))
-            for i, st in enumerate(stale):
-                coef[i, 0], coef[i, 1:k + 1], B[i] = st.log_ratio_form
-            np.multiply(np.take(B.reshape(len(stale), k * k), flat, axis=1), weight,
-                        out=coef[:, k + 1:])
-            c, h = coef[:, 0], coef[:, 1:k + 1]
-            terms = np.stack([np.abs(c), np.sqrt((h * h).sum(axis=1)),
-                              schatten_bound(B)], axis=1)
-            for st, row, bound in zip(stale, coef, terms):
-                st._row = row, bound
-        if len(stale) < len(stats):
-            coef = np.array([st._row[0] for st in stats])
-            terms = np.array([st._row[1] for st in stats])
-        self._forms = (stats, coef, terms)
-        return self._forms[1:]
+    def log_ratio(self, Z: np.ndarray, i) -> np.ndarray:
+        """log N(z | mu, sigma) - log N(z | 0, I), c + h.z + z'Bz, at the rows
+        Z (n, k) under the class of slab i, or at each slab of a stack Z (s,
+        n, k) under its class of the slabs i (as ``slabs`` gives them)."""
+        form = self.log_ratio_forms[i]
+        c, h = form[..., :1], form[..., 1:self.proj_dim + 1, None]
+        return c + (Z @ h)[..., 0] + np.einsum("...ij,...ij->...i", Z @ self.B[i], Z)
 
     def log_ratio_bounds(self, rho2: np.ndarray) -> np.ndarray:
         """Per class, in the order of ``classes``, an upper bound on
         |log N(z | mu_t, Sigma_t) - log N(z | 0, I)| over every z with
         ||z||^2 <= rho2[class]: |c| + ||h|| rho + ||B||_2 rho^2, in the
-        terms of ``log_ratio_forms``; |z'Bz| <= ||B||_2 ||z||^2 and ||B||_2
-        = ||I - Sigma^-1||_2 / 2."""
-        c_abs, h_norm, B_norm = self.log_ratio_forms()[1].T
-        return c_abs + h_norm * np.sqrt(rho2) + B_norm * rho2
+        terms of ``log_ratio_forms``; |z'Bz| <= ||B||_2 ||z||^2, and
+        ``schatten_bound`` runs here, on the classes whose version moved."""
+        stale = self._bound_version != self.version
+        if stale.any():
+            self._bound[stale] = schatten_bound(self.B[stale])
+            self._bound_version = self.version.copy()
+        c, h = self.log_ratio_forms[:, 0], self.log_ratio_forms[:, 1:self.proj_dim + 1]
+        return np.abs(c) + np.sqrt((h * h).sum(axis=1)) * np.sqrt(rho2) + self._bound * rho2
 
 
 def mardia_test(Z: np.ndarray) -> tuple[float, float]:

@@ -197,7 +197,7 @@ def cross_entropy_rows(params: ModelParams, X: np.ndarray | TrainingRows,
     if isinstance(X, TrainingRows):
         onehot = X.onehot
     else:
-        X, onehot = _checked_rows(params.arch, X, y)
+        X, _, onehot = _checked_rows(params.arch, X, y)
     p = _softmax(_forward(params, X)[0])
     # each one-hot column has one nonzero entry, so its sum is p_y exactly
     return neg_log_prob((p * onehot).sum(axis=0))
@@ -237,32 +237,35 @@ def _backprop_sum(params: ModelParams, X: np.ndarray | TrainingRows,
 
 @dataclass
 class TrainingRows:
-    """A labelled batch prepared by ``prepare_rows``: the rows as ``Xt1``,
-    Xᵀ with a row of ones under it (d+1, n), their labels checked once and
-    held as class-major one-hot floats (C, n), and ``block``, the most
-    columns ``grad_cross_entropy`` reads at a time."""
+    """A labelled batch prepared by ``prepare_rows``: the rows X (n, d) and
+    labels y as checked once, the rows as ``Xt1``, Xᵀ with a row of ones
+    under it (d+1, n), the labels as class-major one-hot floats (C, n), and
+    ``block``, the most columns ``grad_cross_entropy`` reads at a time."""
 
+    X: np.ndarray
+    y: np.ndarray
     Xt1: np.ndarray
     onehot: np.ndarray
     block: int
 
     def __len__(self) -> int:
-        return self.onehot.shape[1]
+        return len(self.y)
 
     def blocks(self) -> list[TrainingRows]:
-        """The rows in order as consecutive column blocks of ``block``
-        columns, the last one shorter: these rows themselves when they are
-        one block, else views of ``Xt1`` and ``onehot``."""
-        if len(self) <= self.block:
+        """The rows in order as consecutive blocks of ``block`` rows, the
+        last one shorter: these rows themselves when they are one block,
+        else views of theirs."""
+        b = self.block
+        if len(self) <= b:
             return [self]
-        return [TrainingRows(self.Xt1[:, lo:lo + self.block],
-                             self.onehot[:, lo:lo + self.block], self.block)
-                for lo in range(0, len(self), self.block)]
+        return [TrainingRows(self.X[lo:lo + b], self.y[lo:lo + b],
+                             self.Xt1[:, lo:lo + b], self.onehot[:, lo:lo + b], b)
+                for lo in range(0, len(self), b)]
 
 
 def _checked_rows(arch: Architecture, X: np.ndarray, y: np.ndarray):
-    """The rows X (n, d) as floats and their class-major one-hot labels,
-    after the one check of a labelled batch."""
+    """The rows X (n, d) as floats, their labels y as integers and
+    class-major one-hot floats, after the one check of a labelled batch."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     # a single row or label is a batch of one
@@ -279,12 +282,12 @@ def _checked_rows(arch: Architecture, X: np.ndarray, y: np.ndarray):
     # an in-range label sets exactly one entry of its column, any other none
     if np.count_nonzero(onehot) != len(y):
         raise ConfigError(f"labels outside [0, {arch.n_classes})")
-    return X, onehot.astype(np.float64)
+    return X, y, onehot.astype(np.float64)
 
 
 def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRows:
     """The rows X with labels y, ready for ``grad_cross_entropy``."""
-    X, onehot = _checked_rows(arch, X, y)
+    X, y, onehot = _checked_rows(arch, X, y)
     # Xt1, built once per fit, turns the first layer into one GEMM each way:
     # [W | b] @ Xt1 replaces the forward GEMM against the strided Xᵀ (at
     # 5x16x3960, 21 against 60 µs) and the bias add, and dpre @ Xt1.T gives
@@ -315,7 +318,7 @@ def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRo
     Xt1[:d] = X.T
     Xt1[d] = 1.0
     per_column = 8 * (d + 1 + arch.n_classes)
-    return TrainingRows(Xt1, onehot, max(1, _BLOCK_BYTES // per_column))
+    return TrainingRows(X, y, Xt1, onehot, max(1, _BLOCK_BYTES // per_column))
 
 
 def grad_cross_entropy(params: ModelParams, X: np.ndarray | TrainingRows,

@@ -79,6 +79,7 @@ from .model import (
     Architecture,
     ModelParams,
     grad_cross_entropy,
+    prepare_rows,
     sum_grad_kl_to_targets,
 )
 from .oracle import (
@@ -314,10 +315,11 @@ class RunState:
 def initialize(cfg: RunConfig) -> RunState:
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
-    params0 = retrain(train.X, train.y, arch, cfg.retrain)
+    rows = prepare_rows(arch, train.X, train.y)  # for w_0's fit and the engine
+    params0 = retrain(rows, None, arch, cfg.retrain)
     proj_dim = resolved_proj_dim(cfg.safe, train.dim)
     projection = make_projection(train.dim, proj_dim, derive_seed(cfg.seed, _SEED_PROJ))
-    engine = SafeUnlearner(params0, cfg.safe, projection, train.X, train.y, train.ids)
+    engine = SafeUnlearner(params0, cfg.safe, projection, rows, train.ids)
     requests = generate_stream(train, cfg.stream, engine.gaussians.min_class_count)
     return RunState(train, test, params0, engine, requests)
 
@@ -532,8 +534,7 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         twin_result = twin.process_request(request.X, request.y, request.ids)
 
         # downdate vs fresh two-pass statistics over survivors
-        for label in engine.gaussians.classes:
-            st = engine.gaussians.stats[label]
+        for label, st in engine.gaussians.stats.items():
             if st.frozen:
                 continue
             rows = remaining.X[remaining.y == label]
@@ -579,10 +580,10 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
     remaining = state.train.subset(engine.alive)
     rng = np.random.default_rng(derive_seed(cfg.seed, 99))
     probe = remaining.take(rng.choice(remaining.n, min(50, remaining.n), replace=False))
-    for label, st in engine.gaussians.stats.items():
+    for i, (label, st) in enumerate(engine.gaussians.stats.items()):
         Z = engine.gaussians.standardize_batch(probe.X, label)
         want = _scipy_density_ratio(Z, st)
-        got = density_ratio(Z, st)
+        got = density_ratio(Z, engine.gaussians, i)
         errs["density_ratio"] = max(
             errs["density_ratio"],
             float((np.abs(got - want) / np.maximum(1.0, np.abs(want))).max()))

@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .gaussian import ClassConditionalGaussians, ClassStats
+from .gaussian import ClassConditionalGaussians
 # the shift layer takes the w_0 predictions as input and runs no forward
 # pass; predict_proba_batch stays importable here because the benchmark's
 # tracer (perfbench/tracing.py) captures it by this module path
@@ -29,12 +29,14 @@ def label_ratio(n_t_y: int, n_0_y: int, size_dt: int, size_d0: int) -> float:
     return (n_t_y / n_0_y) * (size_d0 / size_dt)
 
 
-def density_ratio(Z: np.ndarray, stats: ClassStats) -> np.ndarray:
+def density_ratio(Z: np.ndarray, gaussians: ClassConditionalGaussians,
+                  i) -> np.ndarray:
     """Current-vs-initial Gaussian density ratio N(z | mu_t, Sigma_t) /
-    N(z | 0, I) at each standardized row z of Z, from ``stats.log_ratio``,
-    clipped to [1e-6, 1e6]."""
+    N(z | 0, I) at standardized rows Z under the classes of the slabs i of
+    ``gaussians``, from their stacked log-ratio coefficients
+    (``ClassConditionalGaussians.log_ratio``), clipped to [1e-6, 1e6]."""
     with np.errstate(over="ignore"):
-        return np.clip(np.exp(stats.log_ratio(Z)), RATIO_FLOOR, RATIO_CEIL)
+        return np.clip(np.exp(gaussians.log_ratio(Z, i)), RATIO_FLOOR, RATIO_CEIL)
 
 
 class ShiftEstimator:
@@ -59,13 +61,10 @@ class ShiftEstimator:
         ``engine.ForgettingLedger``) and every class c: each class's label
         ratio times the ledger's clipped density ratios, refreshed first
         (``refresh_ratios``); a transposed view of the class-major array it
-        fills one class row at a time."""
+        fills."""
         ratios = ledger.refresh_ratios(self.gaussians)
-        n_classes = max(self.counts0) + 1
-        q = np.full((n_classes, ledger.count), RATIO_FLOOR)
-        for ratio, label, lr in zip(ratios, self.gaussians.classes,
-                                    self.label_ratios(counts_t, size_dt)):
-            q[label] = lr * ratio
+        q = np.full((max(self.counts0) + 1, ledger.count), RATIO_FLOOR)
+        q[self.gaussians.classes] = np.array(self.label_ratios(counts_t, size_dt))[:, None] * ratios
         return q.T
 
     def label_ratios(self, counts_t: dict[int, int], size_dt: int) -> list[float]:

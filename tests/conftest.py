@@ -5,8 +5,8 @@ import pytest
 
 from safestream.data import IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
-from safestream.gaussian import make_projection
-from safestream.model import Architecture
+from safestream.gaussian import ClassConditionalGaussians, ClassStats, make_projection
+from safestream.model import Architecture, prepare_rows
 from safestream.oracle import RetrainConfig, retrain
 from safestream.runner import resolved_proj_dim
 
@@ -70,7 +70,16 @@ def write_idx_labels(path, labels: np.ndarray) -> None:
 def build_engine(train, params0, safe: SafeConfig, proj_seed: int = 11):
     proj_dim = resolved_proj_dim(safe, train.dim)
     projection = make_projection(train.dim, proj_dim, proj_seed)
-    return SafeUnlearner(params0, safe, projection, train.X, train.y, train.ids)
+    rows = prepare_rows(params0.arch, train.X, train.y)
+    return SafeUnlearner(params0, safe, projection, rows, train.ids)
+
+
+def single_gaussian(mu, sigma):
+    """A one-class ``ClassConditionalGaussians`` whose statistics are
+    N(mu, sigma), over the identity t=0 transform."""
+    k = len(mu)
+    return ClassConditionalGaussians(np.eye(k), np.zeros((1, k)), np.eye(k)[None],
+                                     {0: ClassStats(50, mu, sigma)})
 
 
 @pytest.fixture(scope="session")

@@ -29,6 +29,7 @@ from safestream.model import (
     ModelParams,
     grad_cross_entropy,
     predict_proba_batch,
+    prepare_rows,
     sum_grad_kl_to_targets,
 )
 from safestream.oracle import RetrainConfig, retrain
@@ -202,8 +203,8 @@ def test_c05_perturbation_calibration():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((40, 100))
     y = rng.integers(0, 2, 40)
-    engine = SafeUnlearner(params0, cfg, make_projection(100, 2, 0), X, y,
-                           np.arange(40))
+    engine = SafeUnlearner(params0, cfg, make_projection(100, 2, 0),
+                           prepare_rows(arch, X, y), np.arange(40))
     need = 1_000_000
     rounds = need // arch.n_params + 1
     draws = np.concatenate(

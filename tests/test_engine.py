@@ -1,5 +1,4 @@
 import copy
-from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -24,6 +23,7 @@ from safestream.engine import (
 )
 from safestream.errors import ConfigError, StatsError, StreamError
 from safestream.gaussian import (
+    ClassConditionalGaussians,
     batch_mean_cov,
     make_projection,
     sq_norms,
@@ -35,6 +35,7 @@ from safestream.model import (
     grad_cross_entropy,
     init_params,
     predict_proba_batch,
+    prepare_rows,
 )
 from safestream.oracle import RetrainConfig, retrain
 from safestream.shift import RATIO_CEIL
@@ -223,14 +224,14 @@ def engine_state(eng):
     with ``same_state``."""
     led = eng.ledger
     return copy.deepcopy({
-        # the statistics each class's ratios were computed under, and
-        # whether they are the class's current ones
-        "ratio_stats": (led.ratio_rows, {
-            c: (st is eng.gaussians.stats[c], asdict(st))
-            for c, st in led.ratio_stats.items()}),
+        # the class versions the ratios were computed at, and their rows
+        "ratio": (led.ratio_rows, led.ratio_version),
         "retention": (eng.retention.grad, eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
-        "stats": {c: asdict(st) for c, st in eng.gaussians.stats.items()},
+        # every stack of the class statistics: moments, factors, forms,
+        # bounds, frozen flags and versions
+        "gaussians": {name: v for name, v in vars(eng.gaussians).items()
+                      if isinstance(v, np.ndarray)},
         "ledger": (led.rows, led.X, led.Z, led.P0, led.H, led.R),
         # the per-class sums, the rows folded into them, the rows of the
         # latest append and the largest squared norms per class
@@ -273,24 +274,19 @@ def any_engine(request, engine, blob_task):
 
 @pytest.fixture()
 def evaluated(monkeypatch):
-    """(statistics object, rows) of every density ratio evaluation, in call
-    order; ``labels_of`` maps the objects to their classes."""
+    """(label, rows) of every density ratio evaluation, in call order: the
+    class whose current statistics each call read."""
     calls = []
     exact = safestream.engine.density_ratio
 
-    def recording(Z, stats):
-        calls.append((stats, len(Z)))
-        return exact(Z, stats)
+    def recording(Z, gaussians, i):
+        # a stacked call evaluates the rows of each of the slabs i
+        for j in np.arange(len(gaussians.classes))[i].reshape(-1):
+            calls.append((gaussians.classes[j], Z.shape[-2]))
+        return exact(Z, gaussians, i)
 
     monkeypatch.setattr(safestream.engine, "density_ratio", recording)
     return calls
-
-
-def labels_of(calls, gaussians):
-    """``evaluated`` calls as (label, rows), by the class whose current
-    statistics each call read."""
-    label = {id(st): c for c, st in gaussians.stats.items()}
-    return [(label[id(st)], rows) for st, rows in calls]
 
 
 def max_rel_err(got, want):
@@ -378,7 +374,8 @@ class TestProcessRequest:
         X = np.vstack([[[1.0, 2.0], [1.0, 2.0], [-1.0, 0.5], [-1.0, 0.5]]] * 3)
         y = np.tile([0, 1, 0, 1], 3)
         eng = SafeUnlearner(params0, SafeConfig(T=3, W=1.0, seed=9),
-                            make_projection(2, 1, 0), X, y, np.arange(12))
+                            make_projection(2, 1, 0), prepare_rows(arch, X, y),
+                            np.arange(12))
         res = eng.process_request(np.empty((0, 2)), np.empty(0, int), np.empty(0, int))
         assert res.grad_norm < 1e-12
         assert np.allclose(res.params.theta, params0.theta - res.perturbation)
@@ -532,8 +529,7 @@ class TestProcessRequest:
                 after_freeze += 1
             else:
                 want[0] = engine.ledger.count
-            assert sorted(labels_of(evaluated, engine.gaussians)) == sorted(
-                want.items()), lo
+            assert sorted(evaluated) == sorted(want.items()), lo
         assert after_freeze >= 2
 
     def test_random_subset_reevaluates_every_class(self, any_engine, blob_task,
@@ -547,7 +543,7 @@ class TestProcessRequest:
             assert set(train.y[rows]) == set(engine.gaussians.classes)
             evaluated.clear()
             engine.process_request(train.X[rows], train.y[rows], train.ids[rows])
-            assert sorted(labels_of(evaluated, engine.gaussians)) == [
+            assert sorted(evaluated) == [
                 (c, engine.ledger.count) for c in engine.gaussians.classes]
 
     def test_w0_never_mutated(self, engine, blob_task):
@@ -581,8 +577,9 @@ class TestProcessRequest:
 
 def test_failed_downdate_leaves_every_class_unchanged(engine, blob_task,
                                                       monkeypatch):
-    # the second Cholesky factor of a two-class request fails: the class
-    # downdated first must not keep its new statistics
+    # LAPACK fails to factor either class of a two-class request, and the
+    # retry factors the first class and fails on the second: the class
+    # factored first must not keep its new statistics
     train, _, params0 = blob_task
     twin = build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
     for eng in (engine, twin):
@@ -598,6 +595,7 @@ def test_failed_downdate_leaves_every_class_unchanged(engine, blob_task,
             raise StatsError("injected failure")
         return exact(sigma)
 
+    monkeypatch.setattr(safestream.gaussian, "dpotrf", lambda sigma, lower: (sigma, 1))
     monkeypatch.setattr(safestream.gaussian, "cholesky_with_jitter", second_call_fails)
     with pytest.raises(StatsError, match="injected"):
         engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
@@ -688,7 +686,7 @@ def full_refresh_targets(engine):
     """The targets of the engine's ledger with every class's ratios
     recomputed over every row, as if every class's statistics had moved."""
     full = copy.deepcopy(engine.ledger)
-    full.ratio_stats.clear()
+    full.ratio_version = None
     full.ratio_rows = 0
     return engine.shift.target_predictions(full, engine.class_counts,
                                            engine.retention.size_dt)
@@ -775,6 +773,29 @@ def test_ledger_appends_match_concatenation():
         assert np.isnan(ledger.R).all()
 
 
+def test_refresh_recomputes_a_class_only_when_its_version_moved(evaluated):
+    # after a downdate that moves class 1 alone, a refresh recomputes class
+    # 1's ratios over every row and the other classes' over the rows
+    # appended since; the column matches a refresh from scratch
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((90, 6)) + np.repeat([0.0, 2.0, 4.0], 30)[:, None]
+    y = np.repeat([0, 1, 2], 30)
+    g = ClassConditionalGaussians.fit(X, y, make_projection(6, 3, seed=2))
+    ledger = ForgettingLedger(lam=1.0)
+    first, later = [0, 31, 62, 63], [1, 64]
+    ledger.append(X[first], np.array(first), Z=g.standardize_all(X[first]))
+    ledger.refresh_ratios(g)
+    g.remove(g.standardize_all(X[[32, 33]]), y[[32, 33]])
+    ledger.append(X[later], np.array(later), Z=g.standardize_all(X[later]))
+    evaluated.clear()
+    R = ledger.refresh_ratios(g)
+    assert g.version.tolist() == [0, 1, 0]
+    assert sorted(evaluated) == [(0, 2), (1, 6), (2, 2)]
+    fresh = ForgettingLedger(lam=1.0)
+    fresh.append(ledger.X, ledger.rows, Z=ledger.Z)
+    assert np.abs(R - fresh.refresh_ratios(g)).max() <= 1e-13 * np.abs(R).max()
+
+
 def run_stream(engine, train, rng, rounds, per_round):
     """Send ``rounds`` random requests of ``per_round`` live rows through
     ``engine``, yielding each round's result."""
@@ -807,8 +828,8 @@ def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
         mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
         for result in run_stream(engine, train, rng, rounds, per_round):
             led, g = engine.ledger, engine.gaussians
-            logr = np.array([np.abs(g.stats[c].log_ratio(Zc)).max()
-                             for Zc, c in zip(led.Z, g.classes)])
+            logr = np.array([np.abs(g.log_ratio(Zc, i)).max()
+                             for i, Zc in enumerate(led.Z)])
             bounds = g.log_ratio_bounds(led.rho2)
             # the bound holds up to the log ratios' own round-off
             assert np.all(logr <= bounds + 1e-12)

@@ -10,23 +10,25 @@ from scipy.stats import multivariate_normal
 from safestream.errors import ConfigError, StatsError
 from safestream.gaussian import (
     ClassConditionalGaussians,
-    ClassStats,
     batch_mean_cov,
     cholesky_with_jitter,
     downdate_cov,
     downdate_mean,
+    factor,
     inverse_cholesky,
     make_projection,
     mardia_test,
 )
 from safestream.shift import RATIO_CEIL
 
+from conftest import single_gaussian
+
 LOG_2PI = np.log(2.0 * np.pi)
 
 
 def log_ratio(Z, mu, sigma):
     """log N(z | mu, sigma) - log N(z | 0, I) per row."""
-    return ClassStats(50, mu, sigma).log_ratio(np.atleast_2d(Z))
+    return single_gaussian(mu, sigma).log_ratio(np.atleast_2d(Z), 0)
 
 
 def std_normal_log(z):
@@ -174,7 +176,7 @@ def test_log_ratio_matches_scipy_densities(seed, k, log_cond):
             - multivariate_normal(np.zeros(k), np.eye(k)).logpdf(Z))
     keep = np.abs(want) < np.log(RATIO_CEIL)
     assume(keep.any())
-    got = ClassStats(50, mu, sigma).log_ratio(Z)
+    got = log_ratio(Z, mu, sigma)
     err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
     assert err[keep].max() <= 1e-10
 
@@ -230,14 +232,14 @@ class TestClassGaussians:
         _, _, g = fitted
         # minimum-norm preimage x with V^T x = mu0, so standardize(x) = 0
         v = g.projection
-        x = v @ np.linalg.solve(v.T @ v, g.base[0].mu)
+        x = v @ np.linalg.solve(v.T @ v, g.base_mu[0])
         assert np.abs(g.standardize_batch(x[None, :], 0)).max() < 1e-9
 
     def test_identity_transform_when_unit_stats(self, fitted):
         X, y, g = fitted
         # with mu0 = 0 and chol0 = I the transform is V^T x
-        unit = ClassStats(50, np.zeros(6), np.eye(6))
-        g2 = ClassConditionalGaussians(g.projection, {0: unit}, {0: g.stats[0]})
+        g2 = ClassConditionalGaussians(g.projection, np.zeros((1, 6)), np.eye(6)[None],
+                                       {0: g.stats[0]})
         x = X[0]
         assert np.allclose(g2.standardize_batch(x[None, :], 0), x @ g.projection, atol=1e-12)
 
@@ -293,14 +295,14 @@ class TestClassGaussians:
         y = np.zeros(40, dtype=int)
         g = ClassConditionalGaussians.fit(X, y, make_projection(5, 3, seed=5))
         assert g.min_class_count == 5
-        assert g.remove(g.standardize_all(X[:35]), y[:35]) == []
+        assert g.remove(g.standardize_all(X[:35]), y[:35])[0] == []
         st = g.stats[0]
         mu, sigma = batch_mean_cov(g.standardize_batch(X[35:], 0))
         assert st.n == 5 and not st.frozen
         assert np.abs(st.mu - mu).max() < 1e-8
         assert np.abs(st.sigma - sigma).max() < 1e-8
         before = asdict(st)
-        assert g.remove(g.standardize_all(X[35:36]), y[35:36]) == [0]
+        assert g.remove(g.standardize_all(X[35:36]), y[35:36])[0] == [0]
         after = asdict(g.stats[0])
         assert after.pop("frozen") and not before.pop("frozen")
         assert after.keys() == before.keys()
@@ -313,12 +315,88 @@ class TestClassGaussians:
         g = ClassConditionalGaussians.fit(X, y, make_projection(5, 3, seed=5))
         before = g.stats[0].mu.copy()
         # would leave 2 < proj_dim + 2
-        exhausted = g.remove(g.standardize_all(X[:38]), y[:38])
-        assert exhausted == [0]
+        exhausted, removed = g.remove(g.standardize_all(X[:38]), y[:38])
+        assert exhausted == [0] and removed.tolist() == [38]
         assert g.stats[0].frozen
         assert np.array_equal(g.stats[0].mu, before)
         # further removals are ignored silently
-        assert g.remove(g.standardize_all(X[38:]), y[38:]) == []
+        assert g.remove(g.standardize_all(X[38:]), y[38:])[0] == []
+
+
+@pytest.fixture(scope="module")
+def three_classes():
+    """Three classes in 8 dimensions projected to 3 (min_class_count 5), the
+    last of only 12 rows, so a batch of 8 freezes it."""
+    rng = np.random.default_rng(31)
+    sizes = (60, 50, 12)
+    X = np.vstack([rng.standard_normal((n, 8)) * (1.0 + c) + 2.0 * c
+                   for c, n in enumerate(sizes)])
+    y = np.repeat([0, 1, 2], sizes)
+    return X, y, make_projection(8, 3, seed=4)
+
+
+# each round's (class, rows) to delete
+DOWNDATE_ROUNDS = {
+    "every-class-moves": [[(0, 7), (1, 5), (2, 3)], [(0, 9), (1, 2), (2, 1)]],
+    "one-class-moves": [[(1, 9)], [(1, 4)], [(1, 11)]],
+    # classes 0 and 2 are not adjacent slabs: gathered by an index array
+    "non-adjacent-classes": [[(0, 4), (2, 2)], [(2, 1), (0, 6)]],
+    "single-row-class": [[(0, 1), (1, 6)], [(0, 1)]],
+    "freezes-while-another-moves": [[(2, 8), (0, 5)]],
+    "already-frozen-class": [[(2, 8)], [(2, 1), (1, 6)], [(2, 2), (0, 3), (1, 1)]],
+}
+
+
+@pytest.mark.parametrize("rounds", DOWNDATE_ROUNDS.values(), ids=DOWNDATE_ROUNDS.keys())
+def test_stacked_downdate_matches_two_pass(three_classes, rounds):
+    # after every round: a moved class's count, mean and covariance match a
+    # fresh two-pass recomputation over its surviving rows to 1e-12, with
+    # sigma exactly symmetric; a class frozen now or before keeps its last
+    # statistics and version bit for bit
+    X, y, projection = three_classes
+    g = ClassConditionalGaussians.fit(X, y, projection)
+    alive = np.ones(len(y), dtype=bool)
+    for batch in rounds:
+        idx = np.concatenate([np.flatnonzero(alive & (y == c))[:k] for c, k in batch])
+        before = {c: asdict(st) for c, st in g.stats.items()}
+        version = g.version.copy()
+        frozen_now = [c for c, k in batch
+                      if not before[c]["frozen"] and before[c]["n"] - k < g.min_class_count]
+        exhausted, removed = g.remove(g.standardize_all(X[idx]), y[idx])
+        alive[idx] = False
+        assert exhausted == frozen_now
+        assert removed.tolist() == np.bincount(y[idx], minlength=3).tolist()
+        assert np.array_equal(g.sigma, g.sigma.swapaxes(1, 2))
+        for c, st in g.stats.items():
+            if st.frozen:
+                assert asdict(st).keys() == before[c].keys()
+                assert all(np.array_equal(v, before[c][k]) for k, v in asdict(st).items()
+                           if k != "frozen")
+                assert g.version[c] == version[c]
+                continue
+            mu, sigma = batch_mean_cov(g.standardize_batch(X[alive & (y == c)], c))
+            assert st.n == int((alive & (y == c)).sum())
+            assert np.abs(st.mu - mu).max() <= 1e-12
+            assert np.abs(st.sigma - sigma).max() <= 1e-12
+            assert g.version[c] == version[c] + (c in dict(batch))
+
+
+def test_jitter_reaches_only_the_slab_that_needs_it():
+    # a singular slab takes the jitter fallback; every other slab's factor,
+    # log-determinant and log-ratio form is the one the stack gives without
+    # the singular slab, bit for bit
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((3, 9, 4))
+    sigma = A.swapaxes(1, 2) @ A / 8
+    mu = rng.standard_normal((3, 4))
+    singular = sigma.copy()
+    singular[1] = np.diag([1.0, 1.0, 1.0, 0.0])
+    clean, jittered = factor(mu, sigma), factor(mu, singular)
+    for a, b in zip(clean, jittered):
+        assert np.array_equal(a[[0, 2]], b[[0, 2]])
+    L = cholesky_with_jitter(singular[1])
+    assert np.array_equal(L, np.linalg.cholesky(singular[1] + 1e-6 * np.eye(4)))
+    assert np.array_equal(jittered[0][1], inverse_cholesky(L))
 
 
 def test_mardia_positive_control_frozen_rate():

@@ -18,7 +18,7 @@ from safestream.cli import main
 from safestream.data import Dataset, make_synthetic
 from safestream.engine import SafeConfig, SafeUnlearner
 from safestream.errors import ConfigError, DataError, SafestreamError
-from safestream.gaussian import ClassConditionalGaussians, ClassStats
+from safestream.gaussian import ClassConditionalGaussians
 from safestream.oracle import RetrainConfig
 from safestream.runner import (
     K_SWEEP_GRID,
@@ -445,10 +445,10 @@ def skew_class0_base(g):
     standardized mean shifted to match, so every row still whitens to the
     statistics the engine tracks."""
     d = np.full(g.proj_dim, 0.1)
-    base, st = g.base[0], g.stats[0]
-    g.base[0] = ClassStats(base.n, base.mu + d, base.sigma)
-    g.stats[0] = ClassStats(st.n, st.mu - d @ base.inv_chol.T, st.sigma)
-    return g
+    base_mu, stats = g.base_mu.copy(), g.stats
+    base_mu[0] += d
+    stats[0].mu -= d @ g.base_inv_chol[0].T
+    return ClassConditionalGaussians(g.projection, base_mu, g.base_inv_chol, stats)
 
 
 class TestVerify:
@@ -459,17 +459,17 @@ class TestVerify:
         assert sum("PASS" in l for l in lines) == 6
         record = json.loads(buf.getvalue())
         assert record["type"] == "verify" and record["passed"] is True
-        # exactly the statistics' dataclass fields: the cached factor
-        # inverse and log-determinant are not fields
+        # exactly the statistics' dataclass fields: the stacked factor
+        # inverses, log-determinants and log-ratio forms are not fields
         assert set(record["stats"]["0"]) == {"frozen", "mu", "n", "sigma"}
 
     @pytest.mark.parametrize("suites, owner, name, bump", [
         # every row of the softmax Jacobian sums to zero, so a constant
         # shift of the log ratio cannot reach the gradient; a relative one
         # does
-        pytest.param(["density_ratio"], ClassStats, "log_ratio",
+        pytest.param(["density_ratio"], ClassConditionalGaussians, "log_ratio",
                      lambda out: out + 1e-6, id="density_ratio"),
-        pytest.param(["density_ratio", "forgetting_gradient"], ClassStats,
+        pytest.param(["density_ratio", "forgetting_gradient"], ClassConditionalGaussians,
                      "log_ratio", lambda out: out * (1 + 1e-6),
                      id="density_ratio-relative"),
         pytest.param(["retention_recursion"], safestream.engine,
@@ -528,7 +528,7 @@ class TestVerify:
         assert sum("PASS" in l for l in lines) == 6
         assert json.loads(buf.getvalue())["stats"]["1"]["frozen"] is True
         monkeypatch.setattr(safestream.engine.ForgettingLedger, "stale_from",
-                            lambda self, label, stats: self.ratio_rows)
+                            lambda self, version: np.full(len(version), self.ratio_rows))
         lines = []
         assert verify(cfg, io.StringIO(), report=lines.append) is False
         assert any(l.startswith("VERIFY forgetting_gradient: FAIL") for l in lines)

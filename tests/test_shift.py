@@ -6,11 +6,7 @@ from scipy.stats import multivariate_normal
 
 from safestream.engine import ForgettingLedger, frozen_columns
 from safestream.errors import ConfigError
-from safestream.gaussian import (
-    ClassConditionalGaussians,
-    ClassStats,
-    make_projection,
-)
+from safestream.gaussian import ClassConditionalGaussians, make_projection
 from safestream.model import Architecture, ModelParams
 from safestream.shift import (
     RATIO_FLOOR,
@@ -18,6 +14,8 @@ from safestream.shift import (
     density_ratio,
     label_ratio,
 )
+
+from conftest import single_gaussian
 
 
 def test_label_ratio_proportional_deletion_cancels():
@@ -67,7 +65,7 @@ def test_density_ratio_one_without_deletions(gaussian_setup):
     X, y, g = gaussian_setup
     for x, label in zip(X[:20], y[:20]):
         z = g.standardize_batch(x[None, :], int(label))
-        got = density_ratio(z, g.stats[int(label)])
+        got = density_ratio(z, g, g.classes.index(int(label)))
         assert got == pytest.approx([1.0], abs=1e-6)
 
 
@@ -77,7 +75,7 @@ def test_density_ratio_closed_form_mean_shift():
     dim = 3
     mu = np.zeros(dim)
     mu[0] = delta
-    got = density_ratio(np.zeros((1, dim)), ClassStats(50, mu, np.eye(dim)))
+    got = density_ratio(np.zeros((1, dim)), single_gaussian(mu, np.eye(dim)), 0)
     assert got == pytest.approx([np.exp(-delta * delta / 2.0)], abs=1e-12)
 
 
@@ -92,7 +90,7 @@ def test_density_ratio_matches_direct_two_density(gaussian_setup):
         z = g.standardize_batch(x[None, :], 0)
         direct = np.exp(multivariate_normal(st.mu, st.sigma).logpdf(z)
                         - multivariate_normal(np.zeros(4), np.eye(4)).logpdf(z))
-        got = density_ratio(z, st)
+        got = density_ratio(z, g, 0)
         assert got == pytest.approx([float(direct)], abs=1e-10)
 
 
@@ -100,7 +98,7 @@ def test_density_ratio_clipped_positive_finite():
     dim = 2
     far_mu = np.full(dim, 80.0)
     Z = np.vstack([np.zeros(dim), far_mu])
-    low, high = density_ratio(Z, ClassStats(50, far_mu, np.eye(dim)))
+    low, high = density_ratio(Z, single_gaussian(far_mu, np.eye(dim)), 0)
     assert low == 1e-6 and high == 1e6
 
 
@@ -186,7 +184,7 @@ def test_ratios_and_targets_are_rows_by_classes(gaussian_setup):
     assert q.shape == (7, 2)
     for j, label in enumerate(g.classes):
         want = (label_ratio(counts_t[label], 300, 550, 600)
-                * density_ratio(Z[j], g.stats[label]))
+                * density_ratio(Z[j], g, j))
         assert np.array_equal(q[:, label], want)
     targets = est.target_predictions(ledger, counts_t, 550)
     assert targets.shape == (7, 2)

@@ -16,7 +16,6 @@ from .errors import ConfigError, NumericalError
 from .model import (
     Architecture,
     ModelParams,
-    TrainingRows,
     grad_cross_entropy,
     init_params,
     kl_rows,
@@ -46,13 +45,12 @@ class RetrainConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
 
 
-def retrain(X: np.ndarray | TrainingRows, y: np.ndarray | None, arch: Architecture,
+def retrain(X: np.ndarray, y: np.ndarray, arch: Architecture,
             config: RetrainConfig) -> ModelParams:
-    """Train on the rows X with labels y, or the ``TrainingRows`` X with y
-    None, from a seeded fresh initialization until max epochs or the
+    """Train from a seeded fresh initialization until max epochs or the
     gradient norm drops below ``GRAD_TOL``."""
     # rows prepared once, before the first epoch; each epoch updates theta in place
-    rows = X if isinstance(X, TrainingRows) else prepare_rows(arch, X, y)
+    rows = prepare_rows(arch, X, y)
     params = init_params(arch, np.random.default_rng(config.seed))
     for _ in range(config.epochs):
         g = grad_cross_entropy(params, rows)

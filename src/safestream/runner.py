@@ -315,11 +315,13 @@ class RunState:
 def initialize(cfg: RunConfig) -> RunState:
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
-    rows = prepare_rows(arch, train.X, train.y)  # for w_0's fit and the engine
-    params0 = retrain(rows, None, arch, cfg.retrain)
+    params0 = retrain(train.X, train.y, arch, cfg.retrain)
     proj_dim = resolved_proj_dim(cfg.safe, train.dim)
     projection = make_projection(train.dim, proj_dim, derive_seed(cfg.seed, _SEED_PROJ))
-    engine = SafeUnlearner(params0, cfg.safe, projection, rows, train.ids)
+    # the engine prepares its own rows once w_0's fit has freed its copy, so
+    # no 2.8 MB block outlives the fit into the run state (see CHANGES.md)
+    engine = SafeUnlearner(params0, cfg.safe, projection,
+                           prepare_rows(arch, train.X, train.y), train.ids)
     requests = generate_stream(train, cfg.stream, engine.gaussians.min_class_count)
     return RunState(train, test, params0, engine, requests)
 

@@ -210,13 +210,13 @@ class ClassConditionalGaussians:
     one slab of each stack per class, in the order of ``classes``: the
     frozen t=0 transform (the projection, ``base_mu`` (C, k) and
     ``base_inv_chol`` (C, k, k)), and the statistics tracked under deletion,
-    ``n`` (C,), ``mu`` (C, k), ``sigma`` (C, k, k), their ``factor``
-    (``inv_chol``, ``logdet``, ``log_ratio_forms`` (C, F), B) and
-    ``frozen``, which ``stats`` copies out per class. ``version`` (C,)
-    counts each class's downdates: what is derived from a class's
-    statistics is current while its version is. ``remove`` alone decides
-    when a class freezes: once its count would fall below
-    ``min_class_count``, it keeps its last statistics."""
+    ``n`` (C,), ``mu`` (C, k), ``sigma`` (C, k, k), the log ratios their
+    ``factor`` gives (``log_ratio_forms`` (C, F) and B) and ``frozen``,
+    which ``stats`` copies out per class. ``version`` (C,) counts each
+    class's downdates: what is derived from a class's statistics is current
+    while its version is. ``remove`` alone decides when a class freezes:
+    once its count would fall below ``min_class_count``, it keeps its last
+    statistics."""
 
     def __init__(self, projection: np.ndarray, base_mu: np.ndarray,
                  base_inv_chol: np.ndarray, stats: dict[int, ClassStats]):
@@ -227,8 +227,7 @@ class ClassConditionalGaussians:
         self.n, self.mu, self.sigma, self.frozen = (
             np.array([getattr(stats[c], f) for c in self.classes])
             for f in ("n", "mu", "sigma", "frozen"))
-        (self.inv_chol, self.logdet, self.log_ratio_forms,
-         self.B) = factor(self.mu, self.sigma)
+        self.log_ratio_forms, self.B = factor(self.mu, self.sigma)[2:]
         self.version = np.zeros(len(self.classes), dtype=np.int64)
         # log_ratio_bounds' spectral bounds, and the versions they are of
         self._bound, self._bound_version = np.zeros(len(self.classes)), self.version - 1
@@ -321,9 +320,8 @@ class ClassConditionalGaussians:
             n, mu = downdate_mean(n0, self.mu[idx], m, mu_rm)
             sigma = downdate_cov(n0[..., None], self.sigma[idx], mu, m[..., None],
                                  mu_rm, sigma_rm)
-            new = (n[:, 0], mu, sigma, *factor(mu, sigma))
-            for name, value in zip(("n", "mu", "sigma", "inv_chol", "logdet",
-                                    "log_ratio_forms", "B"), new):
+            new = (n[:, 0], mu, sigma, *factor(mu, sigma)[2:])
+            for name, value in zip(("n", "mu", "sigma", "log_ratio_forms", "B"), new):
                 getattr(self, name)[idx] = value
             self.version[idx] += 1
         if exhausted:

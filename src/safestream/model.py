@@ -30,7 +30,9 @@ call prepares its own and runs the same kernel, so both give the same bits.
 ``Xt1`` and the one-hot labels in column blocks small enough to stay in
 cache, runs the forward pass, softmax and backward pass on each, adds the
 blocks' gradient sums in row order and divides by n once. A batch of one
-block runs exactly the unblocked operations.
+block runs exactly the unblocked operations. A block's softmax skips the
+max shift when ``_logit_bound``, from the parameters and the rows'
+``norm_max``, rules out overflow; every other softmax shifts.
 Forward-only calls (``forward_proba``, the cross-entropy of raw rows, the KL
 backward over the ledger) keep the rows X (n, d) and ``w @ X.T``: each runs
 one GEMM over its rows, so a transposed copy would cost more than the faster
@@ -47,6 +49,9 @@ import numpy as np
 from .errors import ConfigError
 
 PROB_FLOOR = 1e-12
+# the largest bound on |logit| at which ``_softmax`` skips the max shift: exp
+# overflows past 709.78 and leaves the normal range below -708.4
+_EXP_SAFE = 700.0
 # the bytes one block of ``grad_cross_entropy`` may keep in cache (see
 # ``prepare_rows``)
 _BLOCK_BYTES = 1 << 20
@@ -165,12 +170,27 @@ def _forward(params: ModelParams, X: np.ndarray | TrainingRows):
     return logits, hidden
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the class axis of (C, n) logits, computed in place."""
-    logits -= logits.max(axis=0)
+def _softmax(logits: np.ndarray, bound: float = np.inf) -> np.ndarray:
+    """Softmax over the class axis of (C, n) logits, computed in place. With
+    ``bound`` (``_logit_bound``) within ``_EXP_SAFE`` no exp can overflow, so
+    the logits go unshifted; else each column is shifted by its max first.
+    One reciprocal of each column's sum then scales the column."""
+    if not bound <= _EXP_SAFE:  # a NaN bound shifts too
+        logits -= logits.max(axis=0)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=0)
+    sums = logits.sum(axis=0)
+    logits *= np.reciprocal(sums, out=sums)
     return logits
+
+
+def _logit_bound(params: ModelParams, rows: TrainingRows) -> float:
+    """A bound on every |logit| over the ``TrainingRows`` rows that reads no
+    logit: ||theta||_2 max_i ||[x_i, 1]|| for the linear head (by
+    Cauchy-Schwarz), max_c ||w2_c||_1 + max |b2| for the MLP (|tanh| <= 1)."""
+    if params.arch.hidden_dim is None:
+        return float(np.sqrt(params.theta @ params.theta)) * rows.norm_max
+    _, _, w2, b2 = _mlp_views(params.arch, params.theta)
+    return float(np.abs(w2).sum(axis=1).max() + np.abs(b2).max())
 
 
 def forward_proba(params: ModelParams, X: np.ndarray):
@@ -239,14 +259,16 @@ def _backprop_sum(params: ModelParams, X: np.ndarray | TrainingRows,
 class TrainingRows:
     """A labelled batch prepared by ``prepare_rows``: the rows X (n, d) and
     labels y as checked once, the rows as ``Xt1``, Xᵀ with a row of ones
-    under it (d+1, n), the labels as class-major one-hot floats (C, n), and
-    ``block``, the most columns ``grad_cross_entropy`` reads at a time."""
+    under it (d+1, n), the labels as class-major one-hot floats (C, n),
+    ``block``, the most columns ``grad_cross_entropy`` reads at a time, and
+    ``norm_max``, the largest ||[x_i, 1]|| over all the rows."""
 
     X: np.ndarray
     y: np.ndarray
     Xt1: np.ndarray
     onehot: np.ndarray
     block: int
+    norm_max: float
 
     def __len__(self) -> int:
         return len(self.y)
@@ -259,7 +281,8 @@ class TrainingRows:
         if len(self) <= b:
             return [self]
         return [TrainingRows(self.X[lo:lo + b], self.y[lo:lo + b],
-                             self.Xt1[:, lo:lo + b], self.onehot[:, lo:lo + b], b)
+                             self.Xt1[:, lo:lo + b], self.onehot[:, lo:lo + b], b,
+                             self.norm_max)
                 for lo in range(0, len(self), b)]
 
 
@@ -302,9 +325,9 @@ def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRo
     # of its rows of Xt1 and logits, so the forward GEMM leaves its slice of
     # Xt1 in cache for the backward GEMM and the softmax runs in cache too.
     # Epoch medians, 1 BLAS thread, 2 MiB of L2 per core: at 16000 x 16 in
-    # 5 classes (Xt1 is 2.2 MB) one block takes 801 µs, and budgets of
-    # 2 MiB, 1 MiB, 512 KiB and 256 KiB take 772, 552, 571 and 642; at 3960
-    # x 16 one block (139 µs) beats two (164), so the budget keeps a fit
+    # 5 classes (Xt1 is 2.2 MB) one block takes 681 µs, and budgets of
+    # 2 MiB, 1 MiB, 512 KiB and 256 KiB take 663, 426, 468 and 539; at 3960
+    # x 16 one block (86 µs) beats two (112), so the budget keeps a fit
     # that size whole. The MLP's hidden layer is not counted: its first
     # layer's GEMMs do 32 multiply-adds per entry of Xt1 they read, so they
     # run compute-bound even from memory (1.8 ms of a 4.4 ms epoch for the
@@ -317,8 +340,9 @@ def prepare_rows(arch: Architecture, X: np.ndarray, y: np.ndarray) -> TrainingRo
     Xt1 = np.empty((d + 1, n))
     Xt1[:d] = X.T
     Xt1[d] = 1.0
-    per_column = 8 * (d + 1 + arch.n_classes)
-    return TrainingRows(X, y, Xt1, onehot, max(1, _BLOCK_BYTES // per_column))
+    block = max(1, _BLOCK_BYTES // (8 * (d + 1 + arch.n_classes)))
+    norm_max = float(np.sqrt(np.einsum("ij,ij->j", Xt1, Xt1).max()))
+    return TrainingRows(X, y, Xt1, onehot, block, norm_max)
 
 
 def grad_cross_entropy(params: ModelParams, X: np.ndarray | TrainingRows,
@@ -339,7 +363,7 @@ def _grad_sum(params: ModelParams, rows: TrainingRows) -> np.ndarray:
     """Flat gradient of the summed cross-entropy over the ``TrainingRows``
     rows, in one pass."""
     logits, hidden = _forward(params, rows)
-    dlogits = _softmax(logits)
+    dlogits = _softmax(logits, _logit_bound(params, rows))
     dlogits -= rows.onehot
     return _backprop_sum(params, rows, dlogits, hidden)
 

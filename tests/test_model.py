@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -167,9 +169,11 @@ def test_prepared_grad_matches_row_major_reference_for_every_n_mod_8(hidden):
 
 
 def single_pass_grad(params, rows):
-    """The mean gradient over prepared rows in one pass, unblocked."""
+    """The mean gradient over prepared rows in one pass, unblocked, with the
+    same logit bound as ``grad_cross_entropy``."""
     logits, hidden = safestream.model._forward(params, rows)
-    dlogits = safestream.model._softmax(logits)
+    dlogits = safestream.model._softmax(
+        logits, safestream.model._logit_bound(params, rows))
     dlogits -= rows.onehot
     g = safestream.model._backprop_sum(params, rows, dlogits, hidden)
     g /= len(rows)
@@ -196,6 +200,77 @@ def test_blocked_grad_matches_row_major_reference_at_block_edges(hidden,
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), n
         if count == 1:
             assert np.array_equal(got, single_pass_grad(params, rows)), n
+
+
+@given(st.integers(0, 10_000), st.sampled_from([None, 4]),
+       st.floats(-3.0, 3.0), st.floats(-2.0, 2.0))
+@settings(max_examples=80, deadline=None)
+def test_logit_bound_holds_for_both_heads(seed, hidden, log_theta, log_x):
+    # scales up to 1e3 carry the bound far past _EXP_SAFE; the 1e-12 allows
+    # for the round-off of bound and logits near Cauchy-Schwarz equality
+    arch = Architecture(6, 3, hidden)
+    rng = np.random.default_rng(seed)
+    params = ModelParams(arch, 10.0**log_theta * rng.standard_normal(arch.n_params))
+    n = int(rng.integers(1, 40))
+    rows = prepare_rows(arch, 10.0**log_x * rng.standard_normal((n, 6)),
+                        rng.integers(0, 3, n))
+    logits = safestream.model._forward(params, rows)[0]
+    bound = safestream.model._logit_bound(params, rows)
+    assert isinstance(bound, float)
+    assert np.abs(logits).max() <= bound * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("hidden", [None, 2])
+def test_logits_near_800_take_the_shifted_epoch(hidden):
+    # unshifted, exp(800) overflows; the bound passes _EXP_SAFE, so the
+    # epoch shifts, warns of nothing, and still gives the textbook gradient
+    arch = Architecture(2, 2, hidden)
+    X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+    y = np.array([0, 1, 1, 0])
+    if hidden is None:
+        theta = np.array([800.0, 0.0, -800.0, 0.0, 0.0, 0.0])
+    else:  # tanh(±40) is ±1 to the last bit, so the logits are near ±800
+        theta = np.array([40.0, 0.0, 0.0, 40.0, 0.0, 0.0,
+                          400.0, 400.0, -400.0, -400.0, 0.0, 0.0])
+    params = ModelParams(arch, theta)
+    rows = prepare_rows(arch, X, y)
+    assert np.abs(safestream.model._forward(params, rows)[0]).max() >= 790.0
+    assert safestream.model._logit_bound(params, rows) > safestream.model._EXP_SAFE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = grad_cross_entropy(params, rows)
+    want = textbook_grad(arch, theta, X, y)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("span", [1.0, 50.0, 690.0])
+def test_unshifted_softmax_matches_shifted(span):
+    # within _EXP_SAFE the exp needs no shift: the same probabilities to
+    # round-off, each column summing to 1
+    logits = np.random.default_rng(5).uniform(-span, span, (5, 3000))
+    shifted = safestream.model._softmax(logits.copy())
+    unshifted = safestream.model._softmax(logits.copy(), span)
+    assert np.abs(unshifted - shifted).max() <= 1e-14
+    for p in shifted, unshifted:
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-14
+
+
+def test_prepared_rows_carry_their_largest_row_norm(monkeypatch):
+    # ||[x, 1]|| of [2, 2, -4] is 5 exactly; every block view carries the
+    # maximum over all the rows, not over its own
+    monkeypatch.setattr(safestream.model, "_BLOCK_BYTES", 8 * (3 + 1 + 2) * 2)
+    arch = Architecture(3, 2)
+    X = np.array([[1.0, 0.0, 0.0], [0.5, -1.0, 2.0], [2.0, 2.0, -4.0],
+                  [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+    rows = prepare_rows(arch, X, np.zeros(5, dtype=int))
+    assert type(rows.norm_max) is float and rows.norm_max == 5.0
+    blocks = rows.blocks()
+    assert len(blocks) == 3
+    assert [b.norm_max for b in blocks] == [5.0] * 3
+    X = np.random.default_rng(9).standard_normal((300, 7))
+    want = max(np.linalg.norm(np.append(x, 1.0)) for x in X)
+    got = prepare_rows(Architecture(7, 2), X, np.zeros(300, dtype=int)).norm_max
+    assert abs(got - want) <= 2e-16 * want
 
 
 def test_budget_keeps_standard_preset_fit_in_one_block():

@@ -151,9 +151,8 @@ def _along(axis: int, lo: int, hi: int) -> tuple:
 
 class ForgettingLedger:
     """All points forgotten so far, as raw features X and their training row
-    indices ``rows``, plus the trade-off weight lambda.
-    Membership lives in the engine's id index and alive mask, so each point
-    enters at most once.
+    indices ``rows``. Membership lives in the engine's id index and alive
+    mask, so each point enters at most once.
 
     Beside each row it keeps what the forgetting gradient needs of it that is
     frozen once the row is appended (``frozen_columns``), with its cost per
@@ -194,8 +193,7 @@ class ForgettingLedger:
       path folds.
 
     ``forgetting_gradient`` contracts S only while ``sums_exact`` (no ratio
-    can clip) and ``sums_cheaper`` hold, and records the path it took in
-    ``grad_path``.
+    can clip) and ``sums_cheaper`` hold.
 
     The shift ratios depend on the current class statistics and counts; they
     are recomputed from these columns when read.
@@ -205,8 +203,7 @@ class ForgettingLedger:
     filled prefix, None while the ledger is empty (rows is then empty). Each
     buffer takes the dtype of its column."""
 
-    def __init__(self, lam: float, sums: bool = False):
-        self.lam = lam
+    def __init__(self, sums: bool = False):
         self.count = 0
         self._buf: dict[str, np.ndarray] = {"rows": np.empty(0, dtype=np.intp)}
         self.ratio_version: np.ndarray | None = None
@@ -216,7 +213,6 @@ class ForgettingLedger:
         self.S: np.ndarray | None = None
         self.sums_rows = 0
         self.appended = 0
-        self.grad_path: str | None = None
 
     def _rows(self, name: str) -> np.ndarray | None:
         buf = self._buf.get(name)
@@ -369,29 +365,26 @@ def _sums_kl_gradient(ledger: ForgettingLedger, shift: ShiftEstimator,
 
 def forgetting_gradient(params0: ModelParams, ledger: ForgettingLedger,
                         shift: ShiftEstimator, counts_t: dict[int, int],
-                        size_dt: int) -> np.ndarray:
+                        size_dt: int, lam: float) -> tuple[np.ndarray, str | None]:
     """(lam / sum |F_i|) * the sum over forgotten points of the KL gradient
-    toward the current shift targets; a zero vector for an empty ledger.
+    toward the current shift targets, and the path that computed it; a zero
+    vector and None for an empty ledger.
 
-    It records its path in ``ledger.grad_path``: ``"sums"`` contracts the
-    ledger's per-class sums with the current log-ratio coefficients;
-    ``"rows"`` takes the log of ``ShiftEstimator.class_ratio_matrix``, which
-    refreshes the ledger's density ratio column, and runs the backward pass
-    over the w_0 forward pass the ledger keeps, so it runs none of its own.
-    Both compute -A log q at every row, exactly, and neither builds targets."""
+    ``"sums"`` contracts the ledger's per-class sums with the current
+    log-ratio coefficients; ``"rows"`` takes the log of
+    ``ShiftEstimator.class_ratio_matrix``, which refreshes the ledger's
+    density ratio column, and runs the backward pass over the w_0 forward
+    pass the ledger keeps, so it runs none of its own. Both compute -A log q
+    at every row, exactly, and neither builds targets."""
     if ledger.count == 0:
-        ledger.grad_path = None
-        return np.zeros(params0.arch.n_params)
-    sums = (ledger.sums and sums_cheaper(ledger)
-            and sums_exact(ledger, shift.gaussians))
-    ledger.grad_path = "sums" if sums else "rows"
-    if sums:
-        g = _sums_kl_gradient(ledger, shift, counts_t, size_dt)
+        return np.zeros(params0.arch.n_params), None
+    if ledger.sums and sums_cheaper(ledger) and sums_exact(ledger, shift.gaussians):
+        path, g = "sums", _sums_kl_gradient(ledger, shift, counts_t, size_dt)
     else:
         logq = np.log(shift.class_ratio_matrix(ledger, counts_t, size_dt).T)
-        g = sum_grad_kl_to_targets(params0, ledger.X, logq,
-                                   forward=(ledger.P0, ledger.H))
-    return (ledger.lam / ledger.count) * g
+        path, g = "rows", sum_grad_kl_to_targets(params0, ledger.X, logq,
+                                                 forward=(ledger.P0, ledger.H))
+    return (lam / ledger.count) * g, path
 
 
 def _index_column(values, what: str) -> np.ndarray:
@@ -455,7 +448,6 @@ class SafeUnlearner:
         self._sorted_ids = ids[self._order]
         self.alive = np.ones(len(ids), dtype=bool)
         self.ledger = ForgettingLedger(
-            lam=config.lam,
             sums=keeps_sums(params0.arch, self.class_counts, projection.shape[1]))
         self.shift = ShiftEstimator(self.gaussians, self.class_counts)
         self.gamma = learning_rate(config)
@@ -487,7 +479,13 @@ class SafeUnlearner:
                         ids: np.ndarray) -> RoundResult:
         t = self.round + 1
         # the whole request is checked before any state changes
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        try:
+            X = np.asarray(X)
+        except (ValueError, TypeError) as e:  # ragged rows, for one
+            raise StreamError(f"request features are not one array: {e}") from None
+        if X.dtype.kind not in "biuf":
+            raise StreamError(f"request features must be real numbers, got {X.dtype}")
+        X = np.atleast_2d(X.astype(np.float64, copy=False))
         y = _index_column(y, "labels")
         ids = _index_column(ids, "ids")
         if not (len(X) == len(y) == len(ids)):
@@ -525,9 +523,9 @@ class SafeUnlearner:
             self.alive[rows] = False
             self.ledger.append(X, rows, **frozen)
 
-        g_forget = forgetting_gradient(
+        g_forget, path = forgetting_gradient(
             self.params0, self.ledger, self.shift,
-            self.class_counts, self.retention.size_dt,
+            self.class_counts, self.retention.size_dt, self.config.lam,
         )
         g = self.retention.grad + g_forget
         b = self.draw_perturbation(t)
@@ -543,5 +541,5 @@ class SafeUnlearner:
             grad_norm=gnorm,
             perturbation=b,
             exhausted_classes=exhausted,
-            grad_path=self.ledger.grad_path,
+            grad_path=path,
         )

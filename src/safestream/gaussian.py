@@ -157,10 +157,10 @@ def factor(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
     """For the Gaussians N(mu, Sigma) of the stacks mu and sigma: inv_chol,
     the inverse lower Cholesky factors (one ``dpotrf`` and ``dtrtri`` per
     slab; only a slab ``dpotrf`` fails on goes to ``cholesky_with_jitter``),
-    logdet, and the log ratios against N(0, I), c + h.z + z'Bz with P =
-    inv_chol' inv_chol, h = P mu, B = (I - P)/2, c = -(logdet + mu'h)/2, as
-    the (s, F) coefficients of ``quadratic_features`` (c, h, B's upper
-    triangle with off-diagonal entries doubled) and the stack B."""
+    and the log ratios against N(0, I), c + h.z + z'Bz with P = inv_chol'
+    inv_chol, h = P mu, B = (I - P)/2, c = -(log det Sigma + mu'h)/2, as the
+    (s, F) coefficients of ``quadratic_features`` (c, h, B's upper triangle
+    with off-diagonal entries doubled) and the stack B."""
     s, k = mu.shape
     _, _, flat, weight, half_eye = _upper_triangle(k)
     # slabs Fortran-ordered, as LAPACK returns them: a whitening's GEMM
@@ -177,7 +177,7 @@ def factor(mu: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, ...]:
     coef[:, 0] = -0.5 * (logdet + (mu[:, None] @ h)[:, 0, 0])
     coef[:, 1:k + 1] = h[..., 0]
     np.multiply(B.reshape(s, k * k).take(flat, axis=1), weight, out=coef[:, k + 1:])
-    return inv, logdet, coef, B
+    return inv, coef, B
 
 
 def schatten_bound(B: np.ndarray) -> np.ndarray:
@@ -227,10 +227,8 @@ class ClassConditionalGaussians:
         self.n, self.mu, self.sigma, self.frozen = (
             np.array([getattr(stats[c], f) for c in self.classes])
             for f in ("n", "mu", "sigma", "frozen"))
-        self.log_ratio_forms, self.B = factor(self.mu, self.sigma)[2:]
+        self.log_ratio_forms, self.B = factor(self.mu, self.sigma)[1:]
         self.version = np.zeros(len(self.classes), dtype=np.int64)
-        # log_ratio_bounds' spectral bounds, and the versions they are of
-        self._bound, self._bound_version = np.zeros(len(self.classes)), self.version - 1
 
     @property
     def proj_dim(self) -> int:
@@ -280,9 +278,10 @@ class ClassConditionalGaussians:
 
     def standardize_all(self, X: np.ndarray) -> np.ndarray:
         """(n_classes, n, k) stack of ``standardize_batch(X, c)`` over the
-        fitted classes, in the order of ``classes``; X is projected once."""
+        fitted classes, in the order of ``classes``: X is projected once and
+        whitened under every class in one stacked product."""
         U = np.atleast_2d(X) @ self.projection
-        return np.stack([(U - mu) @ L.T for mu, L in zip(self.base_mu, self.base_inv_chol)])
+        return (U - self.base_mu[:, None]) @ self.base_inv_chol.swapaxes(1, 2)
 
     def remove(self, Z: np.ndarray, y: np.ndarray) -> tuple[list[int], np.ndarray]:
         """Downdate, in one stacked pass, every class a deletion batch of
@@ -320,7 +319,7 @@ class ClassConditionalGaussians:
             n, mu = downdate_mean(n0, self.mu[idx], m, mu_rm)
             sigma = downdate_cov(n0[..., None], self.sigma[idx], mu, m[..., None],
                                  mu_rm, sigma_rm)
-            new = (n[:, 0], mu, sigma, *factor(mu, sigma)[2:])
+            new = (n[:, 0], mu, sigma, *factor(mu, sigma)[1:])
             for name, value in zip(("n", "mu", "sigma", "log_ratio_forms", "B"), new):
                 getattr(self, name)[idx] = value
             self.version[idx] += 1
@@ -340,14 +339,11 @@ class ClassConditionalGaussians:
         """Per class, in the order of ``classes``, an upper bound on
         |log N(z | mu_t, Sigma_t) - log N(z | 0, I)| over every z with
         ||z||^2 <= rho2[class]: |c| + ||h|| rho + ||B||_2 rho^2, in the
-        terms of ``log_ratio_forms``; |z'Bz| <= ||B||_2 ||z||^2, and
-        ``schatten_bound`` runs here, on the classes whose version moved."""
-        stale = self._bound_version != self.version
-        if stale.any():
-            self._bound[stale] = schatten_bound(self.B[stale])
-            self._bound_version = self.version.copy()
+        terms of ``log_ratio_forms``; |z'Bz| <= ||B||_2 ||z||^2, with
+        ||B||_2 bounded by ``schatten_bound`` over the whole B stack."""
         c, h = self.log_ratio_forms[:, 0], self.log_ratio_forms[:, 1:self.proj_dim + 1]
-        return np.abs(c) + np.sqrt((h * h).sum(axis=1)) * np.sqrt(rho2) + self._bound * rho2
+        return (np.abs(c) + np.sqrt((h * h).sum(axis=1)) * np.sqrt(rho2)
+                + schatten_bound(self.B) * rho2)
 
 
 def mardia_test(Z: np.ndarray) -> tuple[float, float]:

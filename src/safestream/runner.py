@@ -354,7 +354,7 @@ def run(cfg: RunConfig, out) -> dict:
     """
     state = initialize(cfg)
     engine, train, test = state.engine, state.train, state.test
-    led = engine.ledger
+    led, lam = engine.ledger, engine.config.lam
     chash = config_hash(cfg)
     account = RegretAccount()
     if cfg.oracle:
@@ -397,7 +397,7 @@ def run(cfg: RunConfig, out) -> dict:
                            for split in (train, test))
             # both models' predictions on the forgotten rows, in ledger order
             p_led, q_led = w.proba[:, forgotten].T, ws.proba[:, forgotten].T
-            risk_w = true_risk(w.loss[alive], p_led, q_led, led.lam)
+            risk_w = true_risk(w.loss[alive], p_led, q_led, lam)
             # true_risk of w* itself: its KL term against itself is 0
             risk_star = float(ws.loss[alive].mean())
             account.update(risk_w, risk_star, star)
@@ -406,8 +406,7 @@ def run(cfg: RunConfig, out) -> dict:
                 led, engine.class_counts, engine.retention.size_dt)
                 if led.count else None)
             surrogate = surrogate_risk(w.loss, w.loss[forgotten], p_led,
-                                       targets, engine.retention.size_dt,
-                                       led.lam)
+                                       targets, engine.retention.size_dt, lam)
             oracle_ms = (time.perf_counter() - o0) * 1e3
             rec["oracle"] = {
                 "risk_w": risk_w,
@@ -510,7 +509,7 @@ def _reference_forgetting_gradient(engine: SafeUnlearner, standardize) -> np.nda
         Z = standardize(led.X, label)
         q[:, label] = lr * _scipy_density_ratio(Z, st)
     grad = sum_grad_kl_to_targets(engine.params0, led.X, np.log(q).T)
-    return (led.lam / led.count) * grad
+    return (engine.config.lam / led.count) * grad
 
 
 def verify(cfg: RunConfig, out, report=print) -> bool:
@@ -571,7 +570,8 @@ def verify(cfg: RunConfig, out, report=print) -> bool:
         # the raw rows
         if engine.ledger.count:
             got = forgetting_gradient(engine.params0, engine.ledger, engine.shift,
-                                      engine.class_counts, engine.retention.size_dt)
+                                      engine.class_counts, engine.retention.size_dt,
+                                      engine.config.lam)[0]
             want = _reference_forgetting_gradient(engine, standardize)
             errs["forgetting_gradient"] = max(
                 errs["forgetting_gradient"],

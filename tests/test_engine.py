@@ -134,11 +134,12 @@ class TestForgettingGradient:
     def test_empty_ledger_zero_vector(self, blob_task):
         train, _, params0 = blob_task
         engine = build_engine(train, params0, SafeConfig(T=5, lam=100.0))
-        g = forgetting_gradient(
-            params0, engine.ledger, engine.shift, engine.class_counts, train.n
+        g, path = forgetting_gradient(
+            params0, engine.ledger, engine.shift, engine.class_counts, train.n,
+            engine.config.lam
         )
         assert np.array_equal(g, np.zeros(params0.arch.n_params))
-        assert engine.ledger.grad_path is None
+        assert path is None
 
     def test_zero_when_target_equals_prediction(self, blob_task):
         train, _, params0 = blob_task
@@ -149,10 +150,10 @@ class TestForgettingGradient:
             def class_ratio_matrix(self, ledger, counts_t, size_dt):
                 return np.ones((ledger.count, params0.arch.n_classes))
 
-        ledger = ForgettingLedger(lam=10.0)
+        ledger = ForgettingLedger()
         ledger.append(train.X[:1], np.arange(1),
                       **frozen_columns(params0, engine.gaussians, train.X[:1]))
-        g = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n)
+        g = forgetting_gradient(params0, ledger, IdentityShift(), {}, train.n, 10.0)[0]
         assert np.abs(g).max() < 1e-12
 
     def test_matches_finite_difference_of_assembled_risk(self, blob_task,
@@ -164,7 +165,7 @@ class TestForgettingGradient:
         engine = build_engine(train, params0, SafeConfig(T=5, lam=50.0, proj_dim=4))
 
         idx = rng.choice(train.n, 12, replace=False)
-        engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
+        result = engine.process_request(train.X[idx], train.y[idx], train.ids[idx])
         ledger = engine.ledger
         counts = dict(engine.class_counts)
         size_dt = engine.retention.size_dt
@@ -172,19 +173,19 @@ class TestForgettingGradient:
 
         def assembled(theta):
             p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
-            return (ledger.lam / ledger.count) * rel_entr(p, targets).sum()
+            return (engine.config.lam / ledger.count) * rel_entr(p, targets).sum()
 
         fd = central_difference(assembled, params0.theta.copy())
         # both paths: the sums, on a ledger this small only when the
         # crossover is overridden, then the rows
-        assert ledger.grad_path == "rows"
+        assert result.grad_path == "rows"
         monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
         for path in ("sums", "rows"):
             if path == "rows":
                 monkeypatch.setattr(safestream.engine, "sums_exact", lambda *a: False)
-            analytic = forgetting_gradient(params0, ledger, engine.shift, counts,
-                                           size_dt)
-            assert ledger.grad_path == path
+            analytic, took = forgetting_gradient(params0, ledger, engine.shift,
+                                                 counts, size_dt, engine.config.lam)
+            assert took == path
             assert relative_error(analytic, fd) < 1e-6
 
     @pytest.mark.parametrize("hidden", [None, 4])
@@ -204,16 +205,18 @@ class TestForgettingGradient:
         ledger = engine.ledger
         q = np.tile([1e-12, 1.0, 1e6], (ledger.count, 1))
         monkeypatch.setattr(engine.shift, "class_ratio_matrix", lambda *a: q)
-        analytic = forgetting_gradient(params0, ledger, engine.shift,
-                                       engine.class_counts, engine.retention.size_dt)
-        assert ledger.grad_path == "rows"
+        analytic, path = forgetting_gradient(params0, ledger, engine.shift,
+                                             engine.class_counts,
+                                             engine.retention.size_dt,
+                                             engine.config.lam)
+        assert path == "rows"
         p0 = predict_proba_batch(params0, ledger.X)
         targets = p0 * q / (p0 * q).sum(axis=1, keepdims=True)
         assert targets.min() < 1e-16
 
         def assembled(theta):
             p = predict_proba_batch(ModelParams(arch, theta), ledger.X)
-            return (ledger.lam / ledger.count) * rel_entr(p, targets).sum()
+            return (engine.config.lam / ledger.count) * rel_entr(p, targets).sum()
 
         fd = central_difference(assembled, params0.theta.copy())
         assert relative_error(analytic, fd) < 1e-6
@@ -229,7 +232,7 @@ def engine_state(eng):
         "retention": (eng.retention.grad, eng.retention.size_dt),
         "class_counts": dict(eng.class_counts),
         # every stack of the class statistics: moments, factors, forms,
-        # bounds, frozen flags and versions
+        # frozen flags and versions
         "gaussians": {name: v for name, v in vars(eng.gaussians).items()
                       if isinstance(v, np.ndarray)},
         "ledger": (led.rows, led.X, led.Z, led.P0, led.H, led.R),
@@ -332,7 +335,7 @@ def check_frozen_columns_through_requests(engine, train):
         else:
             assert max_rel_err(led.P0, P0) <= 1e-14
             assert max_rel_err(led.H, H) <= 1e-14
-        fresh = ForgettingLedger(led.lam)
+        fresh = ForgettingLedger()
         fresh.append(led.X, led.rows, Z=Z, P0=led.P0)
         counts, size_dt = engine.class_counts, engine.retention.size_dt
         assert np.array_equal(engine.shift.target_predictions(led, counts, size_dt),
@@ -417,6 +420,37 @@ class TestProcessRequest:
         with pytest.raises(StreamError, match="non-finite"):
             engine.process_request(X, train.y[4:8], train.ids[4:8])
         assert same_state(engine_state(engine), before)
+
+    @pytest.mark.parametrize("features", [
+        lambda X: X.astype(str),
+        lambda X: np.full(X.shape, "x"),
+        lambda X: [list(X[0]), list(X[1, :-1]), list(X[2]), list(X[3])],
+        lambda X: X + 1j,
+        lambda X: X.astype(complex),
+    ], ids=["numeric-strings", "strings", "ragged", "complex", "complex-real-valued"])
+    def test_non_real_features_rejected_before_any_change(self, engine, blob_task,
+                                                          features):
+        train, _, _ = blob_task
+        engine.process_request(train.X[:4], train.y[:4], train.ids[:4])
+        before = engine_state(engine)
+        with pytest.raises(StreamError, match="request features"):
+            engine.process_request(features(train.X[4:8]), train.y[4:8],
+                                   train.ids[4:8])
+        assert same_state(engine_state(engine), before)
+
+    @pytest.mark.parametrize("cast", [bool, np.int32, np.float32, list])
+    def test_bool_integer_and_float_features_pass(self, engine, blob_task, cast):
+        # features of any real dtype, or a nested list of them, are the
+        # float64 rows of the same values
+        train, _, params0 = blob_task
+        twin = build_engine(train, params0, SafeConfig(T=10, lam=100.0, seed=5))
+        X = np.rint(train.X[:4])
+        given = X.tolist() if cast is list else X.astype(cast)
+        got = engine.process_request(given, train.y[:4], train.ids[:4])
+        want = twin.process_request(np.asarray(given, dtype=np.float64),
+                                    train.y[:4], train.ids[:4])
+        assert np.array_equal(got.params.theta, want.params.theta)
+        assert same_state(engine_state(engine), engine_state(twin))
 
     @pytest.mark.parametrize("shape", [lambda d: (4, d - 1), lambda d: (4, d + 1),
                                        lambda d: (4, 1, d)],
@@ -735,7 +769,7 @@ def test_request_stream_invariants(small_task, requests):
 
 
 def test_ledger_counts_and_rounds():
-    ledger = ForgettingLedger(lam=1.0)
+    ledger = ForgettingLedger()
     assert ledger.count == 0
     assert ledger.rows.tolist() == []
     ledger.append(np.ones((2, 3)), np.array([4, 2]), Z=np.ones((2, 2, 1)))
@@ -753,7 +787,7 @@ def test_ledger_appends_match_concatenation():
     # through every regrowth, and never alias the caller's arrays; a column
     # given as None is not kept
     rng = np.random.default_rng(0)
-    ledger = ForgettingLedger(lam=1.0)
+    ledger = ForgettingLedger()
     Xs, rows_s, Zs, P0s = [], [], [], []
     for m in (3, 1, 5, 2, 9, 1, 16):
         X, rows = rng.standard_normal((m, 4)), rng.integers(0, 100, m)
@@ -781,7 +815,7 @@ def test_refresh_recomputes_a_class_only_when_its_version_moved(evaluated):
     X = rng.standard_normal((90, 6)) + np.repeat([0.0, 2.0, 4.0], 30)[:, None]
     y = np.repeat([0, 1, 2], 30)
     g = ClassConditionalGaussians.fit(X, y, make_projection(6, 3, seed=2))
-    ledger = ForgettingLedger(lam=1.0)
+    ledger = ForgettingLedger()
     first, later = [0, 31, 62, 63], [1, 64]
     ledger.append(X[first], np.array(first), Z=g.standardize_all(X[first]))
     ledger.refresh_ratios(g)
@@ -791,7 +825,7 @@ def test_refresh_recomputes_a_class_only_when_its_version_moved(evaluated):
     R = ledger.refresh_ratios(g)
     assert g.version.tolist() == [0, 1, 0]
     assert sorted(evaluated) == [(0, 2), (1, 6), (2, 2)]
-    fresh = ForgettingLedger(lam=1.0)
+    fresh = ForgettingLedger()
     fresh.append(ledger.X, ledger.rows, Z=ledger.Z)
     assert np.abs(R - fresh.refresh_ratios(g)).max() <= 1e-13 * np.abs(R).max()
 
@@ -838,10 +872,10 @@ def test_sums_gradient_matches_per_row_gradient(seed, n_classes, dim, proj_dim,
             if result.grad_path == "rows":
                 continue
             args = (params0, led, engine.shift, engine.class_counts,
-                    engine.retention.size_dt)
-            sums = forgetting_gradient(*args)
+                    engine.retention.size_dt, engine.config.lam)
+            sums = forgetting_gradient(*args)[0]
             mp.setattr(safestream.engine, "sums_exact", lambda *a: False)
-            rows = forgetting_gradient(*args)
+            rows = forgetting_gradient(*args)[0]
             mp.undo()
             mp.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
             err = np.abs(sums - rows).max() / max(1.0, np.abs(rows).max())
@@ -873,7 +907,7 @@ def test_sums_follow_the_ledger_through_every_fold(engine, blob_task, monkeypatc
     monkeypatch.setattr(safestream.engine, "sums_cheaper", lambda *a: True)
     paths = [r.grad_path for r in run_stream(engine, train, rng, 3, 25)]
     assert paths == ["sums"] * 3 and led.sums_rows == led.count == 165
-    fresh = ForgettingLedger(led.lam, sums=True)
+    fresh = ForgettingLedger(sums=True)
     fresh.append(led.X, led.rows, Z=led.Z, P0=led.P0)
     want = fresh.fold_sums()
     assert np.abs(led.S - want).max() <= 1e-12 * np.abs(want).max()

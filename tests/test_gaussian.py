@@ -245,11 +245,13 @@ class TestClassGaussians:
 
     def test_standardize_all_matches_triangular_solve(self, fitted):
         # against each class's t=0 mean and Cholesky factor recomputed from
-        # its rows, not read from the fit
+        # its rows, not read from the fit; and, bit for bit, against the
+        # same whitening one class at a time
         X, y, g = fitted
         Z = g.standardize_all(X)
         assert Z.shape == (2, len(X), 6)
         for j, label in enumerate(g.classes):
+            assert np.array_equal(Z[j], g.standardize_batch(X, label))
             mu, sigma = batch_mean_cov(X[y == label] @ g.projection)
             U = X @ g.projection - mu
             want = solve_triangular(np.linalg.cholesky(sigma), U.T, lower=True).T
@@ -381,10 +383,45 @@ def test_stacked_downdate_matches_two_pass(three_classes, rounds):
             assert g.version[c] == version[c] + (c in dict(batch))
 
 
+@pytest.mark.parametrize("batch", [[(1, 9)], [(0, 7), (1, 5), (2, 3)]],
+                         ids=["one-class-moves", "every-class-moves"])
+def test_log_ratio_bounds_cover_the_ball_through_remove(three_classes, batch):
+    # read before a remove and after it: each class's bound is at least
+    # |log ratio| anywhere in its ball ||z||^2 <= rho2, on the sphere
+    # included, and equals the bound of Gaussians rebuilt from the same
+    # statistics, so no moved class keeps a bound of its old statistics.
+    # At the large radius the quadratic term dominates and z'Bz peaks on
+    # B's extreme eigenvectors, within a few percent of the bound
+    X, y, projection = three_classes
+    g = ClassConditionalGaussians.fit(X, y, projection)
+    radii = np.array([[2.0, 5.0, 9.0], [400.0, 400.0, 400.0]])
+    before = [g.log_ratio_bounds(rho2) for rho2 in radii]
+    idx = np.concatenate([np.flatnonzero(y == c)[:k] for c, k in batch])
+    g.remove(g.standardize_all(X[idx]), y[idx])
+    rebuilt = ClassConditionalGaussians(projection, g.base_mu, g.base_inv_chol, g.stats)
+    moved = sorted(dict(batch))
+    rng = np.random.default_rng(12)
+    k = g.proj_dim
+    U = rng.standard_normal((3, 400, k))
+    U /= np.linalg.norm(U, axis=2, keepdims=True)
+    # both ends of B's extreme eigenvectors, where |z'Bz| peaks
+    vecs = np.linalg.eigh(g.B)[1][..., [0, -1]].swapaxes(1, 2)
+    U[:, :4] = np.concatenate([vecs, -vecs], axis=1)
+    radius = rng.uniform(size=(3, 400, 1)) ** (1.0 / k)
+    radius[:, :100] = 1.0  # on the sphere
+    for rho2, old in zip(radii, before):
+        bounds = g.log_ratio_bounds(rho2)
+        assert np.all(bounds[moved] != old[moved])
+        assert np.all(np.abs(bounds - rebuilt.log_ratio_bounds(rho2)) <= 1e-12 * bounds)
+        Z = U * radius * np.sqrt(rho2)[:, None, None]
+        logr = np.abs(g.log_ratio(Z, slice(None))).max(axis=1)
+        assert np.all(logr <= bounds * (1.0 + 1e-12))
+
+
 def test_jitter_reaches_only_the_slab_that_needs_it():
     # a singular slab takes the jitter fallback; every other slab's factor,
-    # log-determinant and log-ratio form is the one the stack gives without
-    # the singular slab, bit for bit
+    # log-ratio form and B is the one the stack gives without the singular
+    # slab, bit for bit
     rng = np.random.default_rng(5)
     A = rng.standard_normal((3, 9, 4))
     sigma = A.swapaxes(1, 2) @ A / 8

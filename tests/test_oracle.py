@@ -287,9 +287,9 @@ class TestSurrogateRisk:
         p_led = predict_proba_batch(w, led.X)
         q_led = predict_proba_batch(star, led.X)
         surro = surrogate_risk(loss, loss[led.rows], p_led, q_led,
-                               engine.retention.size_dt, led.lam)
+                               engine.retention.size_dt, engine.config.lam)
         true = true_risk(cross_entropy_rows(w, train.X[30:], train.y[30:]),
-                         p_led, q_led, led.lam)
+                         p_led, q_led, engine.config.lam)
         assert surro == pytest.approx(true, abs=1e-12)
 
     def test_one_forward_pass_over_the_ledger(self, small_task, monkeypatch):
@@ -306,7 +306,7 @@ class TestSurrogateRisk:
         targets = np.full((30, arch.n_classes), 1.0 / arch.n_classes)
         want = (len(train.X) / size_dt) * mean_cross_entropy(w, train.X, train.y)
         want -= cross_entropy_rows(w, ledger.X, train.y[ledger.rows]).sum() / size_dt
-        want += (ledger.lam / 30) * kl_rows(predict_proba_batch(w, ledger.X),
+        want += (engine.config.lam / 30) * kl_rows(predict_proba_batch(w, ledger.X),
                                             targets).sum()
         forwarded = []
         exact = safestream.model._forward
@@ -318,7 +318,7 @@ class TestSurrogateRisk:
         monkeypatch.setattr(safestream.model, "_forward", recording)
         scores = score_rows(w, train.X, train.y)
         got = surrogate_risk(scores.loss, scores.loss[idx], scores.proba[:, idx].T,
-                             targets, size_dt, ledger.lam)
+                             targets, size_dt, engine.config.lam)
         assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
         assert forwarded == [len(train.X)]
 

@@ -36,7 +36,10 @@ from safestream.runner import (
     sweep,
     verify,
 )
+from safestream.shift import RATIO_FLOOR
 from safestream.streams import StreamSpec
+
+from conftest import write_idx_images, write_idx_labels
 
 BASE = {
     "dataset": {"kind": "synthetic", "n": 900, "dim": 10, "classes": 3,
@@ -568,6 +571,39 @@ class TestVerify:
         assert lines[-1] == "VERIFY gradient paths: 22 rounds sums, 18 rows, 0 empty ledger"
         record = json.loads(buf.getvalue())
         assert record["grad_paths"] == {"sums": 22, "rows": 18, "empty": 0}
+
+    def test_training_labels_that_skip_a_class(self, tmp_path):
+        # an IDX split labelled {0, 1, 3}: the architecture has C = 4 and
+        # label 2 no rows, so the ledger keeps no sums (its labels are not
+        # 0..C-1), every round takes the per-row gradient, label 2's ratio
+        # column stays at the floor, and every suite passes around the gap
+        rng = np.random.default_rng(29)
+        labels = np.repeat(np.array([0, 1, 3], dtype=np.uint8), 60)
+        centers = rng.integers(40, 216, (4, 4, 4))
+        noise = rng.integers(-40, 41, (len(labels), 4, 4))
+        images = np.clip(centers[labels] + noise, 0, 255)
+        write_idx_images(tmp_path / "im.idx", images)
+        write_idx_labels(tmp_path / "lb.idx", labels)
+        cfg = base_config(
+            dataset={"kind": "idx", "images": str(tmp_path / "im.idx"),
+                     "labels": str(tmp_path / "lb.idx")},
+            stream={"rounds": 3, "per_round": 5})
+        state = initialize(cfg)
+        engine = state.engine
+        assert state.params0.arch.n_classes == 4
+        assert engine.gaussians.classes == [0, 1, 3]
+        assert not engine.ledger.sums
+        paths = [result.grad_path for _, _, result, _ in round_loop(state)]
+        assert paths == ["rows"] * 3
+        assert engine.ledger.S is None and engine.ledger.count == 15
+        q = engine.shift.class_ratio_matrix(engine.ledger, engine.class_counts,
+                                            engine.retention.size_dt)
+        assert q.shape == (15, 4) and np.all(q[:, 2] == RATIO_FLOOR)
+        lines, buf = [], io.StringIO()
+        assert verify(cfg, buf, report=lines.append) is True
+        assert sum("PASS" in l for l in lines) == 6
+        assert json.loads(buf.getvalue())["grad_paths"] == {
+            "sums": 0, "rows": 3, "empty": 0}
 
 
 @st.composite

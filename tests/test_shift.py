@@ -56,7 +56,7 @@ def gaussian_setup():
 
 def ledger_of(params, g, X):
     """A ledger holding the rows X with the columns the engine gives them."""
-    ledger = ForgettingLedger(lam=1.0)
+    ledger = ForgettingLedger()
     ledger.append(X, np.arange(len(X)), **frozen_columns(params, g, X))
     return ledger
 
@@ -128,7 +128,7 @@ class FixedRatios(ShiftEstimator):
 def targets_of(probs, ratios):
     """``target_predictions`` of the w_0 probabilities ``probs`` (n, C)
     under fixed ratios."""
-    ledger = ForgettingLedger(lam=1.0)
+    ledger = ForgettingLedger()
     probs = np.atleast_2d(probs)
     ledger.append(np.zeros((len(probs), 1)), np.arange(len(probs)), P0=probs.T)
     return FixedRatios(ratios).target_predictions(ledger, {}, 1)

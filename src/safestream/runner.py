@@ -49,6 +49,8 @@ with the remaining training rows as its members, and are null unless
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import json
 import time
@@ -312,7 +314,38 @@ class RunState:
     requests: list[np.ndarray]
 
 
+# glibc's mallopt parameter numbers (malloc.h), and the values pinned
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 1 << 20
+_TRIM_THRESHOLD = 64 << 20  # what glibc's own rule can raise it to at most
+
+
+@functools.cache
+def pin_heap_thresholds() -> bool:
+    """Pin the C library's malloc thresholds for the process, once; False
+    where it has no ``mallopt``.
+
+    By default glibc raises its mmap threshold to the largest mapped block
+    freed so far, and its trim threshold to twice that. Whether a
+    multi-megabyte array then gets pages already resident in the heap or
+    fresh ones that fault depends on everything the process allocated and
+    freed before, so the same pass costs a different number of page faults
+    in different processes. Pinned, a block of ``_MMAP_THRESHOLD`` or more
+    that the heap's free space cannot hold is mapped fresh, and unmapped
+    when freed, instead of growing the heap; freeing it moves neither
+    threshold; and the heap, which only smaller blocks then grow, is not
+    trimmed."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no C library with mallopt
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+
+
 def initialize(cfg: RunConfig) -> RunState:
+    pin_heap_thresholds()
     train, test = build_dataset(cfg)
     arch = build_arch(cfg, train.dim, train.n_classes)
     params0 = retrain(train.X, train.y, arch, cfg.retrain)

@@ -2,7 +2,11 @@ import copy
 import functools
 import io
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,6 +299,54 @@ class TestRun:
         small_ms = np.median([r["wall_ms"] for r in small if r["type"] == "round"])
         big_ms = np.median([r["wall_ms"] for r in big if r["type"] == "round"])
         assert big_ms < 10 * max(small_ms, 0.05)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# run in a fresh interpreter, whose heap holds no free block of 2 MiB yet:
+# with the thresholds pinned or not, free an 8 MiB mapped block (glibc's own
+# rule then raises its mmap threshold to 8 MiB) and print whether a 2 MiB
+# and a 256 KiB array are each mapped on their own
+HEAP_PROBE = """
+import ctypes, sys
+import numpy as np
+import safestream.runner
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks", "fsmblks",
+        "uordblks", "fordblks", "keepcost")]
+
+libc = ctypes.CDLL(None)
+if not hasattr(libc, "mallinfo2"):
+    sys.exit(3)
+libc.mallinfo2.argtypes, libc.mallinfo2.restype = (), MallInfo2
+if sys.argv[1] == "pin" and not safestream.runner.pin_heap_thresholds():
+    sys.exit(3)
+freed = np.ones(1 << 20)
+del freed
+for n_bytes in (2 << 20, 256 << 10):
+    before = libc.mallinfo2().hblkhd
+    block = np.ones(n_bytes // 8)
+    print(libc.mallinfo2().hblkhd - before >= n_bytes)
+    del block
+"""
+
+
+@pytest.mark.parametrize("pin, mapped", [("pin", ["True", "False"]),
+                                         ("no-pin", ["False", "False"])])
+def test_pinned_heap_thresholds_ignore_what_was_freed(pin, mapped):
+    """Pinned, a 2 MiB array the heap cannot hold is mapped on its own even
+    after an 8 MiB mapping was freed; unpinned, glibc grows the heap for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", HEAP_PROBE, pin], capture_output=True, text=True,
+        timeout=120, env={**{k: v for k, v in os.environ.items()
+                             if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"},
+                          "PYTHONPATH": str(SRC)},
+    )
+    if proc.returncode == 3:
+        pytest.skip("the C library has no mallopt or mallinfo2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == mapped
 
 
 @pytest.fixture(scope="module")

@@ -314,34 +314,22 @@ class RunState:
     requests: list[np.ndarray]
 
 
-# glibc's mallopt parameter numbers (malloc.h), and the values pinned
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 1 << 20
-_TRIM_THRESHOLD = 64 << 20  # what glibc's own rule can raise it to at most
-
-
 @functools.cache
 def pin_heap_thresholds() -> bool:
-    """Pin the C library's malloc thresholds for the process, once; False
-    where it has no ``mallopt``.
-
-    By default glibc raises its mmap threshold to the largest mapped block
-    freed so far, and its trim threshold to twice that. Whether a
-    multi-megabyte array then gets pages already resident in the heap or
-    fresh ones that fault depends on everything the process allocated and
-    freed before, so the same pass costs a different number of page faults
-    in different processes. Pinned, a block of ``_MMAP_THRESHOLD`` or more
-    that the heap's free space cannot hold is mapped fresh, and unmapped
-    when freed, instead of growing the heap; freeing it moves neither
-    threshold; and the heap, which only smaller blocks then grow, is not
-    trimmed."""
+    """Pin glibc's malloc thresholds for the process, once; False where the C
+    library has no ``mallopt``. Unpinned, glibc raises both as mapped blocks
+    are freed, so whether a multi-megabyte array reuses resident heap or
+    faults in fresh pages depends on what the process freed before. Pinned,
+    a block of 1 MiB or more that the heap cannot hold is mapped fresh and
+    unmapped when freed, and the heap is not trimmed."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no C library with mallopt
+    except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-                and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD))
+    # malloc.h's M_MMAP_THRESHOLD and M_TRIM_THRESHOLD; 64 MiB is as high as
+    # glibc's own rule takes the trim threshold
+    return bool(mallopt(-3, 1 << 20) and mallopt(-1, 64 << 20))
 
 
 def initialize(cfg: RunConfig) -> RunState:
